@@ -1,18 +1,37 @@
 """Deployer registry: signed ID issuance, lineage serving, incident database.
 
-Every state mutation appends one canonical record to an append-only log;
-replaying the log reproduces a byte-identical registry state. Reads operate
-on in-memory state and never observe a partially applied mutation (all
-writes serialize through one lock).
+Every state mutation appends one record to an append-only log; replaying the
+log reproduces a byte-identical registry state. Writes and incident queries
+serialize through one lock, so no read observes a partially applied mutation.
+
+The incident database is indexed. Each report sits in one list per indexed
+scope it falls in (its instance, its system, its reporter's party class and,
+when set, its user), each list sorted by ``(occurred_at, report_id)``; a set
+of report ids and a sorted list of system ids sit beside them. With n
+reports:
+
+* ``report_incident`` costs O(log n) comparisons plus one list insertion per
+  index (duplicate id and identifier checks are set lookups);
+* ``query_incidents`` on the ``instance``, ``user``, ``system`` and
+  ``party-class`` scopes costs two bisects plus the results it copies out;
+  ``systems`` merges the lists of the systems whose id has the prefix;
+  ``instance-class`` scans every report and sorts the hits.
+
+Issue and incident log records hold references to the registry's own
+immutable ``SignedId`` and ``IncidentReport`` objects; ``log_lines`` encodes
+them, so the log keeps no second copy of any document or report.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 import threading
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .canonical import (
     b64u,
@@ -82,6 +101,18 @@ class IncidentReport:
     occurred_at: int
     user_ref: Optional[str] = None
 
+    def __post_init__(self):
+        if not (
+            isinstance(self.report_id, str)
+            and isinstance(self.reporter, str)
+            and isinstance(self.description, str)
+        ):
+            raise MalformedRecord("report_id, reporter and description must be strings")
+        if type(self.occurred_at) is not int:
+            raise MalformedRecord(f"occurred_at must be an integer, not {self.occurred_at!r}")
+        if self.user_ref is not None and not isinstance(self.user_ref, str):
+            raise MalformedRecord(f"user_ref must be a string or null, not {self.user_ref!r}")
+
     def to_jsonable(self) -> dict:
         return {
             "description": self.description,
@@ -129,6 +160,8 @@ class IncidentScope:
     def __post_init__(self):
         if self.kind not in SCOPE_KINDS:
             raise MalformedRecord(f"unknown scope kind {self.kind!r}")
+        if not isinstance(self.value, str):
+            raise MalformedRecord(f"scope value must be a string, not {self.value!r}")
 
     @classmethod
     def instance(cls, identifier: InstanceIdentifier) -> "IncidentScope":
@@ -172,6 +205,11 @@ class TimeWindow:
     start: Optional[int] = None
     end: Optional[int] = None
 
+    def __post_init__(self):
+        for bound in (self.start, self.end):
+            if bound is not None and type(bound) is not int:
+                raise MalformedRecord(f"window bound must be an integer or null, not {bound!r}")
+
     def contains(self, at: int) -> bool:
         if self.start is not None and at < self.start:
             return False
@@ -186,6 +224,8 @@ class TimeWindow:
     def from_jsonable(cls, body: Any) -> "TimeWindow":
         if body is None:
             return cls()
+        if not isinstance(body, dict):
+            raise MalformedRecord("window must be an object or null")
         return cls(body.get("start"), body.get("end"))
 
 
@@ -229,6 +269,39 @@ def default_disclosure_policy() -> DisclosurePolicy:
     )
 
 
+# incident lists are kept in this order; it is also the order queries return
+_INCIDENT_ORDER = attrgetter("occurred_at", "report_id")
+
+
+def _scope_keys(report: IncidentReport) -> list[tuple[str, str]]:
+    """The (kind, value) of every indexed scope the report falls in."""
+    keys = [
+        ("instance", str(report.identifier)),
+        ("system", report.identifier.system_id),
+        # reporter tokens follow the "<class>.<name>" convention
+        ("party-class", report.reporter.split(".", 1)[0]),
+    ]
+    if report.user_ref is not None:
+        keys.append(("user", report.user_ref))
+    return keys
+
+
+def _cut(reports: list[IncidentReport], start: int, end: Optional[int]) -> list[IncidentReport]:
+    """Copy of the sorted reports with start <= occurred_at <= end."""
+    lo = bisect_left(reports, (start,), key=_INCIDENT_ORDER)
+    hi = len(reports) if end is None else bisect_left(reports, (end + 1,), key=_INCIDENT_ORDER)
+    return reports[lo:hi]
+
+
+def _log_jsonable(record: dict) -> dict:
+    """The logged form of a record that may hold the registry's objects."""
+    if record["kind"] == "incident":
+        return {**record, "report": record["report"].to_jsonable()}
+    if record["kind"] == "issue" and record["signed"] is not None:
+        return {**record, "signed": record["signed"].to_jsonable()}
+    return record
+
+
 class Registry:
     """One deployer's registry of record.
 
@@ -251,14 +324,18 @@ class Registry:
         self.disclosure_policy = disclosure_policy or default_disclosure_policy()
         self.lineage = LineageStore(rng=rng)
         self.documents: dict[str, SignedId] = {}
-        self.incidents: list[IncidentReport] = []
+        self.incidents: list[IncidentReport] = []  # arrival order
+        self._report_ids: set[str] = set()
+        # (scope kind, value) -> reports sorted by _INCIDENT_ORDER
+        self._incidents_by_scope: dict[tuple[str, str], list[IncidentReport]] = {}
+        self._system_ids: list[str] = []  # sorted; systems that have reports
         self.trust = TrustStore()
         self.shutdowns: dict[str, dict] = {}
         self.inbox: list[dict] = []
         self._signing: Optional[KeyPair] = None
         self._nonces: dict[str, str] = {}
         self._instance_classes: dict[str, Callable[[IdDocument], bool]] = {}
-        self._log: list[dict] = []
+        self._log: list[dict] = []  # issue/incident records hold objects; see log_lines
         self._lock = threading.Lock()
 
     # -- keys ------------------------------------------------------------------
@@ -397,7 +474,7 @@ class Registry:
                     "kind": "issue",
                     "lineage": lineage_record,
                     "nonce": nonce,
-                    "signed": signed.to_jsonable(),
+                    "signed": signed,
                     "upstream": str(upstream) if upstream else None,
                 }
             )
@@ -453,54 +530,81 @@ class Registry:
 
     def report_incident(self, report: IncidentReport) -> None:
         with self._lock:
-            if any(r.report_id == report.report_id for r in self.incidents):
+            if report.report_id in self._report_ids:
                 raise DuplicateReportId(report.report_id)
-            if str(report.identifier) not in self.lineage.nodes():
+            if report.identifier not in self.lineage:
                 raise UnknownIdentifier(str(report.identifier))
-            self.incidents.append(report)
-            self._log.append(
-                {"at": self.clock.now(), "kind": "incident", "report": report.to_jsonable()}
-            )
+            self._add_incident(report)
+            self._log.append({"at": self.clock.now(), "kind": "incident", "report": report})
+
+    def _add_incident(self, report: IncidentReport) -> None:
+        system_id = report.identifier.system_id
+        if ("system", system_id) not in self._incidents_by_scope:
+            insort(self._system_ids, system_id)
+        for key in _scope_keys(report):
+            insort(self._incidents_by_scope.setdefault(key, []), report, key=_INCIDENT_ORDER)
+        self._report_ids.add(report.report_id)
+        self.incidents.append(report)
 
     def register_instance_class(
         self, token: str, predicate: Callable[[IdDocument], bool]
     ) -> None:
         self._instance_classes[token] = predicate
 
-    def _matches_scope(self, report: IncidentReport, scope: IncidentScope) -> bool:
-        if scope.kind == "instance":
-            return str(report.identifier) == scope.value
-        if scope.kind == "user":
-            return report.user_ref is not None and report.user_ref == scope.value
-        if scope.kind == "system":
-            return report.identifier.system_id == scope.value
-        if scope.kind == "systems":
-            return report.identifier.system_id.startswith(scope.value)
-        if scope.kind == "party-class":
-            # reporter tokens follow the "<class>.<name>" convention
-            return report.reporter.split(".", 1)[0] == scope.value
-        if scope.kind == "instance-class":
-            predicate = self._instance_classes.get(scope.value)
-            if predicate is None:
-                raise UnknownInstanceClass(scope.value)
-            signed = self.documents.get(str(report.identifier))
-            return signed is not None and predicate(signed.doc)
-        raise MalformedRecord(f"unknown scope kind {scope.kind!r}")
-
     def query_incidents(
         self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW
     ) -> list[IncidentReport]:
         """Reports matching the scope, retention-filtered, ordered by
-        (occurred_at, report_id)."""
-        horizon = self.clock.now() - self.retention.incidents
-        hits = [
-            report
-            for report in self.incidents
-            if report.occurred_at >= horizon
-            and window.contains(report.occurred_at)
-            and self._matches_scope(report, scope)
-        ]
-        return sorted(hits, key=lambda r: (r.occurred_at, r.report_id))
+        (occurred_at, report_id), in a new list the caller may keep.
+
+        ``instance``, ``user``, ``system`` and ``party-class`` bisect one
+        sorted index list at the retention horizon (or the window start, if
+        later) and at the window end, and copy the slice between: O(log n +
+        results) for n reports. ``systems`` does the same on each system
+        whose id has the prefix, found by bisecting the sorted system ids,
+        and merges the slices. ``instance-class`` scans every report and
+        sorts the hits.
+        """
+        predicate = None
+        if scope.kind == "instance-class":
+            predicate = self._instance_classes.get(scope.value)
+            if predicate is None:
+                raise UnknownInstanceClass(scope.value)
+        with self._lock:
+            horizon = self.clock.now() - self.retention.incidents
+            if predicate is not None:
+                return sorted(
+                    (
+                        report
+                        for report in self.incidents
+                        if report.occurred_at >= horizon
+                        and window.contains(report.occurred_at)
+                        and self._in_class(report, predicate)
+                    ),
+                    key=_INCIDENT_ORDER,
+                )
+            start = horizon if window.start is None else max(horizon, window.start)
+            if scope.kind != "systems":
+                return _cut(
+                    self._incidents_by_scope.get((scope.kind, scope.value), []),
+                    start,
+                    window.end,
+                )
+            slices = [
+                _cut(self._incidents_by_scope[("system", system_id)], start, window.end)
+                for system_id in self._systems_with_prefix(scope.value)
+            ]
+        return list(heapq.merge(*slices, key=_INCIDENT_ORDER))
+
+    def _in_class(self, report: IncidentReport, predicate: Callable[[IdDocument], bool]) -> bool:
+        signed = self.documents.get(str(report.identifier))
+        return signed is not None and predicate(signed.doc)
+
+    def _systems_with_prefix(self, prefix: str) -> Iterator[str]:
+        index = bisect_left(self._system_ids, prefix)
+        while index < len(self._system_ids) and self._system_ids[index].startswith(prefix):
+            yield self._system_ids[index]
+            index += 1
 
     # -- documents and lineage ------------------------------------------------------
 
@@ -536,7 +640,7 @@ class Registry:
 
     def mark_shutdown(self, identifier: InstanceIdentifier, reason: str) -> None:
         with self._lock:
-            if str(identifier) not in self.lineage.nodes():
+            if identifier not in self.lineage:
                 raise UnknownIdentifier(str(identifier))
             at = self.clock.now()
             self.shutdowns[str(identifier)] = {"at": at, "reason": reason}
@@ -560,7 +664,9 @@ class Registry:
     # -- persistence ---------------------------------------------------------------------
 
     def log_lines(self) -> bytes:
-        return b"".join(canonical_json_line(record) for record in self._log)
+        """The log as canonical JSON lines; documents and reports are
+        encoded here, not when they are logged."""
+        return b"".join(canonical_json_line(_log_jsonable(record)) for record in self._log)
 
     def canonical_state_bytes(self) -> bytes:
         body = {
@@ -620,13 +726,18 @@ class Registry:
                 self.lineage.apply_record(record["external"])
             if record["signed"] is not None:
                 signed = SignedId.from_jsonable(record["signed"])
+                record["signed"] = signed
                 self.documents[str(signed.doc.identifier)] = signed
                 if record.get("nonce"):
                     self._nonces[record["nonce"]] = str(signed.doc.identifier)
             elif record.get("nonce"):
                 self._nonces[record["nonce"]] = record["lineage"]["identifier"]
         elif kind == "incident":
-            self.incidents.append(IncidentReport.from_jsonable(record["report"]))
+            report = IncidentReport.from_jsonable(record["report"])
+            if report.report_id in self._report_ids:
+                raise MalformedRecord(f"log repeats report id {report.report_id!r}")
+            self._add_incident(report)
+            record["report"] = report
         elif kind == "shutdown":
             self.shutdowns[record["identifier"]] = {
                 "at": record["at"],

@@ -19,7 +19,7 @@ from instanceid import (
 from instanceid.canonical import b64u, b64u_decode, load_canonical
 from instanceid.errors import UnverifiedInput
 
-from helpers import fixed_keypair, random_signed, trust_for
+from helpers import fixed_keypair, random_signed, trust_for, view_mutations
 
 KEYPAIR = fixed_keypair("acme", "k1")
 TRUST = trust_for(KEYPAIR)

@@ -2,8 +2,12 @@
 retention, replay byte-identity."""
 
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instanceid import (
     Attribute,
@@ -26,8 +30,10 @@ from instanceid import (
     parse_identifier,
     verify_id,
 )
+from instanceid.canonical import load_canonical
 from instanceid.errors import (
     DuplicateReportId,
+    MalformedRecord,
     NoActiveKey,
     NotFound,
     UnknownIdentifier,
@@ -217,6 +223,67 @@ def test_instance_class_scope():
         registry.query_incidents(IncidentScope.instance_class("unregistered"))
 
 
+# systems whose ids nest as prefixes, so the "systems" scope merges several lists
+PROPERTY_SYSTEMS = ("s", "sa", "sab", "sb", "t")
+PROPERTY_USERS = ("u1", "u2", None)
+PROPERTY_REPORTERS = ("service.a", "service.b", "hospital.x", "user.c")
+PROPERTY_START = 1_000_000
+
+property_reports = st.lists(
+    st.tuples(
+        st.integers(0, 999),  # report id number, unrelated to arrival order
+        st.integers(0, len(PROPERTY_SYSTEMS)),  # instance index
+        st.sampled_from(PROPERTY_REPORTERS),
+        st.integers(-15, 15),  # occurred_at offset: narrow, so timestamps tie
+        st.sampled_from(PROPERTY_USERS),
+    ),
+    max_size=40,
+    unique_by=lambda entry: entry[0],
+)
+property_bound = st.one_of(st.none(), st.integers(-20, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=property_reports,
+    advance=st.integers(0, 40),
+    windows=st.lists(st.tuples(property_bound, property_bound), min_size=1, max_size=4),
+)
+def test_indexed_query_matches_brute_force_property(entries, advance, windows):
+    retention = RetentionConfig(documents=10_000, incidents=20)
+    registry, clock = make_registry(start=PROPERTY_START, retention=retention)
+    # one instance per system plus a second one in "sa"
+    identifiers = [
+        registry.issue(Created(system, f"u{index}")).doc.identifier
+        for index, system in enumerate(PROPERTY_SYSTEMS + ("sa",))
+    ]
+    reports = []
+    for number, instance, reporter, offset, user_ref in entries:
+        report = IncidentReport(f"r{number}", identifiers[instance], reporter,
+                                Severity.MINOR, "x", PROPERTY_START + offset, user_ref)
+        registry.report_incident(report)
+        reports.append(report)
+    clock.advance(advance)
+    horizon = clock.now() - retention.incidents
+    scopes = (
+        [IncidentScope.instance(i) for i in identifiers]
+        + [IncidentScope.system(s) for s in PROPERTY_SYSTEMS + ("nope",)]
+        + [IncidentScope.systems(p) for p in ("", "s", "sa", "sab", "t", "x")]
+        + [IncidentScope.user(u) for u in ("u1", "u2", "u3")]
+        + [IncidentScope.party_class(c) for c in ("service", "hospital", "user", "none")]
+    )
+    replayed = Registry.replay(registry.log_lines(), "acme", clock=clock, retention=retention)
+    for start, end in windows:
+        window = TimeWindow(
+            None if start is None else PROPERTY_START + start,
+            None if end is None else PROPERTY_START + end,
+        )
+        for scope in scopes:
+            expected = brute_force_incident_filter(reports, scope, window, horizon)
+            assert registry.query_incidents(scope, window) == expected, (scope, window)
+            assert replayed.query_incidents(scope, window) == expected, (scope, window)
+
+
 def test_scope_widening_monotonicity():
     registry, clock = make_registry(seed=5)
     rng = random.Random(6)
@@ -241,6 +308,51 @@ def test_incident_log_append_only_monotone():
         now_ids = {r.report_id for r in registry.query_incidents(scope)}
         assert seen_before <= now_ids
         seen_before = now_ids
+
+
+def test_concurrent_reports_never_leak_into_windowed_queries():
+    """A query bisects twice and then slices; an insertion between those
+    steps would shift the slice past the window unless both take the lock."""
+    registry, clock = make_registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    scope = IncidentScope.instance(identifier)
+    base = clock.now()
+    window = TimeWindow(base - 600, base - 300)
+    writes = 1500
+    leaked = []
+    done = threading.Event()
+
+    def write(writer):
+        for n in range(writes):
+            registry.report_incident(
+                IncidentReport(f"w{writer}-{n}", identifier, "service.x", Severity.MINOR,
+                               "load", base - (n * 131 + writer * 7) % 1000)
+            )
+
+    def read():
+        while not done.is_set():
+            leaked.extend(
+                r.report_id for r in registry.query_incidents(scope, window)
+                if not window.contains(r.occurred_at)
+            )
+
+    writers = [threading.Thread(target=write, args=(w,)) for w in range(2)]
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in writers + readers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writers + readers)
+    assert leaked == []
+    assert len(registry.query_incidents(scope)) == 2 * writes
 
 
 # -- documents, retention, lineage serving ----------------------------------------------
@@ -339,6 +451,44 @@ def test_restart_replay_reproduces_identical_state():
     # nonce idempotency survives restart once the key is re-installed
     replayed.install_key(fixed_keypair("acme", "k1"))
     assert replayed.issue(Created("sys-a", "u0"), nonce="n0").to_bytes() == signeds[0].to_bytes()
+
+
+def test_replay_keeps_log_bytes_and_rejects_repeated_report_id():
+    registry, clock = make_registry(seed=11)
+    registry.register_foreign_key("beta", fixed_keypair("beta", "b1").public_key())
+    registry.revoke_key("beta", "b1")
+    root = registry.issue(Created("sys-a", "u0"), nonce="n0").doc.identifier
+    registry.issue(Reloaded(root), nonce="n1")
+    registry.issue(Created("sys-b", ""), upstream=parse_identifier("other:ffff0000aaaa1111"))
+    registry.report_incident(
+        IncidentReport("r1", root, "service.x", Severity.MAJOR, "x", clock.now(), "u0")
+    )
+    registry.mark_shutdown(root, "tested")
+    log = registry.log_lines()
+    records = [load_canonical(line) for line in log.splitlines()]
+    assert {r["kind"] for r in records} == {
+        "register-key", "revoke-key", "issue", "incident", "shutdown"
+    }
+    assert any(r["kind"] == "issue" and r["upstream"] for r in records)
+    assert any(r["kind"] == "issue" and r["signed"] is None and r["nonce"] for r in records)
+
+    replayed = Registry.replay(log, "acme", clock=clock)
+    assert replayed.log_lines() == log
+    assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
+
+    # query results are copies: clearing one leaves the registry as it was
+    for scope in (IncidentScope.instance(root), IncidentScope.system("sys-a"),
+                  IncidentScope.systems("sys"), IncidentScope.user("u0"),
+                  IncidentScope.party_class("service")):
+        registry.query_incidents(scope).clear()
+        assert [r.report_id for r in registry.query_incidents(scope)] == ["r1"]
+    assert registry.log_lines() == log
+
+    incident_line = next(
+        line for line in log.splitlines(keepends=True) if b'"kind":"incident"' in line
+    )
+    with pytest.raises(MalformedRecord):
+        Registry.replay(log + incident_line, "acme", clock=clock)
 
 
 def test_shutdown_marker():

@@ -1,6 +1,9 @@
 """Endpoint dispatch over both transports, error mapping, config loading."""
 
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -17,6 +20,7 @@ from instanceid import (
     SimClock,
     TcpClient,
     TcpRegistryServer,
+    TimeWindow,
     parse_identifier,
     verify_view,
 )
@@ -68,6 +72,123 @@ def test_incident_endpoints(served):
     client.report_incident(report)
     got = client.query_incidents(IncidentScope.system("sys-a"))
     assert [r.report_id for r in got] == ["r1"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("occurred_at", "x"),
+        ("occurred_at", True),
+        ("occurred_at", None),
+        ("report_id", 7),
+        ("reporter", ["service", "x"]),
+        ("description", None),
+        ("user_ref", 3),
+    ],
+)
+def test_report_incident_rejects_malformed_fields(served, field, value):
+    registry, server, tcp, clock = served
+    signed = registry.issue(Created("sys-a", "u"))
+    body = IncidentReport("r1", signed.doc.identifier, "service.x",
+                          Severity.MAJOR, "spam", clock.now()).to_jsonable()
+    body[field] = value
+    for client in _clients(server, tcp):
+        with pytest.raises(MalformedRecord):
+            client._roundtrip("report-incident", {"report": body})
+        assert client.query_incidents(IncidentScope.system("sys-a")) == []
+    assert registry.incidents == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"scope": {"kind": "system", "value": "sys-a"}, "window": {"start": "x"}},
+        {"scope": {"kind": "system", "value": "sys-a"}, "window": {"end": [1]}},
+        {"scope": {"kind": "system", "value": "sys-a"}, "window": {"start": True}},
+        {"scope": {"kind": "system", "value": "sys-a"}, "window": ["x"]},
+        {"scope": {"kind": "system", "value": 5}, "window": None},
+    ],
+)
+def test_query_incidents_rejects_malformed_scope_and_window(served, body):
+    registry, server, tcp, clock = served
+    signed = registry.issue(Created("sys-a", "u"))
+    registry.report_incident(IncidentReport("r1", signed.doc.identifier, "service.x",
+                                            Severity.MAJOR, "spam", clock.now()))
+    for client in _clients(server, tcp):
+        with pytest.raises(MalformedRecord):
+            client._roundtrip("query-incidents", body)
+        assert len(client.query_incidents(IncidentScope.system("sys-a"))) == 1
+
+
+def test_concurrent_reports_and_queries_over_tcp(served):
+    registry, server, tcp, clock = served
+    identifiers = [
+        registry.issue(Created(system, "u")).doc.identifier
+        for system in ("sys-a", "sys-a", "sys-b", "sys-c")
+    ]
+    host, port = tcp.address
+    base = clock.now()
+    window = TimeWindow(base - 600, base - 300)
+    writes = 40
+    tally = Counter()
+    plans = []
+    for writer in range(3):
+        plan = []
+        for n in range(writes):
+            identifier = identifiers[(writer + n) % len(identifiers)]
+            # spread timestamps so inserts land all over each sorted list
+            occurred = base - (writer * 7 + n * 131) % 1000
+            plan.append(IncidentReport(f"w{writer}-{n}", identifier, "service.x",
+                                       Severity.MINOR, "load", occurred))
+            tally[identifier] += 1
+        plans.append(plan)
+    problems = []
+
+    def write(plan):
+        try:
+            client = TcpClient(host, port)
+            for report in plan:
+                client.report_incident(report)
+        except Exception as exc:  # recorded for the main thread to report
+            problems.append(repr(exc))
+
+    def read(offset):
+        try:
+            client = TcpClient(host, port)
+            for n in range(writes):
+                identifier = identifiers[(offset + n) % len(identifiers)]
+                for scope, in_scope in (
+                    (IncidentScope.instance(identifier), lambda r: r.identifier == identifier),
+                    (IncidentScope.systems("sys-a"),
+                     lambda r: r.identifier.system_id == "sys-a"),
+                ):
+                    got = client.query_incidents(scope, window)
+                    keys = [(r.occurred_at, r.report_id) for r in got]
+                    if keys != sorted(set(keys)):
+                        problems.append(f"unordered or repeated: {scope}")
+                    for report in got:
+                        if not (in_scope(report) and window.contains(report.occurred_at)):
+                            problems.append(f"{report.report_id} outside {scope}")
+        except Exception as exc:  # recorded for the main thread to report
+            problems.append(repr(exc))
+
+    threads = [threading.Thread(target=write, args=(plan,)) for plan in plans]
+    threads += [threading.Thread(target=read, args=(offset,)) for offset in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    client = TcpClient(host, port)
+    for identifier in identifiers:
+        assert len(client.query_incidents(IncidentScope.instance(identifier))) == tally[identifier]
+    assert len(client.query_incidents(IncidentScope.systems("sys"))) == 3 * writes
 
 
 def test_lineage_endpoint(served):
