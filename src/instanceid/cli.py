@@ -213,7 +213,8 @@ def registry_serve(config_path):
     except KeyboardInterrupt:
         pass
     finally:
-        server.server_close()
+        # after stop() no handler is left to apply a mutation the log would miss
+        server.stop()
         if config.log_file:
             Path(config.log_file).write_bytes(registry.log_lines())
 

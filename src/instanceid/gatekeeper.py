@@ -274,13 +274,19 @@ def _verify_presented(
     presented: Presented,
     requirement: Requirement,
     trust_store: TrustStore,
+    at: int,
 ) -> Optional[str]:
-    """None when acceptable, else the refusal reason token."""
+    """None when acceptable, else the refusal reason token.
+
+    The ID or view and the manifest are checked at ``at``, the request
+    time, never at a time the presenter wrote into them: a holder of a
+    revoked key could otherwise backdate fresh artifacts to before the
+    revocation."""
     artifact = presented.id_artifact
     if isinstance(artifact, SignedId):
-        report = verify_id(artifact, trust_store, artifact.doc.created_at)
+        report = verify_id(artifact, trust_store, at)
     else:
-        report = verify_view(artifact, trust_store, artifact.created_at)
+        report = verify_view(artifact, trust_store, at)
     if not report.ok:
         return "unverified"
     if presented.manifest is not None:
@@ -289,7 +295,7 @@ def _verify_presented(
         if (
             presented.output is None
             or not verify_manifest(
-                presented.manifest, presented.output, trust_store
+                presented.manifest, presented.output, trust_store, at=at
             ).ok
         ):
             return "unverified"
@@ -330,10 +336,12 @@ def evaluate(
     registry_client,
     limiter: LimiterState,
     config: GatekeeperConfig = GatekeeperConfig(),
-) -> tuple[Decision, dict[str, Bucket]]:
+) -> tuple[Decision, LimiterState]:
     """Apply the first matching rule; pure in (policy, ctx, verification
-    results, registry responses, limiter state)."""
-    limiter = dict(limiter)
+    results, registry responses, limiter state).
+
+    The mapping passed in is never mutated. It is returned as is when no
+    bucket changes, and a throttled decision returns a new mapping."""
     rule = next((r for r in rules if r.matches(ctx)), None)
     if rule is None or rule.requirement.kind == "none":
         return Decision(GateVerdict.ALLOW), limiter
@@ -358,7 +366,7 @@ def evaluate(
             limiter,
         )
 
-    refusal = _verify_presented(ctx.presented, rule.requirement, trust_store)
+    refusal = _verify_presented(ctx.presented, rule.requirement, trust_store, ctx.timestamp)
     if refusal is not None:
         return (
             Decision(GateVerdict.DENIED, reasons=(refusal,), admitted=False),

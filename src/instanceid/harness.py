@@ -241,7 +241,7 @@ def ecosystem(config: SimConfig, clock: SimClock, rng: random.Random, transport:
                 tcp = TcpRegistryServer(deployer.server).start()
                 stack.callback(tcp.stop)
                 host, port = tcp.address
-                clients[deployer.name] = TcpClient(host, port)
+                clients[deployer.name] = stack.enter_context(TcpClient(host, port))
             else:
                 clients[deployer.name] = InProcessClient(deployer.server)
         eco.wire(clients)

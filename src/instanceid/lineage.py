@@ -101,6 +101,8 @@ def event_from_jsonable(body: Any) -> LineageEvent:
     try:
         kind = body["kind"]
         if kind == "created":
+            if not isinstance(body["user_ref"], str):
+                raise MalformedRecord(f"user_ref must be a string, not {body['user_ref']!r}")
             return Created(body["system_id"], body["user_ref"])
         if kind == "reloaded":
             return Reloaded(parse_identifier(body["original"]))

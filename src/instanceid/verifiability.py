@@ -433,15 +433,20 @@ def create_manifest(
 
 
 def verify_manifest(
-    manifest: Manifest, output: bytes, trust_store: TrustStore
+    manifest: Manifest,
+    output: bytes,
+    trust_store: TrustStore,
+    at: Optional[int] = None,
 ) -> VerificationReport:
-    """Signature must verify and the presented output must hash to the binding."""
+    """Signature must verify under a key active at ``at`` (by default the
+    manifest's own ``issued_at``) and the presented output must hash to the
+    binding."""
     report = _verify_signature(
         manifest.author,
         manifest.signature,
         manifest.signing_bytes(),
         trust_store,
-        manifest.issued_at,
+        manifest.issued_at if at is None else at,
     )
     if not report.ok:
         return report

@@ -1,6 +1,7 @@
 """Policy evaluation, token-bucket arithmetic, fail-closed behavior."""
 
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from instanceid import (
 )
 from instanceid.disclosure import DisclosedView
 from instanceid.errors import NoAuthorInfo
-from instanceid.gatekeeper import policy_from_jsonable, policy_to_jsonable
+from instanceid.gatekeeper import Bucket, policy_from_jsonable, policy_to_jsonable
 
 from helpers import fixed_keypair, trust_for
 
@@ -217,6 +218,46 @@ def test_signed_id_accepted_directly():
         rules, ctx_for(Presented(signed)), TRUST, client, {}
     )
     assert decision.verdict == GateVerdict.ALLOW
+
+
+@pytest.mark.parametrize("artifact", ["view", "signed-id"])
+def test_revoked_key_cannot_pass_the_gate_with_backdated_artifacts(artifact):
+    # the key holder signs a fresh ID and manifest dated before the revocation
+    clock = SimClock(NOW - 1000)
+    registry = Registry("acme", clock=clock, rng=random.Random(3))
+    registry.install_key(KEYPAIR)
+    signed, presented = agent_presented(registry, clock)
+    if artifact == "signed-id":
+        presented = Presented(signed, presented.manifest, presented.output)
+    client = InProcessClient(RegistryServer(registry))
+    revoked = trust_for(KEYPAIR)
+    revoked.revoke_key("acme", "k1", NOW - 100)
+    decision, _ = evaluate(RULES_RATELIMIT, ctx_for(presented), revoked, client, {})
+    assert decision.verdict == GateVerdict.DENIED
+    assert decision.reasons == ("unverified",)
+    # a revocation after the request time does not affect it
+    later = trust_for(KEYPAIR)
+    later.revoke_key("acme", "k1", NOW + 100)
+    decision, _ = evaluate(RULES_RATELIMIT, ctx_for(presented), later, client, {})
+    assert decision.verdict == GateVerdict.ALLOW
+
+
+def test_evaluate_never_mutates_the_limiter_passed_in():
+    registry, client, clock = make_registry()
+    _, presented = agent_presented(registry, clock)
+    deny_rules = [PolicyRule("transfer-funds", 0, Requirement.id_required(), OnMissing.deny())]
+    buckets = {"addr:addr-1": Bucket(tokens=1, window_start=NOW)}
+    limiter = MappingProxyType(buckets)  # read-only: any write raises
+    for rules, ctx in (
+        (RULES_RATELIMIT, ctx_for(presented)),  # allow
+        (deny_rules, ctx_for(None)),  # deny
+    ):
+        _, returned = evaluate(rules, ctx, TRUST, client, limiter)
+        assert returned is limiter  # no bucket changed, nothing copied
+    decision, returned = evaluate(RULES_RATELIMIT, ctx_for(None), TRUST, client, limiter)
+    assert decision.verdict == GateVerdict.THROTTLED and decision.admitted
+    assert returned["addr:addr-1"].tokens == 0
+    assert buckets == {"addr:addr-1": Bucket(tokens=1, window_start=NOW)}
 
 
 # -- certification -------------------------------------------------------------------------

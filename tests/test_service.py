@@ -1,8 +1,12 @@
 """Endpoint dispatch over both transports, error mapping, config loading."""
 
+import gc
 import random
+import socket
 import sys
 import threading
+import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -24,48 +28,56 @@ from instanceid import (
     parse_identifier,
     verify_view,
 )
+from instanceid.canonical import b64u, canonical_json_line, load_canonical
 from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable
 from instanceid.service import ServiceConfig, load_keypair_file, save_keypair_file
 
 from helpers import fixed_keypair, trust_for
 
 
+def _registry(author="acme", key_id="k1"):
+    registry = Registry(author, clock=SimClock(10_000), rng=random.Random(1))
+    registry.install_key(fixed_keypair(author, key_id))
+    return registry
+
+
 @pytest.fixture
 def served():
-    clock = SimClock(10_000)
-    registry = Registry("acme", clock=clock, rng=random.Random(1))
-    registry.install_key(fixed_keypair("acme", "k1"))
+    registry = _registry()
+    clock = registry.clock
     server = RegistryServer(registry)
     tcp = TcpRegistryServer(server).start()
     yield registry, server, tcp, clock
     tcp.stop()
 
 
-def _clients(server, tcp):
-    host, port = tcp.address
-    return InProcessClient(server), TcpClient(host, port)
+@pytest.fixture
+def clients(served):
+    """An in-process and a TCP client of the served registry."""
+    _, server, tcp, _ = served
+    with TcpClient(*tcp.address) as remote:
+        yield InProcessClient(server), remote
 
 
-def test_issue_and_get_id_roundtrip_both_transports(served):
-    registry, server, tcp, _ = served
-    for client in _clients(server, tcp):
+def test_issue_and_get_id_roundtrip_both_transports(clients):
+    for client in clients:
         signed = client.issue(Created("sys-a", "user-1"), nonce=f"n-{id(client)}")
         fetched = client.get_id(signed.doc.identifier)
         assert fetched.to_bytes() == signed.to_bytes()
 
 
-def test_transports_return_identical_bodies(served):
+def test_transports_return_identical_bodies(served, clients):
     registry, server, tcp, _ = served
     signed = registry.issue(Created("sys-a", "u"))
-    inproc, remote = _clients(server, tcp)
+    inproc, remote = clients
     request = {"identifier": str(signed.doc.identifier)}
     assert inproc.request("get-id", request) == remote.request("get-id", request)
     assert inproc.request("keys", {"op": "list"}) == remote.request("keys", {"op": "list"})
 
 
-def test_incident_endpoints(served):
+def test_incident_endpoints(served, clients):
     registry, server, tcp, clock = served
-    client = _clients(server, tcp)[1]
+    client = clients[1]
     signed = client.issue(Created("sys-a", "u"))
     report = IncidentReport("r1", signed.doc.identifier, "service.x",
                             Severity.MAJOR, "spam", clock.now())
@@ -86,13 +98,13 @@ def test_incident_endpoints(served):
         ("user_ref", 3),
     ],
 )
-def test_report_incident_rejects_malformed_fields(served, field, value):
+def test_report_incident_rejects_malformed_fields(served, clients, field, value):
     registry, server, tcp, clock = served
     signed = registry.issue(Created("sys-a", "u"))
     body = IncidentReport("r1", signed.doc.identifier, "service.x",
                           Severity.MAJOR, "spam", clock.now()).to_jsonable()
     body[field] = value
-    for client in _clients(server, tcp):
+    for client in clients:
         with pytest.raises(MalformedRecord):
             client._roundtrip("report-incident", {"report": body})
         assert client.query_incidents(IncidentScope.system("sys-a")) == []
@@ -109,12 +121,12 @@ def test_report_incident_rejects_malformed_fields(served, field, value):
         {"scope": {"kind": "system", "value": 5}, "window": None},
     ],
 )
-def test_query_incidents_rejects_malformed_scope_and_window(served, body):
+def test_query_incidents_rejects_malformed_scope_and_window(served, clients, body):
     registry, server, tcp, clock = served
     signed = registry.issue(Created("sys-a", "u"))
     registry.report_incident(IncidentReport("r1", signed.doc.identifier, "service.x",
                                             Severity.MAJOR, "spam", clock.now()))
-    for client in _clients(server, tcp):
+    for client in clients:
         with pytest.raises(MalformedRecord):
             client._roundtrip("query-incidents", body)
         assert len(client.query_incidents(IncidentScope.system("sys-a"))) == 1
@@ -146,29 +158,29 @@ def test_concurrent_reports_and_queries_over_tcp(served):
 
     def write(plan):
         try:
-            client = TcpClient(host, port)
-            for report in plan:
-                client.report_incident(report)
+            with TcpClient(host, port) as client:
+                for report in plan:
+                    client.report_incident(report)
         except Exception as exc:  # recorded for the main thread to report
             problems.append(repr(exc))
 
     def read(offset):
         try:
-            client = TcpClient(host, port)
-            for n in range(writes):
-                identifier = identifiers[(offset + n) % len(identifiers)]
-                for scope, in_scope in (
-                    (IncidentScope.instance(identifier), lambda r: r.identifier == identifier),
-                    (IncidentScope.systems("sys-a"),
-                     lambda r: r.identifier.system_id == "sys-a"),
-                ):
-                    got = client.query_incidents(scope, window)
-                    keys = [(r.occurred_at, r.report_id) for r in got]
-                    if keys != sorted(set(keys)):
-                        problems.append(f"unordered or repeated: {scope}")
-                    for report in got:
-                        if not (in_scope(report) and window.contains(report.occurred_at)):
-                            problems.append(f"{report.report_id} outside {scope}")
+            with TcpClient(host, port) as client:
+                for n in range(writes):
+                    identifier = identifiers[(offset + n) % len(identifiers)]
+                    for scope, in_scope in (
+                        (IncidentScope.instance(identifier), lambda r: r.identifier == identifier),
+                        (IncidentScope.systems("sys-a"),
+                         lambda r: r.identifier.system_id == "sys-a"),
+                    ):
+                        got = client.query_incidents(scope, window)
+                        keys = [(r.occurred_at, r.report_id) for r in got]
+                        if keys != sorted(set(keys)):
+                            problems.append(f"unordered or repeated: {scope}")
+                        for report in got:
+                            if not (in_scope(report) and window.contains(report.occurred_at)):
+                                problems.append(f"{report.report_id} outside {scope}")
         except Exception as exc:  # recorded for the main thread to report
             problems.append(repr(exc))
 
@@ -185,24 +197,23 @@ def test_concurrent_reports_and_queries_over_tcp(served):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert problems == []
-    client = TcpClient(host, port)
-    for identifier in identifiers:
-        assert len(client.query_incidents(IncidentScope.instance(identifier))) == tally[identifier]
-    assert len(client.query_incidents(IncidentScope.systems("sys"))) == 3 * writes
+    with TcpClient(host, port) as client:
+        for identifier in identifiers:
+            assert len(client.query_incidents(IncidentScope.instance(identifier))) == tally[identifier]
+        assert len(client.query_incidents(IncidentScope.systems("sys"))) == 3 * writes
 
 
-def test_lineage_endpoint(served):
-    registry, server, tcp, _ = served
-    client = _clients(server, tcp)[0]
+def test_lineage_endpoint(clients):
+    client = clients[0]
     root = client.issue(Created("sys-a", "u")).doc.identifier
     child = client.issue(Regenerated(root)).doc.identifier
     assert client.get_lineage(child, "ancestors") == [(root, False)]
     assert client.get_lineage(root, "descendants") == [(child, False)]
 
 
-def test_get_view_endpoint_redacts(served):
+def test_get_view_endpoint_redacts(served, clients):
     registry, server, tcp, clock = served
-    client = _clients(server, tcp)[1]
+    client = clients[1]
     signed = client.issue(Created("sys-a", "secret-user"))
     view = client.get_view(signed.doc.identifier, PartyClass.SERVICE_PROVIDER)
     assert "user-ref" in [e.name for e in view.hidden]
@@ -210,12 +221,9 @@ def test_get_view_endpoint_redacts(served):
     assert verify_view(view, trust, clock.now()).ok
 
 
-def test_keys_endpoint_register_and_revoke(served):
-    registry, server, tcp, _ = served
-    client = _clients(server, tcp)[1]
+def test_keys_endpoint_register_and_revoke(clients):
+    client = clients[1]
     beta = fixed_keypair("beta", "b1").public_key()
-    from instanceid.canonical import b64u
-
     body = {
         "op": "register",
         "author_id": "beta",
@@ -229,16 +237,15 @@ def test_keys_endpoint_register_and_revoke(served):
     assert listing["authors"]["beta"][0]["status"] == "revoked"
 
 
-def test_notify_endpoint_fills_inbox(served):
+def test_notify_endpoint_fills_inbox(served, clients):
     registry, server, tcp, _ = served
-    client = _clients(server, tcp)[1]
+    client = clients[1]
     client.notify({"identifier": "sys-a:x", "reason": "malfunction"})
     assert registry.inbox == [{"identifier": "sys-a:x", "reason": "malfunction"}]
 
 
-def test_error_mapping(served):
-    registry, server, tcp, _ = served
-    for client in _clients(server, tcp):
+def test_error_mapping(clients):
+    for client in clients:
         with pytest.raises(NotFound):
             client.get_id(parse_identifier("sys-a:missing00"))
         with pytest.raises(MalformedRecord):
@@ -248,9 +255,208 @@ def test_error_mapping(served):
 
 
 def test_unreachable_tcp_raises_registry_unavailable():
-    client = TcpClient("127.0.0.1", 1, timeout=0.2)
-    with pytest.raises(RegistryUnavailable):
-        client.get_id(parse_identifier("a:b"))
+    with TcpClient("127.0.0.1", 1, timeout=0.2) as client:
+        with pytest.raises(RegistryUnavailable):
+            client.get_id(parse_identifier("a:b"))
+
+
+# -- persistent connections ------------------------------------------------------------
+
+
+class _CountingServer(TcpRegistryServer):
+    """Counts the connections it accepts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.connections = 0
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+
+class _SlowOnce(RegistryServer):
+    """Answers its first request only after ``delay`` seconds."""
+
+    def __init__(self, registry, delay):
+        super().__init__(registry)
+        self.delay = delay
+
+    def handle(self, request):
+        delay, self.delay = self.delay, 0
+        time.sleep(delay)
+        return super().handle(request)
+
+
+def test_one_connection_carries_every_request_of_a_client():
+    registry = _registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    tcp = _CountingServer(RegistryServer(registry)).start()
+    try:
+        with TcpClient(*tcp.address) as client:
+            for _ in range(50):
+                assert client.get_id(identifier).doc.identifier == identifier
+        assert tcp.connections == 1
+    finally:
+        tcp.stop()
+
+
+def test_threads_sharing_a_client_each_get_their_own_replies():
+    registry = _registry()
+    identifiers = [registry.issue(Created("sys-a", f"u{n}")).doc.identifier for n in range(8)]
+    tcp = _CountingServer(RegistryServer(registry)).start()
+    problems = []
+
+    def fetch(client, mine):
+        try:
+            for n in range(50):
+                asked = mine[n % len(mine)]
+                got = client.get_id(asked).doc.identifier
+                if got != asked:
+                    problems.append(f"asked for {asked}, got {got}")
+        except Exception as exc:  # recorded for the main thread to report
+            problems.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with TcpClient(*tcp.address) as client:
+            threads = [
+                threading.Thread(target=fetch, args=(client, identifiers[2 * t:2 * t + 2]))
+                for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert tcp.connections == 4  # one per thread, none per request
+    finally:
+        sys.setswitchinterval(interval)
+        tcp.stop()
+
+
+def test_client_reconnects_to_a_restarted_server_and_fails_when_none_listens():
+    tcp = TcpRegistryServer(RegistryServer(_registry("acme", "k1"))).start()
+    host, port = tcp.address
+    with TcpClient(host, port, timeout=2) as client:
+        assert "acme" in client.list_keys()["authors"]
+        tcp.stop()
+        tcp = TcpRegistryServer(RegistryServer(_registry("beta", "b1")), host, port).start()
+        try:
+            assert list(client.list_keys()["authors"]) == ["beta"]
+        finally:
+            tcp.stop()
+        with pytest.raises(RegistryUnavailable):
+            client.list_keys()
+
+
+def test_timed_out_request_is_not_resent_and_the_next_gets_its_own_reply():
+    registry = _registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    report = IncidentReport("r1", identifier, "service.x", Severity.MAJOR, "spam",
+                            registry.clock.now())
+    tcp = TcpRegistryServer(_SlowOnce(registry, delay=0.6)).start()
+    try:
+        with TcpClient(*tcp.address, timeout=0.2) as client:
+            with pytest.raises(RegistryUnavailable):
+                client.report_incident(report)
+            assert client.get_id(identifier).doc.identifier == identifier
+    finally:
+        tcp.stop()
+    # applied once, after the client had given up on it
+    assert [r.report_id for r in registry.incidents] == ["r1"]
+
+
+def test_stopped_server_releases_its_registry_and_handler_threads():
+    registry = _registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    before = set(threading.enumerate())
+    tcp = TcpRegistryServer(RegistryServer(registry)).start()
+    with TcpClient(*tcp.address) as client:
+        assert client.get_id(identifier).doc.identifier == identifier
+        tcp.stop()
+        # the client still holds its connection; the server side is gone
+        assert set(threading.enumerate()) <= before
+        released = weakref.ref(registry)
+        del registry
+        gc.collect()
+        assert released() is None
+
+
+# -- malformed requests ----------------------------------------------------------------
+
+
+IDENT = "sys-a:missing00"
+CREATED = {"kind": "created", "system_id": "sys-a", "user_ref": "u"}
+BETA_KEY = fixed_keypair("beta", "b1").public_key()
+VALID_KEY = {"key_id": "b1", "public": b64u(BETA_KEY.public), "suite": BETA_KEY.suite}
+
+MALFORMED_REQUESTS = [[], 5, "x", None]
+MALFORMED_BODIES = [
+    ("get-id", 5),
+    ("get-id", ["identifier"]),
+    ("get-id", {}),
+    ("get-id", {"identifier": IDENT, "party": "bogus"}),
+    ("get-lineage", {"identifier": IDENT}),
+    ("issue", {"attributes": 5, "event": CREATED}),
+    ("issue", {"event": CREATED, "nonce": [1]}),
+    ("issue", {"event": {"kind": "created", "system_id": "sys-a", "user_ref": ["u"]}}),
+    ("keys", {"op": "register"}),
+    ("keys", {"author_id": "beta", "op": "register"}),
+    ("keys", {"author_id": "beta", "key": 5, "op": "register"}),
+    ("keys", {"author_id": 5, "key": VALID_KEY, "op": "register"}),
+    ("keys", {"op": "revoke"}),
+    ("keys", {"author_id": "acme", "op": "revoke"}),
+    ("keys", {"author_id": "acme", "key_id": ["k1"], "op": "revoke"}),
+    ("keys", {"at": "x", "author_id": "acme", "key_id": "k1", "op": "revoke"}),
+    ("notify", {}),
+    ("report-incident", {}),
+    ("query-incidents", {}),
+]
+
+
+def _assert_untouched(registry):
+    assert registry.trust.to_jsonable() == _registry().trust.to_jsonable()
+    assert registry.inbox == [] and registry.incidents == []
+    assert len(registry.documents) == 1
+
+
+@pytest.mark.parametrize("request_value", MALFORMED_REQUESTS)
+def test_non_object_request_gets_malformed_record_reply(request_value):
+    reply = RegistryServer(_registry()).handle(request_value)
+    assert (reply["ok"], reply["error"]) == (False, "MalformedRecord")
+
+
+@pytest.mark.parametrize("endpoint, body", MALFORMED_BODIES)
+def test_malformed_body_gets_malformed_record_reply_in_process(endpoint, body):
+    registry = _registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    client = InProcessClient(RegistryServer(registry))
+    reply = client.request(endpoint, body)
+    assert (reply["ok"], reply["error"]) == (False, "MalformedRecord"), reply
+    assert client.get_id(identifier).doc.identifier == identifier
+    _assert_untouched(registry)
+
+
+def test_malformed_lines_keep_the_tcp_connection_open(served):
+    registry, _, tcp, _ = served
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    valid = canonical_json_line({"body": {"identifier": str(identifier)}, "endpoint": "get-id"})
+    bad_lines = [canonical_json_line(value) for value in MALFORMED_REQUESTS] + [
+        canonical_json_line({"body": body, "endpoint": endpoint})
+        for endpoint, body in MALFORMED_BODIES
+    ]
+    with socket.create_connection(tcp.address, timeout=5) as conn, conn.makefile("rb") as replies:
+        for line in bad_lines:
+            conn.sendall(line)
+            reply = load_canonical(replies.readline())
+            assert (reply["ok"], reply["error"]) == (False, "MalformedRecord"), line
+            conn.sendall(valid)
+            reply = load_canonical(replies.readline())
+            assert reply["ok"] and reply["body"]["signed"]["doc"]["identifier"] == str(identifier)
+    _assert_untouched(registry)
 
 
 def test_service_config_file_and_env_overrides(tmp_path):
