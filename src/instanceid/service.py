@@ -312,7 +312,13 @@ class TcpRegistryServer(socketserver.ThreadingTCPServer):
         return self
 
     def process_request(self, request, client_address) -> None:
-        """Serve one accepted connection on a new handler thread."""
+        """Serve one accepted connection on a new daemon handler thread.
+
+        ``ThreadingMixIn`` joins only non-daemon handler threads in
+        ``server_close()``; a non-daemon thread blocked on a connection that
+        its client never closes would keep the interpreter from exiting.
+        The threads are daemons, so ``stop()`` joins them itself.
+        """
         thread = threading.Thread(
             target=self.process_request_thread, args=(request, client_address), daemon=True
         )
