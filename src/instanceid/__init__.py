@@ -53,7 +53,6 @@ from .identity import (
     attribute_digest,
     canonical_bytes,
     digest_form_bytes,
-    format_identifier,
     new_id_document,
     parse_identifier,
     validate_document,

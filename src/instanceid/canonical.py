@@ -5,6 +5,10 @@ whitespace, integers in shortest decimal form, binary fields base64url
 without padding. Floats are rejected outright so the byte form can never
 drift between platforms. Keys must be ASCII so Python's code-point sort
 coincides with byte-value sort.
+
+For documents whose keys are ASCII and whose numbers are integers of
+magnitude below 2**53, these bytes are exactly the RFC 8785 JSON
+Canonicalization Scheme (JCS) form, so any JCS implementation rebuilds them.
 """
 
 from __future__ import annotations

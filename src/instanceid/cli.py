@@ -16,7 +16,7 @@ from .clock import SystemClock
 from .disclosure import DisclosedView, verify_view
 from .errors import ProtocolError
 from .harness import SCENARIOS, SimConfig
-from .identity import doc_to_jsonable, parse_identifier
+from .identity import parse_identifier
 from .registry import IncidentScope, Registry, TimeWindow
 from .service import (
     RegistryServer,

@@ -21,10 +21,10 @@ from .identity import (
     AttributeCategory,
     AttributeSpecificity,
     AuthorRef,
-    IdDocument,
     InstanceIdentifier,
     Link,
     attribute_digest,
+    digest_form,
     parse_identifier,
 )
 from .verifiability import (
@@ -167,11 +167,9 @@ class DisclosedView:
         entries = []
         for entry in self.entries:
             if isinstance(entry, RevealedEntry):
-                attr_body = entry.attribute.payload_jsonable()
-                attr_body["salt"] = b64u(entry.attribute.salt)
                 entries.append(
                     {
-                        "attribute": attr_body,
+                        "attribute": entry.attribute.to_jsonable(),
                         "digest": b64u(entry.digest),
                         "kind": "revealed",
                     }
@@ -186,19 +184,12 @@ class DisclosedView:
                     }
                 )
         return {
-            "author": (
-                {"author_id": self.author.author_id, "key_id": self.author.key_id}
-                if self.author
-                else None
-            ),
+            "author": self.author.to_jsonable() if self.author else None,
             "created_at": self.created_at,
             "entries": entries,
             "hash_suite": self.hash_suite,
             "identifier": str(self.identifier),
-            "links": [
-                {"relation": link.relation, "target": str(link.target)}
-                for link in self.links
-            ],
+            "links": [link.to_jsonable() for link in self.links],
             "signature": self.signature.to_jsonable(),
         }
 
@@ -208,8 +199,7 @@ class DisclosedView:
             entries: list[ViewEntry] = []
             for item in body["entries"]:
                 if item["kind"] == "revealed":
-                    attr_body = dict(item["attribute"])
-                    attr = _attr_from_view(attr_body)
+                    attr = Attribute.from_jsonable(item["attribute"])
                     entries.append(RevealedEntry(attr, b64u_decode(item["digest"])))
                 elif item["kind"] == "hidden":
                     entries.append(
@@ -217,24 +207,20 @@ class DisclosedView:
                     )
                 else:
                     raise MalformedRecord(f"unknown entry kind {item['kind']!r}")
-            author = None
-            if body["author"] is not None:
-                author = AuthorRef(body["author"]["author_id"], body["author"]["key_id"])
             return cls(
                 identifier=parse_identifier(body["identifier"]),
-                author=author,
+                author=(
+                    AuthorRef.from_jsonable(body["author"])
+                    if body["author"] is not None
+                    else None
+                ),
                 created_at=body["created_at"],
                 entries=tuple(entries),
-                links=tuple(
-                    Link(l["relation"], parse_identifier(l["target"]))
-                    for l in body["links"]
-                ),
+                links=tuple(Link.from_jsonable(l) for l in body["links"]),
                 signature=Signature.from_jsonable(body["signature"]),
                 hash_suite=body["hash_suite"],
             )
-        except MalformedRecord:
-            raise
-        except (KeyError, TypeError, ValueError, InvalidDocument) as exc:
+        except (KeyError, TypeError) as exc:
             raise MalformedRecord(f"bad disclosed view: {exc}") from exc
 
     def to_bytes(self) -> bytes:
@@ -243,12 +229,6 @@ class DisclosedView:
     @classmethod
     def from_bytes(cls, data: bytes) -> "DisclosedView":
         return cls.from_jsonable(load_canonical(data))
-
-
-def _attr_from_view(body: dict) -> Attribute:
-    from .identity import _attr_from_jsonable
-
-    return _attr_from_jsonable(body)
 
 
 def redact(
@@ -290,33 +270,24 @@ def view_signing_bytes(view: DisclosedView) -> bytes:
     """Rebuild the digest-form canonical bytes the original signature covers.
 
     Revealed entries contribute a freshly recomputed commitment, hidden
-    entries the carried one, in entry (= document) order.
+    entries the carried one, in entry (= document) order; the bytes come
+    from the same builder that produced the signing input.
     """
     if view.author is None:
         raise InvalidDocument("view does not disclose the author")
-    attrs = []
-    for entry in view.entries:
-        if isinstance(entry, RevealedEntry):
-            attrs.append(
-                {
-                    "digest": b64u(attribute_digest(entry.attribute)),
-                    "name": entry.attribute.name,
-                }
-            )
-        else:
-            attrs.append({"digest": b64u(entry.digest), "name": entry.name})
-    body = {
-        "attributes": attrs,
-        "author": {"author_id": view.author.author_id, "key_id": view.author.key_id},
-        "created_at": view.created_at,
-        "hash_suite": view.hash_suite,
-        "identifier": str(view.identifier),
-        "links": [
-            {"relation": link.relation, "target": str(link.target)}
-            for link in view.links
+    return digest_form(
+        view.identifier,
+        view.author,
+        view.created_at,
+        [
+            (entry.attribute.name, attribute_digest(entry.attribute))
+            if isinstance(entry, RevealedEntry)
+            else (entry.name, entry.digest)
+            for entry in view.entries
         ],
-    }
-    return canonical_json_bytes(body)
+        view.links,
+        view.hash_suite,
+    )
 
 
 def verify_view(

@@ -15,7 +15,7 @@ from fnmatch import fnmatchcase
 from typing import Any, Mapping, Optional, Union
 
 from .canonical import b64u
-from .disclosure import DisclosedView, PartyClass, verify_view
+from .disclosure import DisclosedView, verify_view
 from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable
 from .identity import AttributeCategory, InstanceIdentifier
 from .registry import IncidentScope, TimeWindow
@@ -221,7 +221,6 @@ class Decision:
     verdict: str
     reasons: tuple[str, ...] = ()
     admitted: bool = True
-    notify: Optional[dict] = None
 
     def __post_init__(self):
         if self.verdict in (GateVerdict.DENIED, GateVerdict.THROTTLED) and not self.reasons:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from .canonical import canonical_json_bytes, canonical_json_line, sha256
+from .canonical import b64u, b64u_decode, canonical_json_bytes, canonical_json_line, sha256
 from .clock import SimClock
 from .disclosure import DisclosedView, DisclosurePolicy, PartyClass, redact, verify_view
 from .errors import ConfigInvalid
@@ -50,7 +50,7 @@ from .service import (
     TcpClient,
     TcpRegistryServer,
 )
-from .verifiability import KeyPair, Manifest, PublicKey, SignedId, TrustStore, create_manifest
+from .verifiability import KeyPair, Manifest, SignedId, TrustStore, create_manifest
 
 CLOCK_EPOCH = 100_000
 
@@ -209,21 +209,13 @@ class Ecosystem:
         self.clients = clients
         for deployer in self.deployers:
             self.directory[deployer.system_id] = clients[deployer.name]
-        # assemble the shared trust directory from each registry's keys endpoint
+        # assemble the shared trust directory from each registry's keys
+        # endpoint, revocations included
         for deployer in self.deployers:
-            listing = self.clients[deployer.name].list_keys()
-            for author_id, entries in listing["authors"].items():
-                for entry in entries:
-                    from .canonical import b64u_decode
-
-                    self.trust.register_key(
-                        author_id,
-                        PublicKey(
-                            suite=entry["suite"],
-                            key_id=entry["key_id"],
-                            public=b64u_decode(entry["public"]),
-                        ),
-                    )
+            listing = TrustStore.from_jsonable(self.clients[deployer.name].list_keys())
+            for author_id, keys in listing.records().items():
+                for record in keys.values():
+                    self.trust.add_record(author_id, record)
 
     def client_for(self, identifier: InstanceIdentifier) -> BaseClient:
         return self.directory[identifier.system_id]
@@ -369,8 +361,6 @@ def _tamper_view(view: DisclosedView) -> DisclosedView:
     body = view.to_jsonable()
     for entry in body["entries"]:
         if entry["kind"] == "revealed" and "inline" in entry["attribute"]:
-            from .canonical import b64u, b64u_decode
-
             data = bytearray(b64u_decode(entry["attribute"]["inline"]["data"]))
             data[0] ^= 0x01
             entry["attribute"]["inline"]["data"] = b64u(bytes(data))

@@ -13,8 +13,8 @@ import functools
 import os
 import random
 import re
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Optional
 
 from .canonical import (
     HASH_SUITE,
@@ -83,10 +83,6 @@ def parse_identifier(text: str) -> InstanceIdentifier:
         raise MalformedIdentifier(f"missing separator in {text!r}")
     system_id, _, instance_id = text.partition(SEPARATOR)
     return InstanceIdentifier(system_id, instance_id)
-
-
-def format_identifier(identifier: InstanceIdentifier) -> str:
-    return str(identifier)
 
 
 def fresh_instance_id(rng: Optional[random.Random] = None) -> str:
@@ -210,6 +206,33 @@ class Attribute:
             body["link"] = self.link
         return body
 
+    def to_jsonable(self) -> dict:
+        body = self.payload_jsonable()
+        body["salt"] = b64u(self.salt) if self.salt is not None else None
+        return body
+
+    @classmethod
+    def from_jsonable(cls, body: Any) -> "Attribute":
+        if not isinstance(body, dict):
+            raise MalformedRecord("attribute must be an object")
+        try:
+            inline = None
+            if "inline" in body:
+                inline = InlinePayload(
+                    data=b64u_decode(body["inline"]["data"]),
+                    media_type=body["inline"]["media_type"],
+                )
+            return cls(
+                body["name"],
+                AttributeCategory(body["category"]),
+                AttributeSpecificity(body["specificity"]),
+                inline,
+                body.get("link"),
+                b64u_decode(body["salt"]) if body.get("salt") is not None else None,
+            )
+        except (KeyError, TypeError, ValueError, InvalidDocument) as exc:
+            raise MalformedRecord(f"bad attribute: {exc}") from exc
+
 
 def attribute_digest(attr: Attribute) -> bytes:
     """Salted commitment: sha256(salt || canonical payload encoding)."""
@@ -231,6 +254,16 @@ class AuthorRef:
         if not is_token(self.key_id):
             raise InvalidDocument(f"bad key_id token: {self.key_id!r}")
 
+    def to_jsonable(self) -> dict:
+        return {"author_id": self.author_id, "key_id": self.key_id}
+
+    @classmethod
+    def from_jsonable(cls, body: Any) -> "AuthorRef":
+        try:
+            return cls(body["author_id"], body["key_id"])
+        except (KeyError, TypeError, InvalidDocument) as exc:
+            raise MalformedRecord(f"bad author: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class Link:
@@ -240,6 +273,16 @@ class Link:
     def __post_init__(self):
         if self.relation not in LINK_RELATIONS:
             raise InvalidDocument(f"unknown link relation: {self.relation!r}")
+
+    def to_jsonable(self) -> dict:
+        return {"relation": self.relation, "target": str(self.target)}
+
+    @classmethod
+    def from_jsonable(cls, body: Any) -> "Link":
+        try:
+            return cls(body["relation"], parse_identifier(body["target"]))
+        except (KeyError, TypeError, InvalidDocument, MalformedIdentifier) as exc:
+            raise MalformedRecord(f"bad link: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -310,25 +353,14 @@ def validate_document(doc: IdDocument) -> None:
             raise InvalidDocument("self-targeting link")
 
 
-def _links_jsonable(doc: IdDocument) -> list[dict]:
-    return [
-        {"relation": link.relation, "target": str(link.target)} for link in doc.links
-    ]
-
-
 def doc_to_jsonable(doc: IdDocument) -> dict:
-    attrs = []
-    for attr in doc.attributes:
-        body = attr.payload_jsonable()
-        body["salt"] = b64u(attr.salt) if attr.salt is not None else None
-        attrs.append(body)
     return {
-        "attributes": attrs,
-        "author": {"author_id": doc.author.author_id, "key_id": doc.author.key_id},
+        "attributes": [attr.to_jsonable() for attr in doc.attributes],
+        "author": doc.author.to_jsonable(),
         "created_at": doc.created_at,
         "hash_suite": doc.hash_suite,
         "identifier": str(doc.identifier),
-        "links": _links_jsonable(doc),
+        "links": [link.to_jsonable() for link in doc.links],
     }
 
 
@@ -338,22 +370,30 @@ def canonical_bytes(doc: IdDocument) -> bytes:
     return canonical_json_bytes(doc_to_jsonable(doc))
 
 
-def digest_form_jsonable(doc: IdDocument) -> dict:
-    # Only (name, digest) per attribute: category, specificity, and payload
-    # are all inside the salted commitment, so a redacted view can rebuild
-    # these bytes from hidden (name, digest) pairs alone.
-    attrs = [
-        {"digest": b64u(attribute_digest(attr)), "name": attr.name}
-        for attr in doc.attributes
-    ]
-    return {
-        "attributes": attrs,
-        "author": {"author_id": doc.author.author_id, "key_id": doc.author.key_id},
-        "created_at": doc.created_at,
-        "hash_suite": doc.hash_suite,
-        "identifier": str(doc.identifier),
-        "links": _links_jsonable(doc),
-    }
+def digest_form(
+    identifier: InstanceIdentifier,
+    author: AuthorRef,
+    created_at: int,
+    digests: Iterable[tuple[str, bytes]],
+    links: Iterable[Link],
+    hash_suite: str,
+) -> bytes:
+    """Canonical bytes of the digest form: the one builder of signing input.
+
+    Only (name, digest) per attribute: category, specificity, and payload
+    are all inside the salted commitment, so a redacted view rebuilds these
+    bytes from its hidden (name, digest) pairs alone, with this function.
+    """
+    return canonical_json_bytes(
+        {
+            "attributes": [{"digest": b64u(digest), "name": name} for name, digest in digests],
+            "author": author.to_jsonable(),
+            "created_at": created_at,
+            "hash_suite": hash_suite,
+            "identifier": str(identifier),
+            "links": [link.to_jsonable() for link in links],
+        }
+    )
 
 
 def digest_form_bytes(doc: IdDocument) -> bytes:
@@ -363,29 +403,14 @@ def digest_form_bytes(doc: IdDocument) -> bytes:
     lets disclosure-redacted views keep the original signature.
     """
     validate_document(doc)
-    return canonical_json_bytes(digest_form_jsonable(doc))
-
-
-def _attr_from_jsonable(body: Any) -> Attribute:
-    if not isinstance(body, dict):
-        raise MalformedRecord("attribute must be an object")
-    try:
-        category = AttributeCategory(body["category"])
-        specificity = AttributeSpecificity(body["specificity"])
-        name = body["name"]
-        salt = b64u_decode(body["salt"]) if body.get("salt") is not None else None
-        inline = None
-        link = None
-        if "inline" in body:
-            inline = InlinePayload(
-                data=b64u_decode(body["inline"]["data"]),
-                media_type=body["inline"]["media_type"],
-            )
-        if "link" in body:
-            link = body["link"]
-        return Attribute(name, category, specificity, inline, link, salt)
-    except (KeyError, TypeError, ValueError, InvalidDocument) as exc:
-        raise MalformedRecord(f"bad attribute: {exc}") from exc
+    return digest_form(
+        doc.identifier,
+        doc.author,
+        doc.created_at,
+        [(attr.name, attribute_digest(attr)) for attr in doc.attributes],
+        doc.links,
+        doc.hash_suite,
+    )
 
 
 def doc_from_jsonable(body: Any) -> IdDocument:
@@ -395,17 +420,12 @@ def doc_from_jsonable(body: Any) -> IdDocument:
         doc = IdDocument(
             identifier=parse_identifier(body["identifier"]),
             created_at=body["created_at"],
-            author=AuthorRef(body["author"]["author_id"], body["author"]["key_id"]),
-            attributes=tuple(_attr_from_jsonable(a) for a in body["attributes"]),
-            links=tuple(
-                Link(l["relation"], parse_identifier(l["target"]))
-                for l in body["links"]
-            ),
+            author=AuthorRef.from_jsonable(body["author"]),
+            attributes=tuple(Attribute.from_jsonable(a) for a in body["attributes"]),
+            links=tuple(Link.from_jsonable(l) for l in body["links"]),
             hash_suite=body["hash_suite"],
         )
-    except MalformedRecord:
-        raise
-    except (KeyError, TypeError, ValueError, InvalidDocument, MalformedIdentifier) as exc:
+    except (KeyError, TypeError, InvalidDocument, MalformedIdentifier) as exc:
         raise MalformedRecord(f"bad document: {exc}") from exc
     validate_document(doc)
     return doc

@@ -2,8 +2,11 @@
 
 Identifiers are assigned on lifecycle events (create, reload, regenerate,
 merge, fine-tune) and derivation edges accumulate in an append-only store.
-Every mutation is funnelled through a single record-application path, so
-replaying the newline-delimited event log reconstructs the store exactly.
+Every mutation is one record applied through a single path; ``write``
+returns the records it applied, and the registry keeps them in its log, the
+only log there is. Replaying those records with ``apply_record``
+reconstructs the store exactly. One lock covers every write and every read
+that walks the DAG, so a traversal never meets a half-applied record.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
-from .canonical import canonical_json_bytes, canonical_json_line, load_canonical, sha256
+from .canonical import canonical_json_bytes, sha256
 from .errors import (
     DuplicateConstituents,
     MalformedRecord,
@@ -120,8 +123,9 @@ def event_from_jsonable(body: Any) -> LineageEvent:
 class LineageStore:
     """Append-only DAG of instance derivations.
 
-    Many concurrent readers are safe; writes serialize through one lock.
-    Nodes and edges are never removed.
+    Writes and traversals serialize through one lock. Nodes and edges are
+    never removed. The store keeps no log of its own: ``write`` hands its
+    records to the caller.
     """
 
     def __init__(self, rng: Optional[random.Random] = None):
@@ -130,7 +134,6 @@ class LineageStore:
         self._external: set[str] = set()
         self._parents: dict[str, set[tuple[str, str]]] = {}  # child -> {(parent, kind)}
         self._children: dict[str, set[tuple[str, str]]] = {}  # parent -> {(child, kind)}
-        self._log: list[dict] = []
         self._lock = threading.Lock()
 
     # -- queries -----------------------------------------------------------
@@ -142,51 +145,60 @@ class LineageStore:
         return str(identifier) in self._external
 
     def nodes(self) -> set[str]:
-        return set(self._nodes)
+        with self._lock:
+            return set(self._nodes)
 
     def edges(self) -> set[tuple[str, str, str]]:
-        out = set()
-        for child, pairs in self._parents.items():
-            for parent, kind in pairs:
-                out.add((parent, child, kind))
-        return out
+        with self._lock:
+            return self._edges()
 
-    def event_count(self) -> int:
-        return len(self._log)
+    def _edges(self) -> set[tuple[str, str, str]]:
+        return {
+            (parent, child, kind)
+            for child, pairs in self._parents.items()
+            for parent, kind in pairs
+        }
 
     # -- event registration --------------------------------------------------
 
-    def register(
-        self,
-        event: LineageEvent,
-        at: int = 0,
-        forced: Optional[InstanceIdentifier] = None,
-    ) -> InstanceIdentifier:
-        """Apply a lifecycle event; returns the identifier it resolves to.
+    def write(
+        self, event: LineageEvent, at: int, upstream: Optional[InstanceIdentifier] = None
+    ) -> tuple[dict, Optional[dict]]:
+        """Apply a lifecycle event and return its record for the caller's log.
 
-        ``forced`` pins the generated identifier and exists for replay; live
-        callers leave it unset.
+        With ``upstream``, the new identifier also gets that cross-deployer
+        parent, recorded as a second, ``external-link`` record; the second
+        item is ``None`` without it. Both apply under one hold of the lock.
         """
         with self._lock:
-            record = self._build_record(event, at, forced)
-            return self._apply(record)
+            record = self._build_record(event, at)
+            identifier = self._apply(record)
+            if upstream is None:
+                return record, None
+            return record, self._link_external(upstream, identifier, at)
+
+    def register(self, event: LineageEvent, at: int = 0) -> InstanceIdentifier:
+        """Apply a lifecycle event; returns the identifier it resolves to."""
+        record, _ = self.write(event, at)
+        return parse_identifier(record["identifier"])
 
     def link_external_parent(
         self, parent: InstanceIdentifier, child: InstanceIdentifier, at: int = 0
     ) -> None:
         """Record a cross-deployer derivation: stub parent node + branch edge."""
         with self._lock:
-            if str(child) not in self._nodes:
-                raise UnknownIdentifier(str(child))
-            if str(parent) in self._nodes and parent in self._closure(child, self._children):
-                raise UnknownParent(f"{parent} descends from {child}; edge would cycle")
-            record = {
-                "at": at,
-                "kind": "external-link",
-                "parent": str(parent),
-                "child": str(child),
-            }
-            self._apply(record)
+            self._link_external(parent, child, at)
+
+    def _link_external(
+        self, parent: InstanceIdentifier, child: InstanceIdentifier, at: int
+    ) -> dict:
+        if str(child) not in self._nodes:
+            raise UnknownIdentifier(str(child))
+        if str(parent) in self._nodes and parent in self._closure(child, self._children):
+            raise UnknownParent(f"{parent} descends from {child}; edge would cycle")
+        record = {"at": at, "child": str(child), "kind": "external-link", "parent": str(parent)}
+        self._apply(record)
+        return record
 
     def apply_record(self, record: dict) -> InstanceIdentifier:
         """Replay one persisted record (the registry's replay path)."""
@@ -206,21 +218,17 @@ class LineageStore:
             return "ft-" + os.urandom(8).hex()
         return "ft-" + f"{self._rng.getrandbits(64):016x}"
 
-    def _build_record(
-        self, event: LineageEvent, at: int, forced: Optional[InstanceIdentifier]
-    ) -> dict:
-        record = dict(event_to_jsonable(event))
+    def _build_record(self, event: LineageEvent, at: int) -> dict:
+        record = event_to_jsonable(event)
         record["at"] = at
         if isinstance(event, Created):
-            ident = forced or self._fresh_id(event.system_id)
-            record["identifier"] = str(ident)
+            record["identifier"] = str(self._fresh_id(event.system_id))
         elif isinstance(event, Reloaded):
             record["identifier"] = str(event.original)
         elif isinstance(event, Regenerated):
             if str(event.parent) not in self._nodes:
                 raise UnknownParent(str(event.parent))
-            ident = forced or self._fresh_id(event.parent.system_id)
-            record["identifier"] = str(ident)
+            record["identifier"] = str(self._fresh_id(event.parent.system_id))
         elif isinstance(event, Merged):
             if len(set(event.constituents)) != len(event.constituents):
                 raise DuplicateConstituents(
@@ -230,12 +238,10 @@ class LineageStore:
                 if str(constituent) not in self._nodes:
                     raise UnknownConstituent(str(constituent))
             system = composite_system_id(c.system_id for c in event.constituents)
-            ident = forced or self._fresh_id(system)
-            record["identifier"] = str(ident)
+            record["identifier"] = str(self._fresh_id(system))
         elif isinstance(event, FineTuned):
-            new_system = forced.system_id if forced else self._fresh_system_token()
-            record["identifier"] = f"{new_system}{':'}{SYSTEM_SENTINEL}"
-            record["base"] = f"{event.base_system_id}{':'}{SYSTEM_SENTINEL}"
+            record["identifier"] = f"{self._fresh_system_token()}:{SYSTEM_SENTINEL}"
+            record["base"] = f"{event.base_system_id}:{SYSTEM_SENTINEL}"
         return record
 
     def _add_node(self, identifier: str, external: bool = False) -> None:
@@ -279,7 +285,6 @@ class LineageStore:
             ident = parse_identifier(record["child"])
         else:
             raise MalformedRecord(f"unknown lineage record kind {kind!r}")
-        self._log.append(record)
         return ident
 
     # -- traversal -----------------------------------------------------------
@@ -302,69 +307,39 @@ class LineageStore:
         return {parse_identifier(s) for s in seen}
 
     def ancestors(self, identifier: InstanceIdentifier) -> set[InstanceIdentifier]:
-        return self._closure(identifier, self._parents)
+        with self._lock:
+            return self._closure(identifier, self._parents)
 
     def descendants(self, identifier: InstanceIdentifier) -> set[InstanceIdentifier]:
-        return self._closure(identifier, self._children)
+        with self._lock:
+            return self._closure(identifier, self._children)
 
     def validate_acyclic(self) -> bool:
         """True iff a topological order exists (Kahn's algorithm)."""
-        indegree = {node: 0 for node in self._nodes}
-        for child, pairs in self._parents.items():
-            indegree[child] = len(pairs)
-        queue = [node for node, deg in indegree.items() if deg == 0]
-        visited = 0
-        while queue:
-            node = queue.pop()
-            visited += 1
-            for child, _kind in self._children.get(node, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    queue.append(child)
-        return visited == len(self._nodes)
+        with self._lock:
+            indegree = {node: 0 for node in self._nodes}
+            for child, pairs in self._parents.items():
+                indegree[child] = len(pairs)
+            queue = [node for node, deg in indegree.items() if deg == 0]
+            visited = 0
+            while queue:
+                node = queue.pop()
+                visited += 1
+                for child, _kind in self._children.get(node, ()):
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        queue.append(child)
+            return visited == len(self._nodes)
 
     # -- persistence -----------------------------------------------------------
 
-    def log_records(self) -> list[dict]:
-        return [dict(r) for r in self._log]
-
-    def to_log_lines(self) -> bytes:
-        return b"".join(canonical_json_line(record) for record in self._log)
-
-    @classmethod
-    def from_log_lines(cls, data: bytes, rng: Optional[random.Random] = None) -> "LineageStore":
-        store = cls(rng=rng)
-        for line in data.splitlines():
-            if line.strip():
-                store._apply(load_canonical(line))
-        return store
-
     def state_jsonable(self) -> dict:
-        return {
-            "edges": sorted(list(edge) for edge in self.edges()),
-            "external": sorted(self._external),
-            "nodes": sorted(self._nodes),
-        }
+        with self._lock:
+            return {
+                "edges": sorted(list(edge) for edge in self._edges()),
+                "external": sorted(self._external),
+                "nodes": sorted(self._nodes),
+            }
 
     def state_bytes(self) -> bytes:
         return canonical_json_bytes(self.state_jsonable())
-
-
-# Spec-surface functional aliases.
-
-def register_event(
-    store: LineageStore, event: LineageEvent, at: int = 0
-) -> InstanceIdentifier:
-    return store.register(event, at)
-
-
-def ancestors(store: LineageStore, identifier: InstanceIdentifier) -> set[InstanceIdentifier]:
-    return store.ancestors(identifier)
-
-
-def descendants(store: LineageStore, identifier: InstanceIdentifier) -> set[InstanceIdentifier]:
-    return store.descendants(identifier)
-
-
-def validate_acyclic(store: LineageStore) -> bool:
-    return store.validate_acyclic()

@@ -1,8 +1,11 @@
 """Deployer registry: signed ID issuance, lineage serving, incident database.
 
-Every state mutation appends one record to an append-only log; replaying the
-log reproduces a byte-identical registry state. Writes and incident queries
-serialize through one lock, so no read observes a partially applied mutation.
+Every state mutation appends one record to an append-only log, the only log
+in the package: lineage records reach it from ``LineageStore.write``, which
+keeps none itself. Replaying the log reproduces a byte-identical registry
+state. Writes and incident queries serialize through the registry lock, and
+lineage reads through the lineage store's lock, so no read observes a
+partially applied mutation.
 
 The incident database is indexed. Each report sits in one list per indexed
 scope it falls in (its instance, its system, its reporter's party class and,
@@ -33,13 +36,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .canonical import (
-    b64u,
-    b64u_decode,
-    canonical_json_bytes,
-    canonical_json_line,
-    load_canonical,
-)
+from .canonical import canonical_json_bytes, canonical_json_line, load_canonical
 from .clock import SystemClock
 from .disclosure import DisclosedView, DisclosurePolicy, AttributeMatcher, PartyClass, redact
 from .errors import (
@@ -242,12 +239,6 @@ class RetentionConfig:
     def to_jsonable(self) -> dict:
         return {"documents": self.documents, "incidents": self.incidents}
 
-    @classmethod
-    def from_jsonable(cls, body: Any) -> "RetentionConfig":
-        if body is None:
-            return cls()
-        return cls(body["documents"], body["incidents"])
-
 
 def default_disclosure_policy() -> DisclosurePolicy:
     """Auditors and regulators see everything; operational parties see
@@ -350,19 +341,7 @@ class Registry:
             existing = self.trust.lookup(keypair.author_id, keypair.key_id)
             public = keypair.public_key()
             if existing is None:
-                self.trust.register_key(keypair.author_id, public)
-                self._log.append(
-                    {
-                        "at": self.clock.now(),
-                        "author_id": keypair.author_id,
-                        "key": {
-                            "key_id": public.key_id,
-                            "public": b64u(public.public),
-                            "suite": public.suite,
-                        },
-                        "kind": "register-key",
-                    }
-                )
+                self._register_key(keypair.author_id, public)
             elif existing.key.public != public.public:
                 raise MalformedRecord(
                     f"key_id {keypair.key_id!r} already bound to a different key"
@@ -371,19 +350,18 @@ class Registry:
 
     def register_foreign_key(self, author_id: str, key: PublicKey) -> None:
         with self._lock:
-            self.trust.register_key(author_id, key)
-            self._log.append(
-                {
-                    "at": self.clock.now(),
-                    "author_id": author_id,
-                    "key": {
-                        "key_id": key.key_id,
-                        "public": b64u(key.public),
-                        "suite": key.suite,
-                    },
-                    "kind": "register-key",
-                }
-            )
+            self._register_key(author_id, key)
+
+    def _register_key(self, author_id: str, key: PublicKey) -> None:
+        self.trust.register_key(author_id, key)
+        self._log.append(
+            {
+                "at": self.clock.now(),
+                "author_id": author_id,
+                "key": key.to_jsonable(),
+                "kind": "register-key",
+            }
+        )
 
     def revoke_key(self, author_id: str, key_id: str, at: Optional[int] = None) -> None:
         with self._lock:
@@ -428,8 +406,7 @@ class Registry:
                 stored = self.documents.get(key)
                 if stored is None:
                     raise NotFound(f"no document for reloaded instance {key}")
-                lineage_record = self.lineage._build_record(event, at, None)
-                self.lineage._apply(lineage_record)
+                lineage_record, _ = self.lineage.write(event, at)
                 self._log.append(
                     {
                         "at": at,
@@ -444,17 +421,8 @@ class Registry:
                     self._nonces[nonce] = key
                 return stored
 
-            lineage_record = self.lineage._build_record(event, at, None)
-            identifier = self.lineage._apply(lineage_record)
-            external_record = None
-            if upstream is not None:
-                external_record = {
-                    "at": at,
-                    "child": str(identifier),
-                    "kind": "external-link",
-                    "parent": str(upstream),
-                }
-                self.lineage._apply(external_record)
+            lineage_record, external_record = self.lineage.write(event, at, upstream)
+            identifier = parse_identifier(lineage_record["identifier"])
 
             doc = new_id_document(identifier, AuthorRef(self.author_id, keypair.key_id), at)
             doc = self._attach_auto_links(doc, event, upstream)
@@ -669,19 +637,20 @@ class Registry:
         return b"".join(canonical_json_line(_log_jsonable(record)) for record in self._log)
 
     def canonical_state_bytes(self) -> bytes:
-        body = {
-            "documents": {
-                key: self.documents[key].to_jsonable() for key in sorted(self.documents)
-            },
-            "incidents": [report.to_jsonable() for report in self.incidents],
-            "lineage": self.lineage.state_jsonable(),
-            "nonces": dict(sorted(self._nonces.items())),
-            "retention": self.retention.to_jsonable(),
-            "shutdowns": {
-                key: self.shutdowns[key] for key in sorted(self.shutdowns)
-            },
-            "trust": self.trust.to_jsonable(),
-        }
+        with self._lock:
+            body = {
+                "documents": {
+                    key: self.documents[key].to_jsonable() for key in sorted(self.documents)
+                },
+                "incidents": [report.to_jsonable() for report in self.incidents],
+                "lineage": self.lineage.state_jsonable(),
+                "nonces": dict(sorted(self._nonces.items())),
+                "retention": self.retention.to_jsonable(),
+                "shutdowns": {
+                    key: self.shutdowns[key] for key in sorted(self.shutdowns)
+                },
+                "trust": self.trust.to_jsonable(),
+            }
         return canonical_json_bytes(body)
 
     @classmethod
@@ -712,12 +681,7 @@ class Registry:
     def _apply_log_record(self, record: dict) -> None:
         kind = record.get("kind")
         if kind == "register-key":
-            key = PublicKey(
-                suite=record["key"]["suite"],
-                key_id=record["key"]["key_id"],
-                public=b64u_decode(record["key"]["public"]),
-            )
-            self.trust.register_key(record["author_id"], key)
+            self.trust.register_key(record["author_id"], PublicKey.from_jsonable(record["key"]))
         elif kind == "revoke-key":
             self.trust.revoke_key(record["author_id"], record["key_id"], record["at"])
         elif kind == "issue":

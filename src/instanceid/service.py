@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 from . import errors
 from .canonical import b64u, b64u_decode, canonical_json_line, load_canonical
-from .disclosure import PartyClass
+from .disclosure import DisclosedView, PartyClass
 from .errors import MalformedRecord, ProtocolError, RegistryUnavailable
 from .identity import Attribute, InstanceIdentifier, parse_identifier
 from .lineage import event_from_jsonable, event_to_jsonable, LineageEvent
@@ -39,7 +39,7 @@ from .registry import (
     RetentionConfig,
     TimeWindow,
 )
-from .verifiability import PublicKey, SignedId
+from .verifiability import KeyPair, PublicKey, SignedId
 
 ENDPOINTS = (
     "issue",
@@ -50,6 +50,8 @@ ENDPOINTS = (
     "keys",
     "notify",
 )
+
+_ACCEPT_POLL_S = 0.05
 
 _ERROR_TYPES = {
     name: obj
@@ -95,11 +97,9 @@ class RegistryServer:
             return reply
 
     def _do_issue(self, body: dict) -> dict:
-        from .identity import _attr_from_jsonable
-
         with _decoding("issue"):
             event = event_from_jsonable(body["event"])
-            attributes = tuple(_attr_from_jsonable(a) for a in body.get("attributes", []))
+            attributes = tuple(Attribute.from_jsonable(a) for a in body.get("attributes", []))
             upstream = (
                 parse_identifier(body["upstream"]) if body.get("upstream") else None
             )
@@ -148,11 +148,7 @@ class RegistryServer:
         if op == "register":
             with _decoding("keys"):
                 author_id = _text(body["author_id"], "author_id")
-                key = PublicKey(
-                    suite=body["key"]["suite"],
-                    key_id=body["key"]["key_id"],
-                    public=b64u_decode(body["key"]["public"]),
-                )
+                key = PublicKey.from_jsonable(body["key"])
             self.registry.register_foreign_key(author_id, key)
             return {}
         if op == "revoke":
@@ -198,12 +194,7 @@ class BaseClient:
     def issue(self, event: LineageEvent, attributes=(), nonce=None, upstream=None) -> SignedId:
         body: dict[str, Any] = {"event": event_to_jsonable(event)}
         if attributes:
-            attrs = []
-            for attr in attributes:
-                item = attr.payload_jsonable()
-                item["salt"] = b64u(attr.salt) if attr.salt is not None else None
-                attrs.append(item)
-            body["attributes"] = attrs
+            body["attributes"] = [attr.to_jsonable() for attr in attributes]
         if nonce is not None:
             body["nonce"] = nonce
         if upstream is not None:
@@ -225,9 +216,7 @@ class BaseClient:
         reply = self._roundtrip("get-id", {"identifier": str(identifier)})
         return SignedId.from_jsonable(reply["signed"])
 
-    def get_view(self, identifier: InstanceIdentifier, party: PartyClass):
-        from .disclosure import DisclosedView
-
+    def get_view(self, identifier: InstanceIdentifier, party: PartyClass) -> DisclosedView:
         reply = self._roundtrip(
             "get-id", {"identifier": str(identifier), "party": party.value}
         )
@@ -307,7 +296,10 @@ class TcpRegistryServer(socketserver.ThreadingTCPServer):
         return self.server_address[0], self.server_address[1]
 
     def start(self) -> "TcpRegistryServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # stop() waits for the accept loop's next poll; keep that wait short
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(_ACCEPT_POLL_S,), daemon=True
+        )
         self._thread.start()
         return self
 
@@ -500,8 +492,6 @@ class ServiceConfig:
 
 def load_keypair_file(path: str | Path):
     """Key file: canonical JSON {author_id, key_id, suite, private(b64u)}."""
-    from .verifiability import KeyPair
-
     body = load_canonical(Path(path).read_bytes())
     try:
         return KeyPair.generate(

@@ -70,6 +70,16 @@ class PublicKey:
         if len(self.public) != 32:
             raise MalformedRecord("ed25519 public key must be 32 bytes")
 
+    def to_jsonable(self) -> dict:
+        return {"key_id": self.key_id, "public": b64u(self.public), "suite": self.suite}
+
+    @classmethod
+    def from_jsonable(cls, body: Any) -> "PublicKey":
+        try:
+            return cls(body["suite"], body["key_id"], b64u_decode(body["public"]))
+        except (KeyError, TypeError) as exc:
+            raise MalformedRecord(f"bad public key: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -110,9 +120,31 @@ KEY_REVOKED = "revoked"
 
 @dataclass(frozen=True)
 class KeyRecord:
+    """A public key and its status: active, or revoked at an integer time."""
+
     key: PublicKey
     status: str = KEY_ACTIVE
     revoked_at: Optional[int] = None
+
+    def __post_init__(self):
+        if self.status == KEY_ACTIVE:
+            valid = self.revoked_at is None
+        else:
+            valid = self.status == KEY_REVOKED and type(self.revoked_at) is int
+        if not valid:
+            raise MalformedRecord(
+                f"bad key status {self.status!r} with revoked_at {self.revoked_at!r}"
+            )
+
+    def to_jsonable(self) -> dict:
+        return {**self.key.to_jsonable(), "revoked_at": self.revoked_at, "status": self.status}
+
+    @classmethod
+    def from_jsonable(cls, body: Any) -> "KeyRecord":
+        try:
+            return cls(PublicKey.from_jsonable(body), body["status"], body["revoked_at"])
+        except (KeyError, TypeError) as exc:
+            raise MalformedRecord(f"bad key record: {exc}") from exc
 
     def active_at(self, at: int) -> bool:
         return self.status == KEY_ACTIVE or (
@@ -129,11 +161,15 @@ class TrustStore:
         self._lock = threading.Lock()
 
     def register_key(self, author_id: str, key: PublicKey) -> None:
+        self.add_record(author_id, KeyRecord(key))
+
+    def add_record(self, author_id: str, record: KeyRecord) -> None:
+        """Add a key with the status it already has (say, from a listing)."""
         with self._lock:
             keys = self._authors.setdefault(author_id, {})
-            if key.key_id in keys:
-                raise DuplicateKeyId(f"{author_id}/{key.key_id}")
-            keys[key.key_id] = KeyRecord(key=key)
+            if record.key.key_id in keys:
+                raise DuplicateKeyId(f"{author_id}/{record.key.key_id}")
+            keys[record.key.key_id] = record
 
     def revoke_key(self, author_id: str, key_id: str, at: int) -> None:
         with self._lock:
@@ -156,41 +192,27 @@ class TrustStore:
         return {author: dict(keys) for author, keys in self._authors.items()}
 
     def to_jsonable(self) -> dict:
-        authors: dict[str, list[dict]] = {}
-        for author_id in sorted(self._authors):
-            entries = []
-            for key_id in sorted(self._authors[author_id]):
-                record = self._authors[author_id][key_id]
-                entries.append(
-                    {
-                        "key_id": record.key.key_id,
-                        "public": b64u(record.key.public),
-                        "revoked_at": record.revoked_at,
-                        "status": record.status,
-                        "suite": record.key.suite,
-                    }
-                )
-            authors[author_id] = entries
-        return {"authors": authors}
+        return {
+            "authors": {
+                author_id: [keys[key_id].to_jsonable() for key_id in sorted(keys)]
+                for author_id, keys in sorted(self._authors.items())
+            }
+        }
 
     @classmethod
     def from_jsonable(cls, body: Any) -> "TrustStore":
+        authors = body.get("authors") if isinstance(body, dict) else None
+        if not isinstance(authors, dict):
+            raise MalformedRecord("trust store must map authors to key lists")
         store = cls()
-        try:
-            for author_id, entries in body["authors"].items():
-                for entry in entries:
-                    key = PublicKey(
-                        suite=entry["suite"],
-                        key_id=entry["key_id"],
-                        public=b64u_decode(entry["public"]),
-                    )
-                    store._authors.setdefault(author_id, {})[key.key_id] = KeyRecord(
-                        key=key,
-                        status=entry["status"],
-                        revoked_at=entry["revoked_at"],
-                    )
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad trust store: {exc}") from exc
+        for author_id, entries in authors.items():
+            if not isinstance(entries, list):
+                raise MalformedRecord(f"keys of {author_id!r} must be a list")
+            for entry in entries:
+                try:
+                    store.add_record(author_id, KeyRecord.from_jsonable(entry))
+                except DuplicateKeyId as exc:
+                    raise MalformedRecord(f"bad trust store: {exc}") from exc
         return store
 
     def to_bytes(self) -> bytes:
@@ -355,7 +377,7 @@ class Manifest:
 
     def _body_jsonable(self) -> dict:
         return {
-            "author": {"author_id": self.author.author_id, "key_id": self.author.key_id},
+            "author": self.author.to_jsonable(),
             "identifier": str(self.identifier),
             "issued_at": self.issued_at,
             "output_hash": b64u(self.output_hash),
@@ -376,16 +398,14 @@ class Manifest:
         try:
             return cls(
                 identifier=parse_identifier(body["identifier"]),
-                author=AuthorRef(body["author"]["author_id"], body["author"]["key_id"]),
+                author=AuthorRef.from_jsonable(body["author"]),
                 output_hash=b64u_decode(body["output_hash"]),
                 seq=body["seq"],
                 prev_manifest_hash=b64u_decode(body["prev_manifest_hash"]),
                 issued_at=body["issued_at"],
                 signature=Signature.from_jsonable(body["signature"]),
             )
-        except MalformedRecord:
-            raise
-        except (KeyError, TypeError, ValueError, InvalidDocument) as exc:
+        except (KeyError, TypeError) as exc:
             raise MalformedRecord(f"bad manifest: {exc}") from exc
 
     def to_bytes(self) -> bytes:
@@ -495,13 +515,3 @@ def verify_chain(
         if not report.ok:
             return report
     return VerificationReport(Verdict.VERIFIED)
-
-
-# Spec-surface functional aliases.
-
-def register_key(trust_store: TrustStore, author_id: str, key: PublicKey) -> None:
-    trust_store.register_key(author_id, key)
-
-
-def revoke_key(trust_store: TrustStore, author_id: str, key_id: str, at: int) -> None:
-    trust_store.revoke_key(author_id, key_id, at)

@@ -57,6 +57,31 @@ def test_verify_view_fixture(runner):
     assert json.loads(result.output)["verdict"] == "verified"
 
 
+_ACME_KEY = json.loads((FIXTURES / "trust_store.json").read_text())["authors"]["acme"][0]
+
+
+@pytest.mark.parametrize(
+    "trust_body",
+    [
+        {"authors": []},
+        {"authors": {"acme": [{**_ACME_KEY, "revoked_at": "x", "status": "bogus"}]}},
+    ],
+)
+def test_verify_rejects_malformed_trust_store(runner, tmp_path, trust_body):
+    trust_path = tmp_path / "trust.json"
+    trust_path.write_text(json.dumps(trust_body))
+    result = runner.invoke(
+        main,
+        [
+            "id", "verify", str(FIXTURES / "honest_signed_id.json"),
+            "--trust-store", str(trust_path),
+        ],
+    )
+    assert result.exit_code == 1
+    assert "malformed input" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_usage_error_exits_two(runner):
     result = runner.invoke(main, ["id", "verify", "--no-such-flag"])
     assert result.exit_code == 2

@@ -1,10 +1,14 @@
 """Scenario replays: outcomes, determinism, transport equivalence."""
 
+import random
+
 import pytest
 
+from instanceid import Created, InProcessClient, SimClock, Verdict, verify_id
 from instanceid.errors import ConfigInvalid
 from instanceid.harness import (
     SCENARIOS,
+    Ecosystem,
     SimConfig,
     run_certification_scenario,
     run_investigation_scenario,
@@ -143,3 +147,21 @@ def test_config_invalid(bad):
 
 def test_scenario_registry_names():
     assert set(SCENARIOS) == {"shutdown", "certification", "scam"}
+
+
+# -- shared trust directory -------------------------------------------------------------
+
+
+def test_wire_keeps_revocations_in_the_shared_trust_directory():
+    clock = SimClock(1_000)
+    eco = Ecosystem(SimConfig(deployers=2), clock, random.Random(5))
+    revoked, live = eco.deployers
+    signed = revoked.registry.issue(Created(revoked.system_id, "u"))
+    clock.advance(10)
+    revoked.registry.revoke_key(revoked.name, "k1")
+    eco.wire({d.name: InProcessClient(d.server) for d in eco.deployers})
+    record = eco.trust.lookup(revoked.name, "k1")
+    assert (record.status, record.revoked_at) == ("revoked", clock.now())
+    assert eco.trust.lookup(live.name, "k1").status == "active"
+    assert verify_id(signed, eco.trust, clock.now()).verdict is Verdict.REVOKED_KEY
+    assert verify_id(signed, eco.trust, clock.now() - 1).ok

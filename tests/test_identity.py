@@ -16,7 +16,6 @@ from instanceid import (
     add_link,
     attribute_digest,
     canonical_bytes,
-    format_identifier,
     new_id_document,
     parse_identifier,
     validate_document,
@@ -69,9 +68,9 @@ def test_parse_rejects(bad):
 
 
 def test_format_examples():
-    assert format_identifier(InstanceIdentifier("a", "b")) == "a:b"
+    assert str(InstanceIdentifier("a", "b")) == "a:b"
     assert (
-        format_identifier(InstanceIdentifier("gpt4-0409", "inst-00a1"))
+        str(InstanceIdentifier("gpt4-0409", "inst-00a1"))
         == "gpt4-0409:inst-00a1"
     )
 
@@ -79,7 +78,7 @@ def test_format_examples():
 def test_system_sentinel_round_trips():
     ident = parse_identifier("gpt4:_system")
     assert ident.is_system_node
-    assert format_identifier(ident) == "gpt4:_system"
+    assert str(ident) == "gpt4:_system"
 
 
 @given(
@@ -89,16 +88,16 @@ def test_system_sentinel_round_trips():
 @settings(max_examples=300)
 def test_round_trip_identifier(system_id, instance_id):
     ident = InstanceIdentifier(system_id, instance_id)
-    assert parse_identifier(format_identifier(ident)) == ident
+    assert parse_identifier(str(ident)) == ident
     text = f"{system_id}:{instance_id}"
-    assert format_identifier(parse_identifier(text)) == text
+    assert str(parse_identifier(text)) == text
 
 
 def test_round_trip_random_generator():
     rng = random.Random(42)
     for _ in range(1000):
         ident = random_identifier(rng)
-        assert parse_identifier(format_identifier(ident)) == ident
+        assert parse_identifier(str(ident)) == ident
 
 
 # -- documents ----------------------------------------------------------------

@@ -11,7 +11,9 @@ from instanceid import (
     LineageStore,
     Merged,
     Regenerated,
+    Registry,
     Reloaded,
+    SimClock,
     parse_identifier,
 )
 from instanceid.errors import (
@@ -20,13 +22,9 @@ from instanceid.errors import (
     UnknownIdentifier,
     UnknownParent,
 )
-from instanceid.lineage import (
-    ancestors,
-    composite_system_id,
-    descendants,
-    register_event,
-    validate_acyclic,
-)
+from instanceid.lineage import composite_system_id
+
+from helpers import fixed_keypair
 
 
 def transitive_closure(pairs):
@@ -265,16 +263,32 @@ def test_branch_independence():
 
 
 def test_log_replay_reconstructs_state():
-    store, _ = grow_random_dag(random.Random(14), n_events=80)
-    replayed = LineageStore.from_log_lines(store.to_log_lines())
-    assert replayed.state_bytes() == store.state_bytes()
-    assert replayed.event_count() == store.event_count()
+    # the registry log is the only lineage log: replaying it rebuilds the DAG
+    rng = random.Random(14)
+    clock = SimClock(0)
+    registry = Registry("acme", clock=clock, rng=random.Random(15))
+    registry.install_key(fixed_keypair("acme", "k1"))
+    identifiers = []
+    for step in range(80):
+        clock.advance()
+        roll = rng.random()
+        if roll < 0.35 or len(identifiers) < 2:
+            upstream = parse_identifier(f"up:{step:04d}") if rng.random() < 0.3 else None
+            event = Created(f"sys-{rng.randint(0, 3)}", f"u{step}")
+            signed = registry.issue(event, upstream=upstream)
+        elif roll < 0.6:
+            signed = registry.issue(Regenerated(rng.choice(identifiers), branch_point=step))
+        elif roll < 0.75:
+            count = min(len(identifiers), rng.randint(2, 3))
+            signed = registry.issue(Merged(tuple(rng.sample(identifiers, count))))
+        elif roll < 0.9:
+            registry.issue(Reloaded(rng.choice(identifiers)))
+            continue
+        else:
+            signed = registry.issue(FineTuned(f"sys-{rng.randint(0, 3)}"))
+        identifiers.append(signed.doc.identifier)
+    assert any(registry.lineage.is_external(parse_identifier(f"up:{n:04d}")) for n in range(80))
 
-
-def test_functional_aliases():
-    store = LineageStore(rng=random.Random(15))
-    root = register_event(store, Created("s", "u"))
-    child = register_event(store, Regenerated(root))
-    assert ancestors(store, child) == {root}
-    assert descendants(store, root) == {child}
-    assert validate_acyclic(store)
+    replayed = Registry.replay(registry.log_lines(), "acme", clock=clock)
+    assert replayed.lineage.state_bytes() == registry.lineage.state_bytes()
+    assert replayed.log_lines() == registry.log_lines()

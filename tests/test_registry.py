@@ -130,10 +130,10 @@ def test_issue_requires_active_key():
 def test_issue_idempotent_per_nonce():
     registry, _ = make_registry()
     first = registry.issue(Created("sys-a", "u"), nonce="req-1")
-    events_after_first = registry.lineage.event_count()
+    log_after_first = registry.log_lines()
     retried = registry.issue(Created("sys-a", "u"), nonce="req-1")
     assert retried.to_bytes() == first.to_bytes()
-    assert registry.lineage.event_count() == events_after_first
+    assert registry.log_lines() == log_after_first
 
 
 def test_caller_attributes_are_signed_in():
@@ -353,6 +353,48 @@ def test_concurrent_reports_never_leak_into_windowed_queries():
     assert not any(thread.is_alive() for thread in writers + readers)
     assert leaked == []
     assert len(registry.query_incidents(scope)) == 2 * writes
+
+
+def test_lineage_reads_never_race_lineage_writes():
+    """Traversals iterate the DAG's adjacency sets; an issue that adds an
+    edge meanwhile would change a set under the iterator unless both hold
+    the lineage lock."""
+    registry, _ = make_registry()
+    root = registry.issue(Created("sys-a", "u")).doc.identifier
+    writes = 1000
+    errors = []
+    done = threading.Event()
+
+    def write():
+        for _ in range(writes):
+            registry.issue(Regenerated(root))
+
+    def read():
+        while not done.is_set():
+            try:
+                registry.get_lineage(root, "descendants")
+                registry.lineage.edges()
+                registry.lineage.validate_acyclic()
+                registry.lineage.state_bytes()
+            except Exception as exc:  # "set changed size during iteration", ...
+                errors.append(exc)
+
+    writer = threading.Thread(target=write)
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers + [writer]:
+            thread.start()
+        writer.join(timeout=120)
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers + [writer])
+    assert errors == []
+    assert len(registry.get_lineage(root, "descendants")) == writes
 
 
 # -- documents, retention, lineage serving ----------------------------------------------

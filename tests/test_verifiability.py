@@ -140,6 +140,36 @@ def test_trust_store_file_round_trip(keypair):
     assert restored.lookup("beta", "b1").revoked_at == 77
 
 
+_ENTRY = trust_for(fixed_keypair()).to_jsonable()["authors"]["acme"][0]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"authors": []},
+        {"authors": {"acme": {}}},
+        {"authors": {"acme": ["k1"]}},
+        {"authors": {"acme": [_ENTRY, _ENTRY]}},
+        {},
+        [],
+    ],
+)
+def test_trust_store_rejects_malformed_shapes(body):
+    with pytest.raises(MalformedRecord):
+        TrustStore.from_jsonable(body)
+
+
+@pytest.mark.parametrize(
+    "status, revoked_at",
+    [("bogus", "x"), ("revoked", "x"), ("revoked", None), ("revoked", True), ("active", 5)],
+)
+def test_trust_store_rejects_inconsistent_key_status(status, revoked_at):
+    # accepted, such an entry used to raise TypeError later, inside verification
+    body = {"authors": {"acme": [{**_ENTRY, "revoked_at": revoked_at, "status": status}]}}
+    with pytest.raises(MalformedRecord):
+        TrustStore.from_jsonable(body)
+
+
 # -- manifests ----------------------------------------------------------------------
 
 
