@@ -18,7 +18,7 @@ import hashlib
 import json
 from typing import Any
 
-from .errors import MalformedRecord
+from .errors import MalformedRecord, decoding
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -35,14 +35,11 @@ def b64u(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
 
 
+@decoding("base64url")
 def b64u_decode(text: str) -> bytes:
-    if not isinstance(text, str) or "=" in text:
+    if "=" in text:
         raise MalformedRecord(f"not unpadded base64url: {text!r}")
-    pad = -len(text) % 4
-    try:
-        return base64.urlsafe_b64decode(text + "=" * pad)
-    except (ValueError, TypeError) as exc:
-        raise MalformedRecord(f"bad base64url: {exc}") from exc
+    return base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
 
 
 def _check_value(value: Any) -> None:
@@ -77,9 +74,12 @@ def canonical_json_line(value: Any) -> bytes:
     return canonical_json_bytes(value) + b"\n"
 
 
+@decoding("JSON")
 def load_canonical(data: bytes | str) -> Any:
-    """Parse JSON produced by :func:`canonical_json_bytes` (or any JSON)."""
-    try:
-        return json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from exc
+    """Parse JSON produced by :func:`canonical_json_bytes` (or any JSON), in
+    strict UTF-8 and without a lone surrogate, which canonical bytes cannot hold."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    value = json.loads(text)
+    if "\\" in text:  # only an escape can spell a lone surrogate; one char searches fastest
+        json.dumps(value, ensure_ascii=False).encode("utf-8")  # raises on a lone surrogate
+    return value

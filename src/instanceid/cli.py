@@ -185,7 +185,7 @@ def registry_serve(config_path):
     """Serve the registry endpoints over TCP until interrupted."""
     try:
         config = ServiceConfig.from_file(config_path)
-    except (ProtocolError, KeyError, OSError) as exc:
+    except (ProtocolError, OSError) as exc:
         click.echo(f"bad config: {exc}", err=True)
         sys.exit(1)
     registry = Registry(config.author_id, retention=config.retention())

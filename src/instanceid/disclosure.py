@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Optional, Union
 
-from .canonical import b64u, b64u_decode, canonical_json_bytes, load_canonical
-from .errors import InvalidDocument, MalformedRecord, UnverifiedInput
+from .canonical import HASH_SUITE, b64u, b64u_decode, canonical_json_bytes, load_canonical
+from .errors import InvalidDocument, MalformedRecord, UnverifiedInput, decoding
 from .identity import (
     Attribute,
     AttributeCategory,
@@ -25,6 +25,7 @@ from .identity import (
     Link,
     attribute_digest,
     digest_form,
+    is_attribute_name,
     parse_identifier,
 )
 from .verifiability import (
@@ -72,6 +73,7 @@ class AttributeMatcher:
         }
 
     @classmethod
+    @decoding("attribute matcher")
     def from_jsonable(cls, body: Any) -> "AttributeMatcher":
         return cls(
             name=body.get("name"),
@@ -107,18 +109,14 @@ class DisclosurePolicy:
         }
 
     @classmethod
+    @decoding("disclosure policy")
     def from_jsonable(cls, body: Any) -> "DisclosurePolicy":
-        try:
-            return cls(
-                rules={
-                    PartyClass(party): tuple(
-                        AttributeMatcher.from_jsonable(m) for m in matchers
-                    )
-                    for party, matchers in body.items()
-                }
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecord(f"bad disclosure policy: {exc}") from exc
+        return cls(
+            rules={
+                PartyClass(party): tuple(AttributeMatcher.from_jsonable(m) for m in matchers)
+                for party, matchers in body.items()
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -131,6 +129,10 @@ class RevealedEntry:
 class HiddenEntry:
     name: str
     digest: bytes
+
+    def __post_init__(self):
+        if not is_attribute_name(self.name):
+            raise InvalidDocument(f"bad attribute name: {self.name!r}")
 
 
 ViewEntry = Union[RevealedEntry, HiddenEntry]
@@ -147,7 +149,12 @@ class DisclosedView:
     entries: tuple[ViewEntry, ...]
     links: tuple[Link, ...]
     signature: Signature
-    hash_suite: str = "sha-256"
+    hash_suite: str = HASH_SUITE
+
+    def __post_init__(self):
+        valid = isinstance(self.created_at, int) and self.created_at >= 0
+        if not valid or self.hash_suite != HASH_SUITE:
+            raise InvalidDocument(f"bad view: {self.created_at!r}, {self.hash_suite!r}")
 
     @property
     def revealed(self) -> tuple[RevealedEntry, ...]:
@@ -194,34 +201,28 @@ class DisclosedView:
         }
 
     @classmethod
+    @decoding("disclosed view")
     def from_jsonable(cls, body: Any) -> "DisclosedView":
-        try:
-            entries: list[ViewEntry] = []
-            for item in body["entries"]:
-                if item["kind"] == "revealed":
-                    attr = Attribute.from_jsonable(item["attribute"])
-                    entries.append(RevealedEntry(attr, b64u_decode(item["digest"])))
-                elif item["kind"] == "hidden":
-                    entries.append(
-                        HiddenEntry(item["name"], b64u_decode(item["digest"]))
-                    )
-                else:
-                    raise MalformedRecord(f"unknown entry kind {item['kind']!r}")
-            return cls(
-                identifier=parse_identifier(body["identifier"]),
-                author=(
-                    AuthorRef.from_jsonable(body["author"])
-                    if body["author"] is not None
-                    else None
-                ),
-                created_at=body["created_at"],
-                entries=tuple(entries),
-                links=tuple(Link.from_jsonable(l) for l in body["links"]),
-                signature=Signature.from_jsonable(body["signature"]),
-                hash_suite=body["hash_suite"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad disclosed view: {exc}") from exc
+        entries: list[ViewEntry] = []
+        for item in body["entries"]:
+            if item["kind"] == "revealed":
+                attr = Attribute.from_jsonable(item["attribute"])
+                entries.append(RevealedEntry(attr, b64u_decode(item["digest"])))
+            elif item["kind"] == "hidden":
+                entries.append(HiddenEntry(item["name"], b64u_decode(item["digest"])))
+            else:
+                raise MalformedRecord(f"unknown entry kind {item['kind']!r}")
+        return cls(
+            identifier=parse_identifier(body["identifier"]),
+            author=(
+                AuthorRef.from_jsonable(body["author"]) if body["author"] is not None else None
+            ),
+            created_at=body["created_at"],
+            entries=tuple(entries),
+            links=tuple(Link.from_jsonable(l) for l in body["links"]),
+            signature=Signature.from_jsonable(body["signature"]),
+            hash_suite=body["hash_suite"],
+        )
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_jsonable())

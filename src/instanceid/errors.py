@@ -1,8 +1,12 @@
-"""Exception types shared across the protocol suite.
+"""Exception types shared across the protocol suite, and the decoding guard.
 
 Verification failures are *verdicts*, not exceptions (see ``verifiability``);
 exceptions are reserved for contract violations and unavailable resources.
+Every reader of outside input runs under :class:`decoding`, so it raises
+``MalformedRecord`` for input that does not decode and nothing else.
 """
+
+import functools
 
 
 class ProtocolError(Exception):
@@ -19,6 +23,48 @@ class MalformedRecord(ProtocolError):
 
 class InvalidDocument(ProtocolError):
     """An ID document violates one of its structural invariants."""
+
+
+# The one list of what "this input does not decode" raises: a missing key, a
+# wrong type, a bad enum value or base64 text, a broken invariant, or JSON
+# nested too deep to parse. Domain errors such as UnknownKey are not in it.
+_UNDECODABLE = (
+    AttributeError, KeyError, TypeError, ValueError, RecursionError,
+    InvalidDocument, MalformedIdentifier,
+)
+
+
+class decoding:
+    """Turn each exception that means "does not decode" into MalformedRecord.
+
+    Decoders of one input take it as a decorator, ``@decoding("what")``; the
+    wrapper passes positional arguments only and costs one call frame and a
+    ``try``. Other readers and endpoints wrap their decoding step in ``with
+    decoding("what"):``, never the call the decoded values feed, so a fault
+    inside that call is not reported as bad input.
+    """
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None and issubclass(exc_type, _UNDECODABLE):
+            raise MalformedRecord(f"bad {self.what}: {exc}") from exc
+
+    def __call__(self, decoder):
+        what = self.what
+
+        @functools.wraps(decoder)
+        def guarded(*args):
+            try:
+                return decoder(*args)
+            except _UNDECODABLE as exc:
+                raise MalformedRecord(f"bad {what}: {exc}") from exc
+
+        return guarded
 
 
 class DuplicateAttributeName(ProtocolError):

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Optional, Union
 
 from .canonical import b64u
 from .disclosure import DisclosedView, verify_view
-from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable
+from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable, decoding
 from .identity import AttributeCategory, InstanceIdentifier
 from .registry import IncidentScope, TimeWindow
 from .verifiability import (
@@ -146,33 +146,30 @@ class PolicyRule:
         }
 
     @classmethod
+    @decoding("policy rule")
     def from_jsonable(cls, body: Any) -> "PolicyRule":
-        try:
-            on_missing_body = body["on_missing"]
-            rate = on_missing_body.get("rate")
-            return cls(
-                action=body["action"],
-                threshold=body.get("threshold", 0),
-                requirement=Requirement(
-                    body["requirement"]["kind"], body["requirement"].get("cert")
-                ),
-                on_missing=OnMissing(
-                    on_missing_body["kind"],
-                    RateLimit(rate["requests"], rate["window"]) if rate else None,
-                ),
-                incident_threshold=(
-                    IncidentThreshold(
-                        body["incident_threshold"]["scope"],
-                        body["incident_threshold"]["max"],
-                    )
-                    if body.get("incident_threshold")
-                    else None
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad policy rule: {exc}") from exc
+        on_missing_body = body["on_missing"]
+        rate = on_missing_body.get("rate")
+        return cls(
+            action=body["action"],
+            threshold=body.get("threshold", 0),
+            requirement=Requirement(body["requirement"]["kind"], body["requirement"].get("cert")),
+            on_missing=OnMissing(
+                on_missing_body["kind"],
+                RateLimit(rate["requests"], rate["window"]) if rate else None,
+            ),
+            incident_threshold=(
+                IncidentThreshold(
+                    body["incident_threshold"]["scope"],
+                    body["incident_threshold"]["max"],
+                )
+                if body.get("incident_threshold")
+                else None
+            ),
+        )
 
 
+@decoding("gate policy")
 def policy_from_jsonable(body: Any) -> list[PolicyRule]:
     return [PolicyRule.from_jsonable(item) for item in body["rules"]]
 

@@ -23,12 +23,7 @@ from .canonical import (
     canonical_json_bytes,
     sha256,
 )
-from .errors import (
-    DuplicateAttributeName,
-    InvalidDocument,
-    MalformedIdentifier,
-    MalformedRecord,
-)
+from .errors import DuplicateAttributeName, InvalidDocument, MalformedIdentifier, decoding
 
 SEPARATOR = ":"
 SYSTEM_SENTINEL = "_system"  # instance slot for system-level (fine-tune) nodes
@@ -162,7 +157,7 @@ class Attribute:
             raise InvalidDocument(f"bad attribute name: {self.name!r}")
         if (self.inline is None) == (self.link is None):
             raise InvalidDocument("exactly one of inline/link must be present")
-        if self.link is not None and not self.link:
+        if self.link is not None and not (isinstance(self.link, str) and self.link):
             raise InvalidDocument("link must be a non-empty URI string")
         if self.salt is not None and len(self.salt) != SALT_SIZE:
             raise InvalidDocument(f"salt must be {SALT_SIZE} bytes")
@@ -212,26 +207,22 @@ class Attribute:
         return body
 
     @classmethod
+    @decoding("attribute")
     def from_jsonable(cls, body: Any) -> "Attribute":
-        if not isinstance(body, dict):
-            raise MalformedRecord("attribute must be an object")
-        try:
-            inline = None
-            if "inline" in body:
-                inline = InlinePayload(
-                    data=b64u_decode(body["inline"]["data"]),
-                    media_type=body["inline"]["media_type"],
-                )
-            return cls(
-                body["name"],
-                AttributeCategory(body["category"]),
-                AttributeSpecificity(body["specificity"]),
-                inline,
-                body.get("link"),
-                b64u_decode(body["salt"]) if body.get("salt") is not None else None,
+        inline = None
+        if "inline" in body:
+            inline = InlinePayload(
+                data=b64u_decode(body["inline"]["data"]),
+                media_type=body["inline"]["media_type"],
             )
-        except (KeyError, TypeError, ValueError, InvalidDocument) as exc:
-            raise MalformedRecord(f"bad attribute: {exc}") from exc
+        return cls(
+            body["name"],
+            AttributeCategory(body["category"]),
+            AttributeSpecificity(body["specificity"]),
+            inline,
+            body.get("link"),
+            b64u_decode(body["salt"]) if body.get("salt") is not None else None,
+        )
 
 
 def attribute_digest(attr: Attribute) -> bytes:
@@ -258,11 +249,9 @@ class AuthorRef:
         return {"author_id": self.author_id, "key_id": self.key_id}
 
     @classmethod
+    @decoding("author")
     def from_jsonable(cls, body: Any) -> "AuthorRef":
-        try:
-            return cls(body["author_id"], body["key_id"])
-        except (KeyError, TypeError, InvalidDocument) as exc:
-            raise MalformedRecord(f"bad author: {exc}") from exc
+        return cls(body["author_id"], body["key_id"])
 
 
 @dataclass(frozen=True)
@@ -278,11 +267,9 @@ class Link:
         return {"relation": self.relation, "target": str(self.target)}
 
     @classmethod
+    @decoding("link")
     def from_jsonable(cls, body: Any) -> "Link":
-        try:
-            return cls(body["relation"], parse_identifier(body["target"]))
-        except (KeyError, TypeError, InvalidDocument, MalformedIdentifier) as exc:
-            raise MalformedRecord(f"bad link: {exc}") from exc
+        return cls(body["relation"], parse_identifier(body["target"]))
 
 
 @dataclass(frozen=True)
@@ -413,19 +400,15 @@ def digest_form_bytes(doc: IdDocument) -> bytes:
     )
 
 
+@decoding("document")
 def doc_from_jsonable(body: Any) -> IdDocument:
-    if not isinstance(body, dict):
-        raise MalformedRecord("document must be an object")
-    try:
-        doc = IdDocument(
-            identifier=parse_identifier(body["identifier"]),
-            created_at=body["created_at"],
-            author=AuthorRef.from_jsonable(body["author"]),
-            attributes=tuple(Attribute.from_jsonable(a) for a in body["attributes"]),
-            links=tuple(Link.from_jsonable(l) for l in body["links"]),
-            hash_suite=body["hash_suite"],
-        )
-    except (KeyError, TypeError, InvalidDocument, MalformedIdentifier) as exc:
-        raise MalformedRecord(f"bad document: {exc}") from exc
+    doc = IdDocument(
+        identifier=parse_identifier(body["identifier"]),
+        created_at=body["created_at"],
+        author=AuthorRef.from_jsonable(body["author"]),
+        attributes=tuple(Attribute.from_jsonable(a) for a in body["attributes"]),
+        links=tuple(Link.from_jsonable(l) for l in body["links"]),
+        hash_suite=body["hash_suite"],
+    )
     validate_document(doc)
     return doc

@@ -23,11 +23,13 @@ from .errors import (
     UnknownConstituent,
     UnknownIdentifier,
     UnknownParent,
+    decoding,
 )
 from .identity import (
     SYSTEM_SENTINEL,
     InstanceIdentifier,
     fresh_instance_id,
+    is_token,
     parse_identifier,
 )
 
@@ -41,6 +43,10 @@ class Created:
     system_id: str
     user_ref: str
 
+    def __post_init__(self):
+        if not (is_token(self.system_id) and isinstance(self.user_ref, str)):
+            raise MalformedRecord(f"bad created event: {self.system_id!r}, {self.user_ref!r}")
+
 
 @dataclass(frozen=True)
 class Reloaded:
@@ -53,8 +59,8 @@ class Regenerated:
     branch_point: int = 0
 
     def __post_init__(self):
-        if self.branch_point < 0:
-            raise MalformedRecord("branch_point must be non-negative")
+        if type(self.branch_point) is not int or self.branch_point < 0:
+            raise MalformedRecord(f"bad branch_point: {self.branch_point!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,10 @@ class Merged:
 @dataclass(frozen=True)
 class FineTuned:
     base_system_id: str
+
+    def __post_init__(self):
+        if not is_token(self.base_system_id):
+            raise MalformedRecord(f"bad base_system_id token: {self.base_system_id!r}")
 
 
 LineageEvent = Union[Created, Reloaded, Regenerated, Merged, FineTuned]
@@ -98,26 +108,20 @@ def event_to_jsonable(event: LineageEvent) -> dict:
     raise MalformedRecord(f"unknown event type {type(event).__name__}")
 
 
+@decoding("event")
 def event_from_jsonable(body: Any) -> LineageEvent:
-    if not isinstance(body, dict):
-        raise MalformedRecord("event must be an object")
-    try:
-        kind = body["kind"]
-        if kind == "created":
-            if not isinstance(body["user_ref"], str):
-                raise MalformedRecord(f"user_ref must be a string, not {body['user_ref']!r}")
-            return Created(body["system_id"], body["user_ref"])
-        if kind == "reloaded":
-            return Reloaded(parse_identifier(body["original"]))
-        if kind == "regenerated":
-            return Regenerated(parse_identifier(body["parent"]), body["branch_point"])
-        if kind == "merged":
-            return Merged(tuple(parse_identifier(c) for c in body["constituents"]))
-        if kind == "fine-tuned":
-            return FineTuned(body["base_system_id"])
-    except KeyError as exc:
-        raise MalformedRecord(f"event missing field: {exc}") from exc
-    raise MalformedRecord(f"unknown event kind: {body.get('kind')!r}")
+    kind = body["kind"]
+    if kind == "created":
+        return Created(body["system_id"], body["user_ref"])
+    if kind == "reloaded":
+        return Reloaded(parse_identifier(body["original"]))
+    if kind == "regenerated":
+        return Regenerated(parse_identifier(body["parent"]), body["branch_point"])
+    if kind == "merged":
+        return Merged(tuple(parse_identifier(c) for c in body["constituents"]))
+    if kind == "fine-tuned":
+        return FineTuned(body["base_system_id"])
+    raise MalformedRecord(f"unknown event kind: {kind!r}")
 
 
 class LineageStore:

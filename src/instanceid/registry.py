@@ -46,6 +46,7 @@ from .errors import (
     NotFound,
     UnknownIdentifier,
     UnknownInstanceClass,
+    decoding,
 )
 from .identity import (
     Attribute,
@@ -122,19 +123,17 @@ class IncidentReport:
         }
 
     @classmethod
+    @decoding("incident report")
     def from_jsonable(cls, body: Any) -> "IncidentReport":
-        try:
-            return cls(
-                report_id=body["report_id"],
-                identifier=parse_identifier(body["identifier"]),
-                reporter=body["reporter"],
-                severity=Severity(body["severity"]),
-                description=body["description"],
-                occurred_at=body["occurred_at"],
-                user_ref=body.get("user_ref"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecord(f"bad incident report: {exc}") from exc
+        return cls(
+            report_id=body["report_id"],
+            identifier=parse_identifier(body["identifier"]),
+            reporter=body["reporter"],
+            severity=Severity(body["severity"]),
+            description=body["description"],
+            occurred_at=body["occurred_at"],
+            user_ref=body.get("user_ref"),
+        )
 
 
 SCOPE_KINDS = (
@@ -188,11 +187,9 @@ class IncidentScope:
         return {"kind": self.kind, "value": self.value}
 
     @classmethod
+    @decoding("scope")
     def from_jsonable(cls, body: Any) -> "IncidentScope":
-        try:
-            return cls(body["kind"], body["value"])
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad scope: {exc}") from exc
+        return cls(body["kind"], body["value"])
 
 
 @dataclass(frozen=True)
@@ -218,11 +215,10 @@ class TimeWindow:
         return {"end": self.end, "start": self.start}
 
     @classmethod
+    @decoding("window")
     def from_jsonable(cls, body: Any) -> "TimeWindow":
         if body is None:
             return cls()
-        if not isinstance(body, dict):
-            raise MalformedRecord("window must be an object or null")
         return cls(body.get("start"), body.get("end"))
 
 
@@ -663,7 +659,11 @@ class Registry:
         retention: Optional[RetentionConfig] = None,
         disclosure_policy: Optional[DisclosurePolicy] = None,
     ) -> "Registry":
-        """Reconstruct a registry from its newline-delimited event log."""
+        """Reconstruct a registry from its newline-delimited event log.
+
+        A line that does not decode raises ``MalformedRecord``; a record the
+        state cannot take raises its domain error, such as ``UnknownParent``.
+        """
         registry = cls(
             author_id,
             clock=clock,
@@ -671,11 +671,10 @@ class Registry:
             retention=retention,
             disclosure_policy=disclosure_policy,
         )
-        for line in log_data.splitlines():
-            if not line.strip():
-                continue
-            record = load_canonical(line)
-            registry._apply_log_record(record)
+        with decoding("registry log"):
+            for line in log_data.splitlines():
+                if line.strip():
+                    registry._apply_log_record(load_canonical(line))
         return registry
 
     def _apply_log_record(self, record: dict) -> None:

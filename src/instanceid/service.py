@@ -3,9 +3,11 @@
 One route per verb, canonical JSON bodies, newline-delimited over the byte
 stream. The in-process client and the TCP client run requests through the
 same handler, so a simulation produces identical traces on either transport.
-A request line, envelope or body that cannot be decoded gets a
-``MalformedRecord`` reply on either transport; over TCP the connection stays
-open for the next request.
+A request line, envelope or body that cannot be decoded, a bad identifier
+included, gets a ``MalformedRecord`` reply on either transport; over TCP the
+connection stays open for the next request. ``keys`` only lists the trust
+store: any client can reach it, so keys change only through the registry's
+own calls (``install_key``, ``register_foreign_key``, ``revoke_key``).
 
 TCP connections are persistent, as in HTTP/1.1 (RFC 9112 section 9.3):
 ``TcpClient`` keeps one per calling thread, checks it for staleness before
@@ -21,7 +23,6 @@ import select
 import socket
 import socketserver
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -29,7 +30,7 @@ from typing import Any, Optional
 from . import errors
 from .canonical import b64u, b64u_decode, canonical_json_line, load_canonical
 from .disclosure import DisclosedView, PartyClass
-from .errors import MalformedRecord, ProtocolError, RegistryUnavailable
+from .errors import MalformedRecord, ProtocolError, RegistryUnavailable, decoding
 from .identity import Attribute, InstanceIdentifier, parse_identifier
 from .lineage import event_from_jsonable, event_to_jsonable, LineageEvent
 from .registry import (
@@ -39,7 +40,7 @@ from .registry import (
     RetentionConfig,
     TimeWindow,
 )
-from .verifiability import KeyPair, PublicKey, SignedId
+from .verifiability import KeyPair, SignedId
 
 ENDPOINTS = (
     "issue",
@@ -60,18 +61,6 @@ _ERROR_TYPES = {
 }
 
 
-@contextmanager
-def _decoding(endpoint: str):
-    """Report a request body that does not decode as ``MalformedRecord``.
-
-    Wrap only the decoding of a body, never the registry call, so that a
-    fault inside ``Registry`` is not relabelled as bad input."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"bad {endpoint} body: {exc!r}") from exc
-
-
 class RegistryServer:
     """Transport-agnostic endpoint dispatch over one registry."""
 
@@ -80,14 +69,11 @@ class RegistryServer:
 
     def handle(self, request: Any) -> dict:
         try:
-            if not isinstance(request, dict):
-                raise MalformedRecord("request must be an object")
-            endpoint = request.get("endpoint")
-            body = request.get("body", {})
+            with decoding("request"):
+                endpoint = request.get("endpoint")
+                body = request.get("body", {})
             if endpoint not in ENDPOINTS:
                 raise MalformedRecord(f"unknown endpoint {endpoint!r}")
-            if not isinstance(body, dict):
-                raise MalformedRecord(f"{endpoint} body must be an object")
             handler = getattr(self, "_do_" + endpoint.replace("-", "_"))
             return {"body": handler(body), "ok": True}
         except ProtocolError as exc:
@@ -97,31 +83,31 @@ class RegistryServer:
             return reply
 
     def _do_issue(self, body: dict) -> dict:
-        with _decoding("issue"):
+        with decoding("issue body"):
             event = event_from_jsonable(body["event"])
             attributes = tuple(Attribute.from_jsonable(a) for a in body.get("attributes", []))
-            upstream = (
-                parse_identifier(body["upstream"]) if body.get("upstream") else None
-            )
-            nonce = _text(body["nonce"], "nonce") if body.get("nonce") is not None else None
+            upstream = parse_identifier(body["upstream"]) if body.get("upstream") else None
+            nonce = body.get("nonce")
+            if nonce is not None and not isinstance(nonce, str):
+                raise MalformedRecord(f"nonce must be a string, not {nonce!r}")
         signed = self.registry.issue(event, attributes, nonce=nonce, upstream=upstream)
         return {"signed": signed.to_jsonable()}
 
     def _do_report_incident(self, body: dict) -> dict:
-        with _decoding("report-incident"):
+        with decoding("report-incident body"):
             report = IncidentReport.from_jsonable(body["report"])
         self.registry.report_incident(report)
         return {}
 
     def _do_query_incidents(self, body: dict) -> dict:
-        with _decoding("query-incidents"):
+        with decoding("query-incidents body"):
             scope = IncidentScope.from_jsonable(body["scope"])
             window = TimeWindow.from_jsonable(body.get("window"))
         reports = self.registry.query_incidents(scope, window)
         return {"reports": [report.to_jsonable() for report in reports]}
 
     def _do_get_id(self, body: dict) -> dict:
-        with _decoding("get-id"):
+        with decoding("get-id body"):
             identifier = parse_identifier(body["identifier"])
             party = PartyClass(body["party"]) if body.get("party") else None
         if party is not None:
@@ -130,7 +116,7 @@ class RegistryServer:
         return {"signed": self.registry.get_id(identifier).to_jsonable()}
 
     def _do_get_lineage(self, body: dict) -> dict:
-        with _decoding("get-lineage"):
+        with decoding("get-lineage body"):
             identifier = parse_identifier(body["identifier"])
             direction = body["direction"]
         related = self.registry.get_lineage(identifier, direction)
@@ -142,37 +128,18 @@ class RegistryServer:
         }
 
     def _do_keys(self, body: dict) -> dict:
-        op = body.get("op", "list")
-        if op == "list":
-            return self.registry.trust.to_jsonable()
-        if op == "register":
-            with _decoding("keys"):
-                author_id = _text(body["author_id"], "author_id")
-                key = PublicKey.from_jsonable(body["key"])
-            self.registry.register_foreign_key(author_id, key)
-            return {}
-        if op == "revoke":
-            with _decoding("keys"):
-                author_id = _text(body["author_id"], "author_id")
-                key_id = _text(body["key_id"], "key_id")
-                at = body.get("at")
-                if at is not None and (not isinstance(at, int) or isinstance(at, bool)):
-                    raise MalformedRecord(f"revocation time must be an integer, not {at!r}")
-            self.registry.revoke_key(author_id, key_id, at)
-            return {}
-        raise MalformedRecord(f"unknown keys op {op!r}")
+        with decoding("keys body"):
+            op = body.get("op", "list")
+        if op != "list":
+            raise MalformedRecord(f"unknown keys op {op!r}")
+        return self.registry.trust.to_jsonable()
 
     def _do_notify(self, body: dict) -> dict:
-        with _decoding("notify"):
+        with decoding("notify body"):
             payload = body["payload"]
+            parse_identifier(payload["identifier"])
         self.registry.notify(payload)
         return {}
-
-
-def _text(value: Any, field: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedRecord(f"{field} must be a string, not {value!r}")
-    return value
 
 
 class BaseClient:
@@ -183,10 +150,11 @@ class BaseClient:
 
     def _roundtrip(self, endpoint: str, body: dict) -> dict:
         reply = self.request(endpoint, body)
-        if reply.get("ok"):
-            return reply["body"]
-        error_cls = _ERROR_TYPES.get(reply.get("error", ""), ProtocolError)
-        detail = reply.get("detail", "")
+        with decoding(f"{endpoint} reply"):
+            if reply.get("ok"):
+                return reply["body"]
+            error_cls = _ERROR_TYPES.get(reply.get("error", ""), ProtocolError)
+            detail = reply.get("detail", "")
         if error_cls is errors.NotFound:
             raise errors.NotFound("not found", detail=detail)
         raise error_cls(detail)
@@ -200,7 +168,8 @@ class BaseClient:
         if upstream is not None:
             body["upstream"] = str(upstream)
         reply = self._roundtrip("issue", body)
-        return SignedId.from_jsonable(reply["signed"])
+        with decoding("issue reply"):
+            return SignedId.from_jsonable(reply["signed"])
 
     def report_incident(self, report: IncidentReport) -> None:
         self._roundtrip("report-incident", {"report": report.to_jsonable()})
@@ -210,26 +179,30 @@ class BaseClient:
             "query-incidents",
             {"scope": scope.to_jsonable(), "window": window.to_jsonable()},
         )
-        return [IncidentReport.from_jsonable(item) for item in reply["reports"]]
+        with decoding("query-incidents reply"):
+            return [IncidentReport.from_jsonable(item) for item in reply["reports"]]
 
     def get_id(self, identifier: InstanceIdentifier) -> SignedId:
         reply = self._roundtrip("get-id", {"identifier": str(identifier)})
-        return SignedId.from_jsonable(reply["signed"])
+        with decoding("get-id reply"):
+            return SignedId.from_jsonable(reply["signed"])
 
     def get_view(self, identifier: InstanceIdentifier, party: PartyClass) -> DisclosedView:
         reply = self._roundtrip(
             "get-id", {"identifier": str(identifier), "party": party.value}
         )
-        return DisclosedView.from_jsonable(reply["view"])
+        with decoding("get-id reply"):
+            return DisclosedView.from_jsonable(reply["view"])
 
     def get_lineage(self, identifier: InstanceIdentifier, direction: str):
         reply = self._roundtrip(
             "get-lineage", {"direction": direction, "identifier": str(identifier)}
         )
-        return [
-            (parse_identifier(item["identifier"]), item["external"])
-            for item in reply["items"]
-        ]
+        with decoding("get-lineage reply"):
+            return [
+                (parse_identifier(item["identifier"]), item["external"])
+                for item in reply["items"]
+            ]
 
     def list_keys(self) -> dict:
         return self._roundtrip("keys", {"op": "list"})
@@ -463,42 +436,39 @@ class ServiceConfig:
     def from_file(cls, path: str | Path, env: Optional[dict] = None) -> "ServiceConfig":
         env = os.environ if env is None else env
         body = load_canonical(Path(path).read_bytes())
-        listen = env.get(cls.ENV_PREFIX + "LISTEN", body.get("listen", "127.0.0.1:7710"))
-        host, _, port = listen.rpartition(":")
-        retention = body.get("retention", {})
-        return cls(
-            author_id=env.get(cls.ENV_PREFIX + "AUTHOR_ID", body["author_id"]),
-            host=host or "127.0.0.1",
-            port=int(port),
-            retention_documents=int(
-                env.get(
-                    cls.ENV_PREFIX + "RETENTION_DOCUMENTS",
-                    retention.get("documents", RetentionConfig.documents),
-                )
-            ),
-            retention_incidents=int(
-                env.get(
-                    cls.ENV_PREFIX + "RETENTION_INCIDENTS",
-                    retention.get("incidents", RetentionConfig.incidents),
-                )
-            ),
-            key_file=env.get(cls.ENV_PREFIX + "KEY_FILE", body.get("key_file")),
-            log_file=env.get(cls.ENV_PREFIX + "LOG_FILE", body.get("log_file")),
-        )
+        with decoding("service config"):
+            listen = env.get(cls.ENV_PREFIX + "LISTEN", body.get("listen", "127.0.0.1:7710"))
+            host, _, port = listen.rpartition(":")
+            retention = body.get("retention", {})
+            return cls(
+                author_id=env.get(cls.ENV_PREFIX + "AUTHOR_ID", body["author_id"]),
+                host=host or "127.0.0.1",
+                port=int(port),
+                retention_documents=int(
+                    env.get(
+                        cls.ENV_PREFIX + "RETENTION_DOCUMENTS",
+                        retention.get("documents", RetentionConfig.documents),
+                    )
+                ),
+                retention_incidents=int(
+                    env.get(
+                        cls.ENV_PREFIX + "RETENTION_INCIDENTS",
+                        retention.get("incidents", RetentionConfig.incidents),
+                    )
+                ),
+                key_file=env.get(cls.ENV_PREFIX + "KEY_FILE", body.get("key_file")),
+                log_file=env.get(cls.ENV_PREFIX + "LOG_FILE", body.get("log_file")),
+            )
 
     def retention(self) -> RetentionConfig:
         return RetentionConfig(self.retention_documents, self.retention_incidents)
 
 
+@decoding("key file")
 def load_keypair_file(path: str | Path):
     """Key file: canonical JSON {author_id, key_id, suite, private(b64u)}."""
     body = load_canonical(Path(path).read_bytes())
-    try:
-        return KeyPair.generate(
-            body["author_id"], body["key_id"], seed=b64u_decode(body["private"])
-        )
-    except KeyError as exc:
-        raise MalformedRecord(f"key file missing field {exc}") from exc
+    return KeyPair.generate(body["author_id"], body["key_id"], seed=b64u_decode(body["private"]))
 
 
 def save_keypair_file(path: str | Path, keypair) -> None:

@@ -43,6 +43,7 @@ from .errors import (
     MalformedRecord,
     RevokedKey,
     UnknownKey,
+    decoding,
 )
 from .identity import (
     AuthorRef,
@@ -74,11 +75,9 @@ class PublicKey:
         return {"key_id": self.key_id, "public": b64u(self.public), "suite": self.suite}
 
     @classmethod
+    @decoding("public key")
     def from_jsonable(cls, body: Any) -> "PublicKey":
-        try:
-            return cls(body["suite"], body["key_id"], b64u_decode(body["public"]))
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad public key: {exc}") from exc
+        return cls(body["suite"], body["key_id"], b64u_decode(body["public"]))
 
 
 @dataclass(frozen=True)
@@ -140,11 +139,9 @@ class KeyRecord:
         return {**self.key.to_jsonable(), "revoked_at": self.revoked_at, "status": self.status}
 
     @classmethod
+    @decoding("key record")
     def from_jsonable(cls, body: Any) -> "KeyRecord":
-        try:
-            return cls(PublicKey.from_jsonable(body), body["status"], body["revoked_at"])
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad key record: {exc}") from exc
+        return cls(PublicKey.from_jsonable(body), body["status"], body["revoked_at"])
 
     def active_at(self, at: int) -> bool:
         return self.status == KEY_ACTIVE or (
@@ -165,6 +162,8 @@ class TrustStore:
 
     def add_record(self, author_id: str, record: KeyRecord) -> None:
         """Add a key with the status it already has (say, from a listing)."""
+        if not is_token(author_id):
+            raise MalformedRecord(f"bad author_id token: {author_id!r}")
         with self._lock:
             keys = self._authors.setdefault(author_id, {})
             if record.key.key_id in keys:
@@ -200,19 +199,17 @@ class TrustStore:
         }
 
     @classmethod
+    @decoding("trust store")
     def from_jsonable(cls, body: Any) -> "TrustStore":
-        authors = body.get("authors") if isinstance(body, dict) else None
-        if not isinstance(authors, dict):
-            raise MalformedRecord("trust store must map authors to key lists")
         store = cls()
-        for author_id, entries in authors.items():
+        for author_id, entries in body["authors"].items():
             if not isinstance(entries, list):
                 raise MalformedRecord(f"keys of {author_id!r} must be a list")
             for entry in entries:
-                try:
-                    store.add_record(author_id, KeyRecord.from_jsonable(entry))
-                except DuplicateKeyId as exc:
-                    raise MalformedRecord(f"bad trust store: {exc}") from exc
+                record = KeyRecord.from_jsonable(entry)
+                if store.lookup(author_id, record.key.key_id) is not None:
+                    raise MalformedRecord(f"repeated key {author_id}/{record.key.key_id}")
+                store.add_record(author_id, record)
         return store
 
     def to_bytes(self) -> bytes:
@@ -229,15 +226,17 @@ class Signature:
     key_id: str
     value: bytes
 
+    def __post_init__(self):
+        if not isinstance(self.suite, str) or not is_token(self.key_id):
+            raise MalformedRecord(f"bad signature: {self.suite!r}, {self.key_id!r}")
+
     def to_jsonable(self) -> dict:
         return {"key_id": self.key_id, "sig": b64u(self.value), "suite": self.suite}
 
     @classmethod
+    @decoding("signature")
     def from_jsonable(cls, body: Any) -> "Signature":
-        try:
-            return cls(body["suite"], body["key_id"], b64u_decode(body["sig"]))
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad signature: {exc}") from exc
+        return cls(body["suite"], body["key_id"], b64u_decode(body["sig"]))
 
 
 @dataclass(frozen=True)
@@ -249,9 +248,8 @@ class SignedId:
         return {"doc": doc_to_jsonable(self.doc), "signature": self.signature.to_jsonable()}
 
     @classmethod
+    @decoding("signed id")
     def from_jsonable(cls, body: Any) -> "SignedId":
-        if not isinstance(body, dict) or "doc" not in body or "signature" not in body:
-            raise MalformedRecord("signed id must carry doc and signature")
         return cls(
             doc=doc_from_jsonable(body["doc"]),
             signature=Signature.from_jsonable(body["signature"]),
@@ -370,8 +368,8 @@ class Manifest:
             raise MalformedRecord("output_hash must be 32 bytes")
         if len(self.prev_manifest_hash) != DIGEST_SIZE:
             raise MalformedRecord("prev_manifest_hash must be 32 bytes")
-        if self.seq < 0:
-            raise MalformedRecord("seq must be non-negative")
+        if type(self.seq) is not int or self.seq < 0 or type(self.issued_at) is not int:
+            raise MalformedRecord(f"bad seq {self.seq!r} or issued_at {self.issued_at!r}")
         if self.seq == 0 and self.prev_manifest_hash != ZERO_DIGEST:
             raise MalformedRecord("genesis manifest must use the zero sentinel")
 
@@ -394,19 +392,17 @@ class Manifest:
         return body
 
     @classmethod
+    @decoding("manifest")
     def from_jsonable(cls, body: Any) -> "Manifest":
-        try:
-            return cls(
-                identifier=parse_identifier(body["identifier"]),
-                author=AuthorRef.from_jsonable(body["author"]),
-                output_hash=b64u_decode(body["output_hash"]),
-                seq=body["seq"],
-                prev_manifest_hash=b64u_decode(body["prev_manifest_hash"]),
-                issued_at=body["issued_at"],
-                signature=Signature.from_jsonable(body["signature"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(f"bad manifest: {exc}") from exc
+        return cls(
+            identifier=parse_identifier(body["identifier"]),
+            author=AuthorRef.from_jsonable(body["author"]),
+            output_hash=b64u_decode(body["output_hash"]),
+            seq=body["seq"],
+            prev_manifest_hash=b64u_decode(body["prev_manifest_hash"]),
+            issued_at=body["issued_at"],
+            signature=Signature.from_jsonable(body["signature"]),
+        )
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_jsonable())

@@ -181,3 +181,30 @@ def test_incidents_query_from_log(runner, tmp_path):
          "--log", str(log), "--author", "acme"],
     )
     assert empty.exit_code == 0 and empty.output.strip() == ""
+
+
+@pytest.mark.parametrize("line", [b'{"kind":"shutdown"}\n', b"[]\n"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lineage", "trace", "sys-a:x"],
+        ["incidents", "query", "--scope", "system", "--value", "sys-a"],
+    ],
+)
+def test_log_commands_reject_a_malformed_log(runner, tmp_path, command, line):
+    log = tmp_path / "registry.log"
+    log.write_bytes(line)
+    result = runner.invoke(main, command + ["--log", str(log)])
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_registry_serve_rejects_a_bad_listen_address(runner, tmp_path):
+    config = tmp_path / "registry.json"
+    config.write_text('{"author_id": "acme", "listen": "127.0.0.1:abc"}')
+    result = runner.invoke(main, ["registry", "serve", "--config", str(config)],
+                           env={"INSTANCEID_LISTEN": None})
+    assert result.exit_code == 1
+    assert "bad config" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

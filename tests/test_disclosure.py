@@ -17,7 +17,7 @@ from instanceid import (
     verify_view,
 )
 from instanceid.canonical import b64u, b64u_decode, load_canonical
-from instanceid.errors import UnverifiedInput
+from instanceid.errors import MalformedRecord, UnverifiedInput
 
 from helpers import fixed_keypair, random_signed, trust_for, view_mutations
 
@@ -199,7 +199,7 @@ def test_binding_mutation_matrix_100_percent_detection():
             labels_seen.add(label)
             try:
                 mutated = DisclosedView.from_jsonable(mutated_body)
-            except Exception:
+            except MalformedRecord:
                 continue  # structurally rejected counts as detected
             report = verify_view(mutated, TRUST, 0)
             assert not report.ok, f"mutation {label} went undetected"

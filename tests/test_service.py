@@ -221,20 +221,23 @@ def test_get_view_endpoint_redacts(served, clients):
     assert verify_view(view, trust, clock.now()).ok
 
 
-def test_keys_endpoint_register_and_revoke(clients):
-    client = clients[1]
-    beta = fixed_keypair("beta", "b1").public_key()
-    body = {
-        "op": "register",
-        "author_id": "beta",
-        "key": {"key_id": beta.key_id, "public": b64u(beta.public), "suite": beta.suite},
-    }
-    assert client.request("keys", body)["ok"]
-    listing = client.list_keys()
-    assert "beta" in listing["authors"]
-    client._roundtrip("keys", {"op": "revoke", "author_id": "beta", "key_id": "b1", "at": 50})
-    listing = client.list_keys()
-    assert listing["authors"]["beta"][0]["status"] == "revoked"
+def test_keys_endpoint_register_and_revoke(served, clients):
+    """The endpoint is list-only: remote register and revoke are refused."""
+    registry, _, _, _ = served
+    listing = registry.trust.to_jsonable()
+    for client in clients:
+        assert client.list_keys() == listing
+        for author_id in ("beta", "acme"):
+            with pytest.raises(MalformedRecord, match="unknown keys op"):
+                client._roundtrip("keys", {"author_id": author_id, "key": VALID_KEY,
+                                           "op": "register"})
+        with pytest.raises(MalformedRecord, match="unknown keys op"):
+            client._roundtrip("keys", {"author_id": "acme", "key_id": "k1", "op": "revoke"})
+    assert registry.trust.to_jsonable() == listing
+    # the registry's own calls still rotate keys
+    registry.register_foreign_key("beta", BETA_KEY)
+    registry.revoke_key("beta", "b1", at=50)
+    assert clients[1].list_keys()["authors"]["beta"][0]["status"] == "revoked"
 
 
 def test_notify_endpoint_fills_inbox(served, clients):
@@ -403,17 +406,21 @@ MALFORMED_BODIES = [
     ("issue", {"attributes": 5, "event": CREATED}),
     ("issue", {"event": CREATED, "nonce": [1]}),
     ("issue", {"event": {"kind": "created", "system_id": "sys-a", "user_ref": ["u"]}}),
+    # keys is list-only: register and revoke are refused, well-formed or not
+    ("keys", {"author_id": "beta", "key": VALID_KEY, "op": "register"}),
+    ("keys", {"author_id": "acme", "key": {**VALID_KEY, "key_id": "k2"}, "op": "register"}),
+    ("keys", {"author_id": "acme", "key_id": "k1", "op": "revoke"}),
+    ("keys", {"at": 0, "author_id": "acme", "key_id": "k1", "op": "revoke"}),
     ("keys", {"op": "register"}),
-    ("keys", {"author_id": "beta", "op": "register"}),
-    ("keys", {"author_id": "beta", "key": 5, "op": "register"}),
-    ("keys", {"author_id": 5, "key": VALID_KEY, "op": "register"}),
     ("keys", {"op": "revoke"}),
-    ("keys", {"author_id": "acme", "op": "revoke"}),
-    ("keys", {"author_id": "acme", "key_id": ["k1"], "op": "revoke"}),
-    ("keys", {"at": "x", "author_id": "acme", "key_id": "k1", "op": "revoke"}),
+    ("keys", {"op": None}),
+    ("keys", {"op": ["list"]}),
     ("notify", {}),
     ("report-incident", {}),
     ("query-incidents", {}),
+    ("notify", {"payload": 5}),
+    ("notify", {"payload": {}}),
+    ("get-id", {"identifier": "nocolon"}),
 ]
 
 
