@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import re
 from typing import Any
 
 from .errors import MalformedRecord, decoding
@@ -74,12 +75,21 @@ def canonical_json_line(value: Any) -> bytes:
     return canonical_json_bytes(value) + b"\n"
 
 
+# A \uD800-\uDFFF escape: the only way JSON text can spell a surrogate once
+# its bytes have decoded strictly. Canonical bytes never hold one, since they
+# write every character unescaped except the control characters.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 @decoding("JSON")
-def load_canonical(data: bytes | str) -> Any:
-    """Parse JSON produced by :func:`canonical_json_bytes` (or any JSON), in
-    strict UTF-8 and without a lone surrogate, which canonical bytes cannot hold."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+def load_canonical(data: bytes | bytearray | str) -> Any:
+    """Parse JSON text or bytes (UTF-8, -16 or -32, a UTF-8 BOM allowed, as
+    ``json.loads`` reads them), refusing a lone surrogate, which canonical
+    bytes cannot hold. Only text with a surrogate escape is re-encoded to
+    find one; other text costs a search for a backslash and, if one is
+    found, a regex scan."""
+    text = data if isinstance(data, str) else data.decode(json.detect_encoding(data))
     value = json.loads(text)
-    if "\\" in text:  # only an escape can spell a lone surrogate; one char searches fastest
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
         json.dumps(value, ensure_ascii=False).encode("utf-8")  # raises on a lone surrogate
     return value

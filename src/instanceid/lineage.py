@@ -124,6 +124,27 @@ def event_from_jsonable(body: Any) -> LineageEvent:
     raise MalformedRecord(f"unknown event kind: {kind!r}")
 
 
+# The node ids each kind of lineage record names, besides merged constituents.
+_NODE_FIELDS = {
+    "created": ("identifier",),
+    "reloaded": ("identifier",),
+    "regenerated": ("parent", "identifier"),
+    "merged": ("identifier",),
+    "fine-tuned": ("base", "identifier"),
+    "external-link": ("parent", "child"),
+}
+
+
+@decoding("lineage record")
+def _check_record(record: Any) -> None:
+    """Check that a persisted record's kind is known and its node ids parse."""
+    nodes = [record[field] for field in _NODE_FIELDS[record["kind"]]]
+    if record["kind"] == "merged":
+        nodes = nodes + record["constituents"]  # not +=, which takes any iterable
+    for node in nodes:
+        parse_identifier(node)
+
+
 class LineageStore:
     """Append-only DAG of instance derivations.
 
@@ -205,7 +226,9 @@ class LineageStore:
         return record
 
     def apply_record(self, record: dict) -> InstanceIdentifier:
-        """Replay one persisted record (the registry's replay path)."""
+        """Replay one persisted record (the registry's replay path); one that
+        does not decode raises ``MalformedRecord``."""
+        _check_record(record)
         with self._lock:
             return self._apply(dict(record))
 
@@ -287,8 +310,6 @@ class LineageStore:
                 self._add_node(record["parent"], external=True)
             self._add_edge(record["parent"], record["child"], EDGE_BRANCH)
             ident = parse_identifier(record["child"])
-        else:
-            raise MalformedRecord(f"unknown lineage record kind {kind!r}")
         return ident
 
     # -- traversal -----------------------------------------------------------

@@ -57,6 +57,7 @@ from .identity import (
     InstanceIdentifier,
     add_attribute,
     add_link,
+    is_token,
     new_id_document,
     parse_identifier,
 )
@@ -286,6 +287,37 @@ def _log_jsonable(record: dict) -> dict:
         return {**record, "report": record["report"].to_jsonable()}
     if record["kind"] == "issue" and record["signed"] is not None:
         return {**record, "signed": record["signed"].to_jsonable()}
+    if record["kind"] == "register-key":
+        return {**record, "key": record["key"].to_jsonable()}
+    return record
+
+
+@decoding("registry log")
+def _log_record_from_jsonable(record: Any) -> dict:
+    """A log record with the fields it feeds the state checked and its key,
+    document or report decoded, so that replaying it raises only the state's
+    own errors. ``LineageStore.apply_record`` checks the lineage records."""
+    kind = record["kind"]
+    if kind == "register-key":
+        record["key"] = PublicKey.from_jsonable(record["key"])
+        valid = "author_id" in record  # TrustStore.add_record checks it
+    elif kind == "revoke-key":
+        valid = is_token(record["author_id"]) and is_token(record["key_id"]) and "at" in record
+    elif kind == "issue":
+        if record["signed"] is not None:
+            record["signed"] = SignedId.from_jsonable(record["signed"])
+        nonce = record.get("nonce")
+        valid = isinstance(record["lineage"], dict) and (nonce is None or isinstance(nonce, str))
+    elif kind == "incident":
+        record["report"] = IncidentReport.from_jsonable(record["report"])
+        valid = True
+    elif kind == "shutdown":
+        parse_identifier(record["identifier"])
+        valid = type(record["at"]) is int and isinstance(record["reason"], str)
+    else:
+        raise MalformedRecord(f"unknown log record kind {kind!r}")
+    if not valid:
+        raise MalformedRecord(f"bad {kind} record fields")
     return record
 
 
@@ -354,7 +386,7 @@ class Registry:
             {
                 "at": self.clock.now(),
                 "author_id": author_id,
-                "key": key.to_jsonable(),
+                "key": key,
                 "kind": "register-key",
             }
         )
@@ -671,41 +703,30 @@ class Registry:
             retention=retention,
             disclosure_policy=disclosure_policy,
         )
-        with decoding("registry log"):
-            for line in log_data.splitlines():
-                if line.strip():
-                    registry._apply_log_record(load_canonical(line))
+        for line in log_data.splitlines():
+            if line.strip():
+                registry._apply_log_record(_log_record_from_jsonable(load_canonical(line)))
         return registry
 
     def _apply_log_record(self, record: dict) -> None:
-        kind = record.get("kind")
+        kind = record["kind"]
         if kind == "register-key":
-            self.trust.register_key(record["author_id"], PublicKey.from_jsonable(record["key"]))
+            self.trust.register_key(record["author_id"], record["key"])
         elif kind == "revoke-key":
             self.trust.revoke_key(record["author_id"], record["key_id"], record["at"])
         elif kind == "issue":
-            self.lineage.apply_record(record["lineage"])
+            identifier = self.lineage.apply_record(record["lineage"])
             if record.get("external"):
                 self.lineage.apply_record(record["external"])
             if record["signed"] is not None:
-                signed = SignedId.from_jsonable(record["signed"])
-                record["signed"] = signed
-                self.documents[str(signed.doc.identifier)] = signed
-                if record.get("nonce"):
-                    self._nonces[record["nonce"]] = str(signed.doc.identifier)
-            elif record.get("nonce"):
-                self._nonces[record["nonce"]] = record["lineage"]["identifier"]
+                identifier = record["signed"].doc.identifier
+                self.documents[str(identifier)] = record["signed"]
+            if record.get("nonce"):
+                self._nonces[record["nonce"]] = str(identifier)
         elif kind == "incident":
-            report = IncidentReport.from_jsonable(record["report"])
-            if report.report_id in self._report_ids:
-                raise MalformedRecord(f"log repeats report id {report.report_id!r}")
-            self._add_incident(report)
-            record["report"] = report
-        elif kind == "shutdown":
-            self.shutdowns[record["identifier"]] = {
-                "at": record["at"],
-                "reason": record["reason"],
-            }
+            if record["report"].report_id in self._report_ids:
+                raise MalformedRecord(f"log repeats report id {record['report'].report_id!r}")
+            self._add_incident(record["report"])
         else:
-            raise MalformedRecord(f"unknown log record kind {kind!r}")
+            self.shutdowns[record["identifier"]] = {"at": record["at"], "reason": record["reason"]}
         self._log.append(record)

@@ -18,6 +18,7 @@ the registry.
 
 from __future__ import annotations
 
+import json
 import os
 import select
 import socket
@@ -216,10 +217,11 @@ class InProcessClient(BaseClient):
         self._server = server
 
     def request(self, endpoint: str, body: dict) -> dict:
-        # serialize through canonical bytes so both transports see identical shapes
+        # serialize through canonical bytes so both transports see identical
+        # shapes; bytes this process just encoded need no decoding checks
         raw = canonical_json_line({"body": body, "endpoint": endpoint})
-        reply = self._server.handle(load_canonical(raw))
-        return load_canonical(canonical_json_line(reply))
+        reply = self._server.handle(json.loads(raw))
+        return json.loads(canonical_json_line(reply))
 
 
 class _TcpHandler(socketserver.StreamRequestHandler):

@@ -206,10 +206,10 @@ class TrustStore:
             if not isinstance(entries, list):
                 raise MalformedRecord(f"keys of {author_id!r} must be a list")
             for entry in entries:
-                record = KeyRecord.from_jsonable(entry)
-                if store.lookup(author_id, record.key.key_id) is not None:
-                    raise MalformedRecord(f"repeated key {author_id}/{record.key.key_id}")
-                store.add_record(author_id, record)
+                try:
+                    store.add_record(author_id, KeyRecord.from_jsonable(entry))
+                except DuplicateKeyId as exc:  # a domain error, which the guard passes
+                    raise MalformedRecord(f"repeated key {exc}") from exc
         return store
 
     def to_bytes(self) -> bytes:

@@ -250,12 +250,40 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
         canonical_json_line({"at": 0, "author_id": 5, "key": KEYPAIR.public_key().to_jsonable(),
                              "kind": "register-key"}),
         b"[" * 100_000 + b"\n",
+        b'{"at":1,"identifier":5,"kind":"shutdown","reason":1}\n',
+        canonical_json_line({"at": 0, "kind": "issue", "lineage": {
+            "at": 0, "identifier": 5, "kind": "created", "system_id": "s", "user_ref": "u"},
+            "nonce": None, "signed": None, "upstream": None}),
+        canonical_json_line({"at": 0, "kind": "issue", "lineage": {
+            "at": 0, "identifier": "s:0001", "kind": "merged", "constituents": "s:0001"},
+            "nonce": None, "signed": None, "upstream": None}),
+        canonical_json_line({"at": 0, "kind": "issue", "lineage": {
+            "at": 0, "identifier": "s:0001", "kind": "created", "system_id": "s", "user_ref": "u"},
+            "nonce": ["n"], "signed": None, "upstream": None}),
+        b'{"author_id":"acme","key_id":"k1","kind":"revoke-key"}\n',
     ],
-    ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting"],
+    ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
+         "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
+         "constituents-not-a-list", "nonce-not-a-string", "revoke-without-at"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):
         Registry.replay(line, "acme")
+
+
+@pytest.mark.parametrize(
+    "target", ["instanceid.registry.Registry._add_incident", "instanceid.lineage.LineageStore._apply"]
+)
+def test_replay_reports_a_fault_in_the_state_as_itself(monkeypatch, target):
+    """Only the decoding of a log line is guarded; an error the state raises
+    on a well-formed log is not passed off as bad input."""
+
+    def fault(*args):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(target, fault)
+    with pytest.raises(KeyError, match="fault"):
+        Registry.replay(b"".join(LOG_LINES), "acme")
 
 
 # -- endpoints -------------------------------------------------------------------------
@@ -342,6 +370,42 @@ def test_tcp_connection_answers_after_a_sample_of_mutated_requests():
             assert reply["ok"] and reply["body"]["signed"]["doc"]["identifier"] == root
     finally:
         tcp.stop()
+
+
+# -- JSON text -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"a":"b"}', bytearray(b'{"a":"b"}'), b'\xef\xbb\xbf{"a":"b"}', '{"a":"b"}'.encode("utf-16"),
+     '{"a":"b"}'],
+    ids=["bytes", "bytearray", "utf-8-bom", "utf-16", "str"],
+)
+def test_load_canonical_reads_what_json_loads_reads(data):
+    assert load_canonical(data) == {"a": "b"}
+
+
+def test_a_trust_store_file_with_a_utf8_bom_loads():
+    assert TrustStore.from_bytes(b"\xef\xbb\xbf" + TRUST.to_bytes()).to_bytes() == TRUST.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [(r'"\ud83d\ude00"', "\U0001f600"), (r'"\\ud800"', "\\ud800"), (r'"say \"hi\""', 'say "hi"')],
+    ids=["surrogate-pair", "escaped-backslash", "escaped-quote"],
+)
+def test_load_canonical_keeps_escapes_that_spell_no_lone_surrogate(text, value):
+    assert load_canonical(text.encode()) == value
+
+
+@pytest.mark.parametrize(
+    "data",
+    [rb'"\ud800"', rb'["x", "\uDC00"]', rb'"\ud83d"', rb'"\\\ud800"', b'"\xed\xa0\x80"'],
+    ids=["high", "low-upper-case", "high-without-low", "after-escaped-backslash", "utf-8-encoded"],
+)
+def test_load_canonical_rejects_a_lone_surrogate(data):
+    with pytest.raises(MalformedRecord):
+        load_canonical(data)
 
 
 # -- config and key files --------------------------------------------------------------
