@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -228,12 +229,15 @@ def registry_serve(config_path):
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
 def scenario(name, seed, config_path, transport, out_path, fmt):
     """Replay a simulated-ecosystem scenario deterministically."""
-    body = {}
+    config = SimConfig()
     if config_path:
-        body = json.loads(Path(config_path).read_text())
-    config = SimConfig.from_jsonable(body)
+        try:
+            config = SimConfig.from_jsonable(load_canonical(Path(config_path).read_bytes()))
+        except (ProtocolError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
     if seed is not None:
-        config = SimConfig.from_jsonable({**config.to_jsonable(), "seed": seed})
+        config = replace(config, seed=seed)
     try:
         trace = SCENARIOS[name](config, transport=transport)
     except ProtocolError as exc:

@@ -56,6 +56,10 @@ class AttributeMatcher:
     category: Optional[AttributeCategory] = None
     specificity: Optional[AttributeSpecificity] = None
 
+    def __post_init__(self):
+        if self.name is not None and not isinstance(self.name, str):
+            raise MalformedRecord(f"matcher name must be a string or null, not {self.name!r}")
+
     def matches(self, attr: Attribute) -> bool:
         if self.name is not None and not fnmatchcase(attr.name, self.name):
             return False

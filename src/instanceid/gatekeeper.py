@@ -116,6 +116,12 @@ class PolicyRule:
     on_missing: OnMissing = OnMissing.allow()
     incident_threshold: Optional[IncidentThreshold] = None
 
+    def __post_init__(self):
+        if not isinstance(self.action, str):
+            raise MalformedRecord(f"action must be a string, not {self.action!r}")
+        if type(self.threshold) is not int:
+            raise MalformedRecord(f"threshold must be an integer, not {self.threshold!r}")
+
     def matches(self, ctx: "RequestContext") -> bool:
         return fnmatchcase(ctx.action, self.action) and ctx.magnitude >= self.threshold
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from .canonical import b64u, b64u_decode, canonical_json_bytes, canonical_json_line, sha256
 from .clock import SimClock
 from .disclosure import DisclosedView, DisclosurePolicy, PartyClass, redact, verify_view
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, MalformedRecord, decoding
 from .gatekeeper import (
     Decision,
     GateVerdict,
@@ -87,8 +87,17 @@ class SimConfig:
         }
 
     @classmethod
-    def from_jsonable(cls, body: dict) -> "SimConfig":
+    @decoding("scenario config")
+    def from_jsonable(cls, body: Any) -> "SimConfig":
+        """A config from a JSON object; fields it lacks keep their defaults,
+        and fields the config does not have are ignored."""
+        if not isinstance(body, dict):
+            raise MalformedRecord(f"scenario config must be an object, not {body!r}")
         known = {f: body[f] for f in body if f in cls.__dataclass_fields__}
+        for name, value in known.items():
+            expected = float if name == "malfunction_rate" else int
+            if type(value) not in (int, expected):
+                raise MalformedRecord(f"{name} must be {expected.__name__}, not {value!r}")
         return cls(**known)
 
 

@@ -2,11 +2,12 @@
 
 Identifiers are assigned on lifecycle events (create, reload, regenerate,
 merge, fine-tune) and derivation edges accumulate in an append-only store.
-Every mutation is one record applied through a single path; ``write``
-returns the records it applied, and the registry keeps them in its log, the
-only log there is. Replaying those records with ``apply_record``
-reconstructs the store exactly. One lock covers every write and every read
-that walks the DAG, so a traversal never meets a half-applied record.
+Every mutation is one record applied through a single path; ``build``
+makes the records of an event without applying them, ``commit`` applies
+them, and the registry keeps them in its log, the only log there is.
+Replaying those records with ``apply_record`` reconstructs the store
+exactly. One lock covers every write and every read that walks the DAG, so
+a traversal never meets a half-applied record.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class LineageStore:
     """Append-only DAG of instance derivations.
 
     Writes and traversals serialize through one lock. Nodes and edges are
-    never removed. The store keeps no log of its own: ``write`` hands its
+    never removed. The store keeps no log of its own: ``build`` hands its
     records to the caller.
     """
 
@@ -186,44 +187,55 @@ class LineageStore:
 
     # -- event registration --------------------------------------------------
 
-    def write(
+    def build(
         self, event: LineageEvent, at: int, upstream: Optional[InstanceIdentifier] = None
     ) -> tuple[dict, Optional[dict]]:
-        """Apply a lifecycle event and return its record for the caller's log.
+        """The records a lifecycle event adds, built but not applied, so that
+        a caller can finish the work that depends on the new identifier
+        before the store changes, and ``commit`` them only if it succeeds.
 
         With ``upstream``, the new identifier also gets that cross-deployer
         parent, recorded as a second, ``external-link`` record; the second
-        item is ``None`` without it. Both apply under one hold of the lock.
+        item is ``None`` without it. Nodes and edges are never removed, so
+        the checks made here still hold at ``commit``; callers that build
+        concurrently must serialize build and commit themselves.
         """
         with self._lock:
             record = self._build_record(event, at)
-            identifier = self._apply(record)
             if upstream is None:
                 return record, None
-            return record, self._link_external(upstream, identifier, at)
+            return record, self._external_record(upstream, record["identifier"], at)
+
+    def commit(self, record: dict, external: Optional[dict] = None) -> InstanceIdentifier:
+        """Apply the records ``build`` returned; returns the event's identifier."""
+        with self._lock:
+            identifier = self._apply(record)
+            if external is not None:
+                self._apply(external)
+            return identifier
 
     def register(self, event: LineageEvent, at: int = 0) -> InstanceIdentifier:
         """Apply a lifecycle event; returns the identifier it resolves to."""
-        record, _ = self.write(event, at)
-        return parse_identifier(record["identifier"])
+        return self.commit(*self.build(event, at))
 
     def link_external_parent(
         self, parent: InstanceIdentifier, child: InstanceIdentifier, at: int = 0
     ) -> None:
         """Record a cross-deployer derivation: stub parent node + branch edge."""
         with self._lock:
-            self._link_external(parent, child, at)
+            if str(child) not in self._nodes:
+                raise UnknownIdentifier(str(child))
+            self._apply(self._external_record(parent, str(child), at))
 
-    def _link_external(
-        self, parent: InstanceIdentifier, child: InstanceIdentifier, at: int
-    ) -> dict:
-        if str(child) not in self._nodes:
-            raise UnknownIdentifier(str(child))
-        if str(parent) in self._nodes and parent in self._closure(child, self._children):
+    def _external_record(self, parent: InstanceIdentifier, child: str, at: int) -> dict:
+        """The record linking ``parent`` to ``child``, a node or one being built."""
+        if (
+            str(parent) in self._nodes
+            and child in self._nodes
+            and parent in self._closure(parse_identifier(child), self._children)
+        ):
             raise UnknownParent(f"{parent} descends from {child}; edge would cycle")
-        record = {"at": at, "child": str(child), "kind": "external-link", "parent": str(parent)}
-        self._apply(record)
-        return record
+        return {"at": at, "child": child, "kind": "external-link", "parent": str(parent)}
 
     def apply_record(self, record: dict) -> InstanceIdentifier:
         """Replay one persisted record (the registry's replay path); one that

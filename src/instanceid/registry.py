@@ -21,8 +21,12 @@ reports:
   ``instance-class`` scans every report and sorts the hits.
 
 Issue and incident log records hold references to the registry's own
-immutable ``SignedId`` and ``IncidentReport`` objects; ``log_lines`` encodes
-them, so the log keeps no second copy of any document or report.
+immutable ``SignedId`` and ``IncidentReport`` objects, so the log keeps no
+second copy of any document or report. A report encodes its canonical bytes
+once, on first use, and keeps them (``IncidentReport.canonical_bytes``):
+``log_lines`` splices them into each ``incident`` line, and the service
+splices them into ``query-incidents`` replies, so a report is encoded once
+however often it is logged or served.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import random
 import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -111,6 +116,11 @@ class IncidentReport:
             raise MalformedRecord(f"occurred_at must be an integer, not {self.occurred_at!r}")
         if self.user_ref is not None and not isinstance(self.user_ref, str):
             raise MalformedRecord(f"user_ref must be a string or null, not {self.user_ref!r}")
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """``canonical_json_bytes(self.to_jsonable())``, encoded on first use."""
+        return canonical_json_bytes(self.to_jsonable())
 
     def to_jsonable(self) -> dict:
         return {
@@ -281,15 +291,20 @@ def _cut(reports: list[IncidentReport], start: int, end: Optional[int]) -> list[
     return reports[lo:hi]
 
 
-def _log_jsonable(record: dict) -> dict:
-    """The logged form of a record that may hold the registry's objects."""
-    if record["kind"] == "incident":
-        return {**record, "report": record["report"].to_jsonable()}
-    if record["kind"] == "issue" and record["signed"] is not None:
-        return {**record, "signed": record["signed"].to_jsonable()}
-    if record["kind"] == "register-key":
-        return {**record, "key": record["key"].to_jsonable()}
-    return record
+def _log_line(record: dict) -> bytes:
+    """The canonical log line of a record that may hold the registry's objects."""
+    kind = record["kind"]
+    if kind == "incident":
+        # the canonical form of {"at", "kind", "report"}: keys in that order
+        return b'{"at":%d,"kind":"incident","report":%s}\n' % (
+            record["at"],
+            record["report"].canonical_bytes,
+        )
+    if kind == "issue" and record["signed"] is not None:
+        record = {**record, "signed": record["signed"].to_jsonable()}
+    elif kind == "register-key":
+        record = {**record, "key": record["key"].to_jsonable()}
+    return canonical_json_line(record)
 
 
 @decoding("registry log")
@@ -310,7 +325,8 @@ def _log_record_from_jsonable(record: Any) -> dict:
         valid = isinstance(record["lineage"], dict) and (nonce is None or isinstance(nonce, str))
     elif kind == "incident":
         record["report"] = IncidentReport.from_jsonable(record["report"])
-        valid = True
+        # log_lines writes exactly these fields
+        valid = record.keys() == {"at", "kind", "report"} and type(record["at"]) is int
     elif kind == "shutdown":
         parse_identifier(record["identifier"])
         valid = type(record["at"]) is int and isinstance(record["reason"], str)
@@ -434,7 +450,8 @@ class Registry:
                 stored = self.documents.get(key)
                 if stored is None:
                     raise NotFound(f"no document for reloaded instance {key}")
-                lineage_record, _ = self.lineage.write(event, at)
+                lineage_record, _ = self.lineage.build(event, at)
+                self.lineage.commit(lineage_record)
                 self._log.append(
                     {
                         "at": at,
@@ -449,7 +466,9 @@ class Registry:
                     self._nonces[nonce] = key
                 return stored
 
-            lineage_record, external_record = self.lineage.write(event, at, upstream)
+            # the lineage changes only once the document is built and signed,
+            # so a refused issue leaves no node that the log does not hold
+            lineage_record, external_record = self.lineage.build(event, at, upstream)
             identifier = parse_identifier(lineage_record["identifier"])
 
             doc = new_id_document(identifier, AuthorRef(self.author_id, keypair.key_id), at)
@@ -458,6 +477,7 @@ class Registry:
             for attr in attributes:
                 doc = add_attribute(doc, attr, rng=self._rng)
             signed = sign_id(doc, keypair, trust_store=self.trust)
+            self.lineage.commit(lineage_record, external_record)
 
             key = str(identifier)
             self.documents[key] = signed
@@ -660,9 +680,10 @@ class Registry:
     # -- persistence ---------------------------------------------------------------------
 
     def log_lines(self) -> bytes:
-        """The log as canonical JSON lines; documents and reports are
-        encoded here, not when they are logged."""
-        return b"".join(canonical_json_line(_log_jsonable(record)) for record in self._log)
+        """The log as canonical JSON lines. Documents and keys are encoded
+        here, not when they are logged; each report's own canonical bytes
+        are spliced into its line."""
+        return b"".join(_log_line(record) for record in self._log)
 
     def canonical_state_bytes(self) -> bytes:
         with self._lock:

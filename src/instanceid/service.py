@@ -2,7 +2,10 @@
 
 One route per verb, canonical JSON bodies, newline-delimited over the byte
 stream. The in-process client and the TCP client run requests through the
-same handler, so a simulation produces identical traces on either transport.
+same handler, which returns the reply line as bytes, so a simulation
+produces identical traces on either transport. A ``query-incidents`` reply
+splices each report's cached canonical bytes (``IncidentReport.
+canonical_bytes``) instead of encoding the reports again for every reply.
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -29,7 +32,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import errors
-from .canonical import b64u, b64u_decode, canonical_json_line, load_canonical
+from .canonical import b64u, b64u_decode, canonical_json_bytes, canonical_json_line, load_canonical
 from .disclosure import DisclosedView, PartyClass
 from .errors import MalformedRecord, ProtocolError, RegistryUnavailable, decoding
 from .identity import Attribute, InstanceIdentifier, parse_identifier
@@ -68,7 +71,10 @@ class RegistryServer:
     def __init__(self, registry: Registry):
         self.registry = registry
 
-    def handle(self, request: Any) -> dict:
+    def handle(self, request: Any) -> bytes:
+        """Answer one decoded request with its reply line: the canonical
+        bytes of ``{"body": ..., "ok": true}`` or of an error reply, ending
+        in a newline. Each ``_do_*`` handler returns its body encoded."""
         try:
             with decoding("request"):
                 endpoint = request.get("endpoint")
@@ -76,14 +82,13 @@ class RegistryServer:
             if endpoint not in ENDPOINTS:
                 raise MalformedRecord(f"unknown endpoint {endpoint!r}")
             handler = getattr(self, "_do_" + endpoint.replace("-", "_"))
-            return {"body": handler(body), "ok": True}
+            encoded = handler(body)
         except ProtocolError as exc:
-            reply = {"detail": str(exc), "error": type(exc).__name__, "ok": False}
-            if isinstance(exc, errors.NotFound):
-                reply["detail"] = exc.detail
-            return reply
+            return _error_line(exc)
+        # the canonical form of {"body": ..., "ok": true}: keys in that order
+        return b'{"body":' + encoded + b',"ok":true}\n'
 
-    def _do_issue(self, body: dict) -> dict:
+    def _do_issue(self, body: dict) -> bytes:
         with decoding("issue body"):
             event = event_from_jsonable(body["event"])
             attributes = tuple(Attribute.from_jsonable(a) for a in body.get("attributes", []))
@@ -92,55 +97,57 @@ class RegistryServer:
             if nonce is not None and not isinstance(nonce, str):
                 raise MalformedRecord(f"nonce must be a string, not {nonce!r}")
         signed = self.registry.issue(event, attributes, nonce=nonce, upstream=upstream)
-        return {"signed": signed.to_jsonable()}
+        return canonical_json_bytes({"signed": signed.to_jsonable()})
 
-    def _do_report_incident(self, body: dict) -> dict:
+    def _do_report_incident(self, body: dict) -> bytes:
         with decoding("report-incident body"):
             report = IncidentReport.from_jsonable(body["report"])
         self.registry.report_incident(report)
-        return {}
+        return canonical_json_bytes({})
 
-    def _do_query_incidents(self, body: dict) -> dict:
+    def _do_query_incidents(self, body: dict) -> bytes:
         with decoding("query-incidents body"):
             scope = IncidentScope.from_jsonable(body["scope"])
             window = TimeWindow.from_jsonable(body.get("window"))
         reports = self.registry.query_incidents(scope, window)
-        return {"reports": [report.to_jsonable() for report in reports]}
+        return b'{"reports":[' + b",".join(report.canonical_bytes for report in reports) + b"]}"
 
-    def _do_get_id(self, body: dict) -> dict:
+    def _do_get_id(self, body: dict) -> bytes:
         with decoding("get-id body"):
             identifier = parse_identifier(body["identifier"])
             party = PartyClass(body["party"]) if body.get("party") else None
         if party is not None:
             view = self.registry.get_view(identifier, party)
-            return {"view": view.to_jsonable()}
-        return {"signed": self.registry.get_id(identifier).to_jsonable()}
+            return canonical_json_bytes({"view": view.to_jsonable()})
+        return canonical_json_bytes({"signed": self.registry.get_id(identifier).to_jsonable()})
 
-    def _do_get_lineage(self, body: dict) -> dict:
+    def _do_get_lineage(self, body: dict) -> bytes:
         with decoding("get-lineage body"):
             identifier = parse_identifier(body["identifier"])
             direction = body["direction"]
         related = self.registry.get_lineage(identifier, direction)
-        return {
-            "items": [
-                {"external": external, "identifier": str(ident)}
-                for ident, external in related
-            ]
-        }
+        items = [{"external": external, "identifier": str(ident)} for ident, external in related]
+        return canonical_json_bytes({"items": items})
 
-    def _do_keys(self, body: dict) -> dict:
+    def _do_keys(self, body: dict) -> bytes:
         with decoding("keys body"):
             op = body.get("op", "list")
         if op != "list":
             raise MalformedRecord(f"unknown keys op {op!r}")
-        return self.registry.trust.to_jsonable()
+        return canonical_json_bytes(self.registry.trust.to_jsonable())
 
-    def _do_notify(self, body: dict) -> dict:
+    def _do_notify(self, body: dict) -> bytes:
         with decoding("notify body"):
             payload = body["payload"]
             parse_identifier(payload["identifier"])
         self.registry.notify(payload)
-        return {}
+        return canonical_json_bytes({})
+
+
+def _error_line(exc: ProtocolError) -> bytes:
+    """The reply line that reports ``exc`` to the client."""
+    detail = exc.detail if isinstance(exc, errors.NotFound) else str(exc)
+    return canonical_json_line({"detail": detail, "error": type(exc).__name__, "ok": False})
 
 
 class BaseClient:
@@ -220,8 +227,7 @@ class InProcessClient(BaseClient):
         # serialize through canonical bytes so both transports see identical
         # shapes; bytes this process just encoded need no decoding checks
         raw = canonical_json_line({"body": body, "endpoint": endpoint})
-        reply = self._server.handle(json.loads(raw))
-        return json.loads(canonical_json_line(reply))
+        return json.loads(self._server.handle(json.loads(raw)))
 
 
 class _TcpHandler(socketserver.StreamRequestHandler):
@@ -236,11 +242,11 @@ class _TcpHandler(socketserver.StreamRequestHandler):
                 try:
                     request = load_canonical(line)
                 except MalformedRecord as exc:
-                    reply = {"detail": str(exc), "error": "MalformedRecord", "ok": False}
+                    reply = _error_line(exc)
                 else:
                     reply = self.server.registry_server.handle(request)
                 # one sendall per reply: Nagle's algorithm has nothing to hold back
-                self.wfile.write(canonical_json_line(reply))
+                self.wfile.write(reply)
         except OSError:
             # the client dropped the connection (a timed-out request), or
             # stop() shut it down

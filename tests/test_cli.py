@@ -128,6 +128,19 @@ def test_scenario_config_file(runner, tmp_path):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "body", ['{"seed": "x"}', "[]", '{"agents": true}', '{"steps": 2.0}', "{"],
+    ids=["seed-not-an-integer", "list", "agents-boolean", "steps-float", "not-json"],
+)
+def test_scenario_rejects_a_malformed_config_file(runner, tmp_path, body):
+    config = tmp_path / "sim.json"
+    config.write_text(body)
+    result = runner.invoke(main, ["scenario", "shutdown", "--config", str(config)])
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_scenario_rejects_unknown_name(runner):
     result = runner.invoke(main, ["scenario", "heist", "--seed", "1"])
     assert result.exit_code == 2

@@ -3,7 +3,8 @@
 Inputs are valid bodies with one node deleted or replaced by an arbitrary
 JSON value, the replacement of the whole body included. Decoders must return
 a value or raise ``MalformedRecord``; a decoded signed ID, view or manifest
-must verify to a verdict, never raise. ``Registry.replay`` may also raise a
+must verify to a verdict, and a decoded policy or matcher must decide,
+never raise. ``Registry.replay`` may also raise a
 domain error such as ``UnknownParent``, but nothing outside ``ProtocolError``.
 ``RegistryServer.handle`` must answer every request; a refused one leaves the
 registry log as it was, and a TCP connection keeps answering after any of
@@ -51,10 +52,17 @@ from instanceid import (
 )
 from instanceid.canonical import canonical_json_line, load_canonical
 from instanceid.errors import MalformedRecord, ProtocolError
-from instanceid.gatekeeper import IncidentThreshold, policy_from_jsonable, policy_to_jsonable
+from instanceid.gatekeeper import (
+    IncidentThreshold,
+    Presented,
+    RequestContext,
+    evaluate,
+    policy_from_jsonable,
+    policy_to_jsonable,
+)
 from instanceid.identity import Link, doc_from_jsonable, doc_to_jsonable
 from instanceid.lineage import event_from_jsonable
-from instanceid.service import ServiceConfig, load_keypair_file
+from instanceid.service import ServiceConfig, UnavailableClient, load_keypair_file
 from instanceid.verifiability import KeyRecord, Signature
 
 from helpers import fixed_keypair, random_signed, trust_for
@@ -113,12 +121,31 @@ DECODERS = {
     "event_fine_tuned": (event_from_jsonable, {"base_system_id": "s", "kind": "fine-tuned"}),
 }
 
-# decoded artifacts must verify to a verdict; the revoked store reaches the
-# comparisons against revoked_at
+# an ID-less caller reaches on_missing; a presented ID reaches the requirement
+# and the incident threshold
+GATE_CONTEXTS = (
+    RequestContext("transfer-funds", 10, "usd", 5, "10.0.0.1"),
+    RequestContext("transfer-funds", 10, "usd", 5, "10.0.0.1", Presented(SIGNED)),
+)
+
+
+def _evaluate(rules: list[PolicyRule], trust: TrustStore) -> None:
+    for ctx in GATE_CONTEXTS:
+        evaluate(rules, ctx, trust, UnavailableClient(), {})
+
+
+# decoded artifacts must verify to a verdict, and decoded policies must decide;
+# the revoked store reaches the comparisons against revoked_at
 VERIFIERS = {
     "SignedId": lambda signed, trust: verify_id(signed, trust, 4),
     "DisclosedView": lambda view, trust: verify_view(view, trust, 4),
     "Manifest": lambda manifest, trust: verify_manifest(manifest, b"output", trust),
+    "PolicyRule": lambda rule, trust: _evaluate([rule], trust),
+    "policy_from_jsonable": _evaluate,
+    "AttributeMatcher": lambda matcher, trust: [
+        matcher.matches(attr) for attr in SIGNED.doc.attributes
+    ],
+    "DisclosurePolicy": lambda policy, trust: [redact(SIGNED, policy, party) for party in PartyClass],
 }
 
 # -- generating inputs -----------------------------------------------------------------
@@ -217,7 +244,12 @@ def _view_with_hidden_name(name):
         ("event_created", {"kind": "created", "system_id": 5, "user_ref": "u"}),
         ("event_fine_tuned", {"base_system_id": "Not A Token", "kind": "fine-tuned"}),
         ("DisclosurePolicy", {"user": [5]}),
+        ("DisclosurePolicy", {"user": [{"name": 5}]}),
+        ("AttributeMatcher", {"category": None, "name": 5, "specificity": None}),
+        ("PolicyRule", {**RULE.to_jsonable(), "threshold": "10"}),
+        ("PolicyRule", {**RULE.to_jsonable(), "threshold": True}),
         ("policy_from_jsonable", {}),
+        ("policy_from_jsonable", {"rules": [{**RULE.to_jsonable(), "action": 5}]}),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
@@ -261,10 +293,14 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
             "at": 0, "identifier": "s:0001", "kind": "created", "system_id": "s", "user_ref": "u"},
             "nonce": ["n"], "signed": None, "upstream": None}),
         b'{"author_id":"acme","key_id":"k1","kind":"revoke-key"}\n',
+        canonical_json_line({"at": "1", "kind": "incident", "report": REPORT.to_jsonable()}),
+        canonical_json_line({"at": 1, "kind": "incident", "report": REPORT.to_jsonable(),
+                             "x": None}),
     ],
     ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
          "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
-         "constituents-not-a-list", "nonce-not-a-string", "revoke-without-at"],
+         "constituents-not-a-list", "nonce-not-a-string", "revoke-without-at",
+         "incident-at-not-an-integer", "incident-with-an-unknown-field"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):
@@ -337,9 +373,9 @@ def test_handle_answers_every_request_and_a_refusal_changes_no_log(rng):
     registry, root = _served_registry()
     server = RegistryServer(registry)
     for request in valid_requests(root):
-        assert server.handle(request)["ok"], request
+        assert load_canonical(server.handle(request))["ok"], request
     log = registry.log_lines()
-    reply = server.handle(mutated_request(rng, root))
+    reply = load_canonical(server.handle(mutated_request(rng, root)))
     canonical_json_line(reply)  # the TCP transport must be able to send it
     if not reply["ok"]:
         assert registry.log_lines() == log

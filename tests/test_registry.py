@@ -32,7 +32,9 @@ from instanceid import (
 )
 from instanceid.canonical import load_canonical
 from instanceid.errors import (
+    DuplicateAttributeName,
     DuplicateReportId,
+    InvalidDocument,
     MalformedRecord,
     NoActiveKey,
     NotFound,
@@ -125,6 +127,34 @@ def test_issue_requires_active_key():
     registry.revoke_key("acme", "k1")
     with pytest.raises(NoActiveKey):
         registry.issue(Created("sys-a", "u"))
+
+
+def _card(name, salt=None):
+    return Attribute.inline_bytes(
+        name, b"card", AttributeCategory.PROPERTY, AttributeSpecificity.SYSTEM,
+        media_type="text/plain", salt=salt,
+    )
+
+
+@pytest.mark.parametrize(
+    "attributes, upstream",
+    [
+        ([_card(INCIDENT_DB_ATTRIBUTE)], None),
+        ([_card(INCIDENT_DB_ATTRIBUTE)], parse_identifier("other:ffff0000aaaa1111")),
+        ([_card("a", bytes(16)), _card("b", bytes(16))], None),
+    ],
+    ids=["reserved-name", "reserved-name-with-upstream", "shared-salt"],
+)
+def test_a_refused_issue_leaves_lineage_and_log_as_they_were(attributes, upstream):
+    registry, clock = make_registry()
+    root = registry.issue(Created("sys-a", "u")).doc.identifier
+    lineage, log = registry.lineage.state_bytes(), registry.log_lines()
+    with pytest.raises((DuplicateAttributeName, InvalidDocument)):
+        registry.issue(Regenerated(root), attributes, upstream=upstream)
+    assert registry.lineage.state_bytes() == lineage
+    assert registry.log_lines() == log
+    replayed = Registry.replay(log, "acme", clock=clock)
+    assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
 
 
 def test_issue_idempotent_per_nonce():

@@ -86,6 +86,65 @@ def test_incident_endpoints(served, clients):
     assert [r.report_id for r in got] == ["r1"]
 
 
+class _Recording(RegistryServer):
+    """Keeps every reply line it returns."""
+
+    def __init__(self, registry):
+        super().__init__(registry)
+        self.lines = []
+
+    def handle(self, request):
+        line = super().handle(request)
+        self.lines.append(line)
+        return line
+
+
+# non-ASCII, a quote, a backslash, a newline and control characters
+AWKWARD_TEXT = 'caf\u00e9 "quoted" back\\slash\nnext\x01\x1f \u2713'
+
+
+def test_query_incidents_reply_and_incident_log_lines_are_canonical_bytes():
+    registry = _registry()
+    server = _Recording(registry)
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    reports = [
+        IncidentReport("r1", identifier, "service.x", Severity.MAJOR, AWKWARD_TEXT, 9_000),
+        IncidentReport("r2", identifier, "auditor.y", Severity.INFO, "plain", 9_001, AWKWARD_TEXT),
+        IncidentReport("r3", identifier, "service.x", Severity.MINOR, "", 9_002, ""),
+    ]
+    inproc = InProcessClient(server)
+    tcp = TcpRegistryServer(server).start()
+    try:
+        with TcpClient(*tcp.address) as remote:
+            inproc.report_incident(reports[0])
+            remote.report_incident(reports[1])
+        registry.report_incident(reports[2])
+        for system_id, expected in (("sys-a", reports), ("other", [])):
+            body = {"scope": IncidentScope.system(system_id).to_jsonable(),
+                    "window": TimeWindow().to_jsonable()}
+            line = canonical_json_line(
+                {"body": {"reports": [report.to_jsonable() for report in expected]}, "ok": True}
+            )
+            inproc.request("query-incidents", body)
+            assert server.lines[-1] == line
+            with socket.create_connection(tcp.address, timeout=5) as conn, \
+                    conn.makefile("rb") as replies:
+                conn.sendall(canonical_json_line({"body": body, "endpoint": "query-incidents"}))
+                assert replies.readline() == line
+    finally:
+        tcp.stop()
+    logged = [
+        line for line in registry.log_lines().splitlines(keepends=True)
+        if load_canonical(line)["kind"] == "incident"
+    ]
+    assert logged == [
+        canonical_json_line(
+            {"at": registry.clock.now(), "kind": "incident", "report": report.to_jsonable()}
+        )
+        for report in reports
+    ]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -432,7 +491,7 @@ def _assert_untouched(registry):
 
 @pytest.mark.parametrize("request_value", MALFORMED_REQUESTS)
 def test_non_object_request_gets_malformed_record_reply(request_value):
-    reply = RegistryServer(_registry()).handle(request_value)
+    reply = load_canonical(RegistryServer(_registry()).handle(request_value))
     assert (reply["ok"], reply["error"]) == (False, "MalformedRecord")
 
 
