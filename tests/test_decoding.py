@@ -244,11 +244,11 @@ def _view_with_hidden_name(name):
         ("event_created", {"kind": "created", "system_id": 5, "user_ref": "u"}),
         ("event_fine_tuned", {"base_system_id": "Not A Token", "kind": "fine-tuned"}),
         ("DisclosurePolicy", {"user": [5]}),
+        ("policy_from_jsonable", {}),
         ("DisclosurePolicy", {"user": [{"name": 5}]}),
         ("AttributeMatcher", {"category": None, "name": 5, "specificity": None}),
         ("PolicyRule", {**RULE.to_jsonable(), "threshold": "10"}),
         ("PolicyRule", {**RULE.to_jsonable(), "threshold": True}),
-        ("policy_from_jsonable", {}),
         ("policy_from_jsonable", {"rules": [{**RULE.to_jsonable(), "action": 5}]}),
     ],
 )
