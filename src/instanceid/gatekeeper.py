@@ -40,8 +40,9 @@ class RateLimit:
     window: int
 
     def __post_init__(self):
-        if self.requests <= 0 or self.window <= 0:
-            raise MalformedRecord("rate must be positive")
+        rate = (self.requests, self.window)
+        if not all(type(n) is int and n > 0 for n in rate):
+            raise MalformedRecord(f"rate must be two positive integers, not {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ class IncidentThreshold:
     def __post_init__(self):
         if self.scope_kind not in ("instance", "system", "systems"):
             raise MalformedRecord(f"bad threshold scope {self.scope_kind!r}")
-        if self.max_count < 0:
-            raise MalformedRecord("threshold must be non-negative")
+        if type(self.max_count) is not int or self.max_count < 0:
+            raise MalformedRecord(f"threshold must be an integer >= 0, not {self.max_count!r}")
 
 
 @dataclass(frozen=True)

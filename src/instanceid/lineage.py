@@ -5,9 +5,10 @@ merge, fine-tune) and derivation edges accumulate in an append-only store.
 Every mutation is one record applied through a single path; ``build``
 makes the records of an event without applying them, ``commit`` applies
 them, and the registry keeps them in its log, the only log there is.
-Replaying those records with ``apply_record`` reconstructs the store
-exactly. One lock covers every write and every read that walks the DAG, so
-a traversal never meets a half-applied record.
+Registry replay checks each logged record with ``_check_record`` and
+commits it again, which reconstructs the store exactly. One lock covers
+every write and every read that walks the DAG, so a traversal never meets
+a half-applied record.
 """
 
 from __future__ import annotations
@@ -136,9 +137,12 @@ _NODE_FIELDS = {
 }
 
 
-@decoding("lineage record")
 def _check_record(record: Any) -> None:
-    """Check that a persisted record's kind is known and its node ids parse."""
+    """Check that a persisted record's kind is known, its time an integer
+    and its node ids parse. The caller's decoding guard turns what this
+    raises into ``MalformedRecord``."""
+    if type(record["at"]) is not int:
+        raise MalformedRecord(f"lineage record time must be an integer, not {record['at']!r}")
     nodes = [record[field] for field in _NODE_FIELDS[record["kind"]]]
     if record["kind"] == "merged":
         nodes = nodes + record["constituents"]  # not +=, which takes any iterable
@@ -236,13 +240,6 @@ class LineageStore:
         ):
             raise UnknownParent(f"{parent} descends from {child}; edge would cycle")
         return {"at": at, "child": child, "kind": "external-link", "parent": str(parent)}
-
-    def apply_record(self, record: dict) -> InstanceIdentifier:
-        """Replay one persisted record (the registry's replay path); one that
-        does not decode raises ``MalformedRecord``."""
-        _check_record(record)
-        with self._lock:
-            return self._apply(dict(record))
 
     def _fresh_id(self, system_id: str) -> InstanceIdentifier:
         while True:

@@ -1,9 +1,12 @@
 """Deployer registry: signed ID issuance, lineage serving, incident database.
 
-Every state mutation appends one record to an append-only log, the only log
-in the package: lineage records reach it from ``LineageStore.write``, which
-keeps none itself. Replaying the log reproduces a byte-identical registry
-state. Writes and incident queries serialize through the registry lock, and
+Every state mutation is one record in an append-only log, the only log in
+the package. ``Registry._apply`` alone checks a record against the state,
+applies it and logs it: a live mutator does only what replay cannot redo
+(nonce lookup, signing key, ``LineageStore.build``, signing the document)
+and hands it its record, and ``replay`` hands it each decoded line, so a
+replayed registry is byte-identical and refuses what the live one refuses.
+Writes and incident queries serialize through the registry lock, and
 lineage reads through the lineage store's lock, so no read observes a
 partially applied mutation.
 
@@ -20,13 +23,13 @@ reports:
   ``systems`` merges the lists of the systems whose id has the prefix;
   ``instance-class`` scans every report and sorts the hits.
 
-Issue and incident log records hold references to the registry's own
-immutable ``SignedId`` and ``IncidentReport`` objects, so the log keeps no
-second copy of any document or report. A report encodes its canonical bytes
-once, on first use, and keeps them (``IncidentReport.canonical_bytes``):
-``log_lines`` splices them into each ``incident`` line, and the service
-splices them into ``query-incidents`` replies, so a report is encoded once
-however often it is logged or served.
+Key, issue and incident log records hold references to the registry's own
+immutable ``PublicKey``, ``SignedId`` and ``IncidentReport`` objects, so the
+log keeps no second copy of any key, document or report. A report encodes
+its canonical bytes once, on first use, and keeps them
+(``IncidentReport.canonical_bytes``): ``log_lines`` splices them into each
+``incident`` line, and the service splices them into ``query-incidents``
+replies, so a report is encoded once however often it is logged or served.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .lineage import (
     Merged,
     Regenerated,
     Reloaded,
+    _check_record,
 )
 from .verifiability import (
     KEY_REVOKED,
@@ -310,26 +314,34 @@ def _log_line(record: dict) -> bytes:
 @decoding("registry log")
 def _log_record_from_jsonable(record: Any) -> dict:
     """A log record with the fields it feeds the state checked and its key,
-    document or report decoded, so that replaying it raises only the state's
-    own errors. ``LineageStore.apply_record`` checks the lineage records."""
+    document or report decoded, so that ``Registry._apply`` raises only the
+    state's own errors on it."""
     kind = record["kind"]
+    if type(record["at"]) is not int:
+        raise MalformedRecord(f"log record time must be an integer, not {record['at']!r}")
     if kind == "register-key":
         record["key"] = PublicKey.from_jsonable(record["key"])
         valid = "author_id" in record  # TrustStore.add_record checks it
     elif kind == "revoke-key":
-        valid = is_token(record["author_id"]) and is_token(record["key_id"]) and "at" in record
+        valid = is_token(record["author_id"]) and is_token(record["key_id"])
     elif kind == "issue":
+        lineage, external, nonce = record["lineage"], record.get("external"), record["nonce"]
+        _check_record(lineage)
+        if external is not None:
+            _check_record(external)
+        # only a reload has no document of its own; _apply files any other
+        # under the lineage identifier
+        valid = (record["signed"] is None) == (lineage["kind"] == "reloaded")
         if record["signed"] is not None:
             record["signed"] = SignedId.from_jsonable(record["signed"])
-        nonce = record.get("nonce")
-        valid = isinstance(record["lineage"], dict) and (nonce is None or isinstance(nonce, str))
+            valid = valid and str(record["signed"].doc.identifier) == lineage["identifier"]
+        valid = valid and (nonce is None or isinstance(nonce, str))
     elif kind == "incident":
         record["report"] = IncidentReport.from_jsonable(record["report"])
-        # log_lines writes exactly these fields
-        valid = record.keys() == {"at", "kind", "report"} and type(record["at"]) is int
+        valid = record.keys() == {"at", "kind", "report"}  # log_lines writes exactly these
     elif kind == "shutdown":
         parse_identifier(record["identifier"])
-        valid = type(record["at"]) is int and isinstance(record["reason"], str)
+        valid = isinstance(record["reason"], str)
     else:
         raise MalformedRecord(f"unknown log record kind {kind!r}")
     if not valid:
@@ -370,7 +382,7 @@ class Registry:
         self._signing: Optional[KeyPair] = None
         self._nonces: dict[str, str] = {}
         self._instance_classes: dict[str, Callable[[IdDocument], bool]] = {}
-        self._log: list[dict] = []  # issue/incident records hold objects; see log_lines
+        self._log: list[dict] = []  # only _apply appends; key/issue/incident records hold objects
         self._lock = threading.Lock()
 
     # -- keys ------------------------------------------------------------------
@@ -397,21 +409,14 @@ class Registry:
             self._register_key(author_id, key)
 
     def _register_key(self, author_id: str, key: PublicKey) -> None:
-        self.trust.register_key(author_id, key)
-        self._log.append(
-            {
-                "at": self.clock.now(),
-                "author_id": author_id,
-                "key": key,
-                "kind": "register-key",
-            }
+        self._apply(
+            {"at": self.clock.now(), "author_id": author_id, "key": key, "kind": "register-key"}
         )
 
     def revoke_key(self, author_id: str, key_id: str, at: Optional[int] = None) -> None:
         with self._lock:
             stamp = self.clock.now() if at is None else at
-            self.trust.revoke_key(author_id, key_id, stamp)
-            self._log.append(
+            self._apply(
                 {"at": stamp, "author_id": author_id, "key_id": key_id, "kind": "revoke-key"}
             )
 
@@ -446,13 +451,8 @@ class Registry:
             at = self.clock.now()
 
             if isinstance(event, Reloaded):
-                key = str(event.original)
-                stored = self.documents.get(key)
-                if stored is None:
-                    raise NotFound(f"no document for reloaded instance {key}")
                 lineage_record, _ = self.lineage.build(event, at)
-                self.lineage.commit(lineage_record)
-                self._log.append(
+                self._apply(
                     {
                         "at": at,
                         "kind": "issue",
@@ -462,9 +462,7 @@ class Registry:
                         "upstream": None,
                     }
                 )
-                if nonce is not None:
-                    self._nonces[nonce] = key
-                return stored
+                return self.documents[str(event.original)]
 
             # the lineage changes only once the document is built and signed,
             # so a refused issue leaves no node that the log does not hold
@@ -477,13 +475,7 @@ class Registry:
             for attr in attributes:
                 doc = add_attribute(doc, attr, rng=self._rng)
             signed = sign_id(doc, keypair, trust_store=self.trust)
-            self.lineage.commit(lineage_record, external_record)
-
-            key = str(identifier)
-            self.documents[key] = signed
-            if nonce is not None:
-                self._nonces[nonce] = key
-            self._log.append(
+            self._apply(
                 {
                     "at": at,
                     "external": external_record,
@@ -546,12 +538,7 @@ class Registry:
 
     def report_incident(self, report: IncidentReport) -> None:
         with self._lock:
-            if report.report_id in self._report_ids:
-                raise DuplicateReportId(report.report_id)
-            if report.identifier not in self.lineage:
-                raise UnknownIdentifier(str(report.identifier))
-            self._add_incident(report)
-            self._log.append({"at": self.clock.now(), "kind": "incident", "report": report})
+            self._apply({"at": self.clock.now(), "kind": "incident", "report": report})
 
     def _add_incident(self, report: IncidentReport) -> None:
         system_id = report.identifier.system_id
@@ -656,13 +643,9 @@ class Registry:
 
     def mark_shutdown(self, identifier: InstanceIdentifier, reason: str) -> None:
         with self._lock:
-            if identifier not in self.lineage:
-                raise UnknownIdentifier(str(identifier))
-            at = self.clock.now()
-            self.shutdowns[str(identifier)] = {"at": at, "reason": reason}
-            self._log.append(
+            self._apply(
                 {
-                    "at": at,
+                    "at": self.clock.now(),
                     "identifier": str(identifier),
                     "kind": "shutdown",
                     "reason": reason,
@@ -714,8 +697,11 @@ class Registry:
     ) -> "Registry":
         """Reconstruct a registry from its newline-delimited event log.
 
-        A line that does not decode raises ``MalformedRecord``; a record the
-        state cannot take raises its domain error, such as ``UnknownParent``.
+        Each line is decoded and then applied by ``_apply``, the path every
+        live mutation takes, so replay refuses what the live registry
+        refuses. A line that does not decode, or repeats a report id, raises
+        ``MalformedRecord``; a record the state cannot take otherwise raises
+        its domain error, such as ``UnknownParent`` or ``UnknownIdentifier``.
         """
         registry = cls(
             author_id,
@@ -726,28 +712,41 @@ class Registry:
         )
         for line in log_data.splitlines():
             if line.strip():
-                registry._apply_log_record(_log_record_from_jsonable(load_canonical(line)))
+                record = _log_record_from_jsonable(load_canonical(line))
+                try:
+                    registry._apply(record)
+                except DuplicateReportId as exc:
+                    raise MalformedRecord(f"log repeats report id {exc}") from exc
         return registry
 
-    def _apply_log_record(self, record: dict) -> None:
+    def _apply(self, record: dict) -> None:
+        """The one change to the state: check the record against it, apply
+        it and log it. Live mutators call this under the registry lock once
+        they have done what replay cannot redo; ``replay`` calls it on each
+        decoded line."""
         kind = record["kind"]
         if kind == "register-key":
             self.trust.register_key(record["author_id"], record["key"])
         elif kind == "revoke-key":
             self.trust.revoke_key(record["author_id"], record["key_id"], record["at"])
         elif kind == "issue":
-            identifier = self.lineage.apply_record(record["lineage"])
-            if record.get("external"):
-                self.lineage.apply_record(record["external"])
-            if record["signed"] is not None:
-                identifier = record["signed"].doc.identifier
-                self.documents[str(identifier)] = record["signed"]
-            if record.get("nonce"):
-                self._nonces[record["nonce"]] = str(identifier)
+            lineage, signed = record["lineage"], record["signed"]
+            if signed is None and lineage["identifier"] not in self.documents:
+                raise NotFound(f"no document for reloaded instance {lineage['identifier']}")
+            key = str(self.lineage.commit(lineage, record.get("external")))
+            if signed is not None:
+                self.documents[key] = signed
+            if record["nonce"] is not None:
+                self._nonces[record["nonce"]] = key
         elif kind == "incident":
-            if record["report"].report_id in self._report_ids:
-                raise MalformedRecord(f"log repeats report id {record['report'].report_id!r}")
-            self._add_incident(record["report"])
+            report = record["report"]
+            if report.report_id in self._report_ids:
+                raise DuplicateReportId(report.report_id)
+            if report.identifier not in self.lineage:
+                raise UnknownIdentifier(str(report.identifier))
+            self._add_incident(report)
         else:
+            if record["identifier"] not in self.lineage:
+                raise UnknownIdentifier(record["identifier"])
             self.shutdowns[record["identifier"]] = {"at": record["at"], "reason": record["reason"]}
         self._log.append(record)

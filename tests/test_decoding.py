@@ -232,6 +232,15 @@ def _view_with_hidden_name(name):
     return body
 
 
+def _rule_with_rate(requests, window):
+    return {**RULE.to_jsonable(), "on_missing": {
+        "kind": "rate-limit", "rate": {"requests": requests, "window": window}}}
+
+
+def _rule_with_threshold(max_count):
+    return {**RULE.to_jsonable(), "incident_threshold": {"max": max_count, "scope": "system"}}
+
+
 @pytest.mark.parametrize(
     "name, body",
     [
@@ -250,6 +259,11 @@ def _view_with_hidden_name(name):
         ("PolicyRule", {**RULE.to_jsonable(), "threshold": "10"}),
         ("PolicyRule", {**RULE.to_jsonable(), "threshold": True}),
         ("policy_from_jsonable", {"rules": [{**RULE.to_jsonable(), "action": 5}]}),
+        ("PolicyRule", _rule_with_rate(0.5, 60)),
+        ("PolicyRule", _rule_with_rate(5, True)),
+        ("policy_from_jsonable", {"rules": [_rule_with_rate(0.5, True)]}),
+        ("PolicyRule", _rule_with_threshold(0.5)),
+        ("PolicyRule", _rule_with_threshold(True)),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
@@ -260,6 +274,9 @@ def test_named_malformed_inputs_raise_malformed_record(name, body):
 # -- registry log ----------------------------------------------------------------------
 
 LOG_LINES = every_record_kind_registry().log_lines().splitlines(keepends=True)
+# 0 register-key, 3-4 created issues (3 the reloaded root), 8 the reload,
+# 9 an issue with an upstream link
+RECORDS = [load_canonical(line) for line in LOG_LINES]
 
 
 @given(rng=randoms)
@@ -296,11 +313,22 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
         canonical_json_line({"at": "1", "kind": "incident", "report": REPORT.to_jsonable()}),
         canonical_json_line({"at": 1, "kind": "incident", "report": REPORT.to_jsonable(),
                              "x": None}),
+        json_line({**RECORDS[0], "at": 1.5}),
+        json_line({**RECORDS[3], "at": 1.5}),
+        json_line({**RECORDS[3], "lineage": {**RECORDS[3]["lineage"], "at": 1.5}}),
+        json_line({**RECORDS[9], "external": {**RECORDS[9]["external"], "at": 1.5}}),
+        canonical_json_line({**RECORDS[3], "signed": RECORDS[4]["signed"]}),
+        canonical_json_line({**RECORDS[3], "signed": None}),
+        b"".join(LOG_LINES[:4])
+        + canonical_json_line({**RECORDS[8], "signed": RECORDS[3]["signed"]}),
     ],
     ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
          "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
          "constituents-not-a-list", "nonce-not-a-string", "revoke-without-at",
-         "incident-at-not-an-integer", "incident-with-an-unknown-field"],
+         "incident-at-not-an-integer", "incident-with-an-unknown-field",
+         "register-key-at-a-float", "issue-at-a-float",
+         "lineage-at-a-float", "external-link-at-a-float", "document-names-another-instance",
+         "issue-without-a-document", "document-on-a-reload"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):

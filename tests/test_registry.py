@@ -30,7 +30,7 @@ from instanceid import (
     parse_identifier,
     verify_id,
 )
-from instanceid.canonical import load_canonical
+from instanceid.canonical import canonical_json_line, load_canonical
 from instanceid.errors import (
     DuplicateAttributeName,
     DuplicateReportId,
@@ -38,6 +38,7 @@ from instanceid.errors import (
     MalformedRecord,
     NoActiveKey,
     NotFound,
+    ProtocolError,
     UnknownIdentifier,
     UnknownInstanceClass,
 )
@@ -571,3 +572,84 @@ def test_shutdown_marker():
     assert registry.is_shut_down(signed.doc.identifier)
     with pytest.raises(UnknownIdentifier):
         registry.mark_shutdown(parse_identifier("sys-a:ghost11"), "x")
+
+
+def test_replay_keeps_an_empty_nonce():
+    registry, clock = make_registry()
+    registry.issue(Created("sys-a", "u"), nonce="")
+    replayed = Registry.replay(registry.log_lines(), "acme", clock=clock)
+    assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
+
+
+GHOST = parse_identifier("sys-a:ghost11")
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ({"at": 0, "kind": "incident", "report": IncidentReport(
+            "r1", GHOST, "service.x", Severity.MAJOR, "x", 0).to_jsonable()}, UnknownIdentifier),
+        ({"at": 0, "identifier": "sys-a:ghost11", "kind": "shutdown", "reason": "x"},
+         UnknownIdentifier),
+        ({"at": 0, "kind": "issue", "nonce": None, "signed": None, "upstream": None,
+          "lineage": {"at": 0, "identifier": str(GHOST), "kind": "reloaded",
+                      "original": str(GHOST)}}, NotFound),
+    ],
+    ids=["incident", "shutdown", "reload"],
+)
+def test_replay_refuses_a_record_for_an_instance_the_registry_lacks(record, error):
+    """Replay raises what the live mutator raises for the same record."""
+    with pytest.raises(error):
+        Registry.replay(canonical_json_line(record), "acme")
+
+
+_UPSTREAM = parse_identifier("other:ffff0000aaaa1111")
+_OPERATIONS = ["created", "reloaded", "regenerated", "merged", "fine-tuned", "incident",
+               "shutdown", "revoke"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_replay_reproduces_the_live_registry(data):
+    """Random live operations, refusals included; replaying the log they leave
+    reproduces the log and the state byte for byte."""
+    registry, clock = make_registry(seed=data.draw(st.integers(0, 3)))
+    registry.register_foreign_key("beta", fixed_keypair("beta", "b1").public_key())
+    instances = [GHOST]  # issued identifiers, and one that never is
+
+    def instance():
+        return data.draw(st.sampled_from(instances))
+
+    for _ in range(data.draw(st.integers(1, 15))):
+        clock.advance(data.draw(st.integers(0, 2)))
+        operation = data.draw(st.sampled_from(_OPERATIONS))
+        try:
+            if operation == "incident":
+                report_id = data.draw(st.sampled_from(["r0", "r1", "r2"]))
+                registry.report_incident(IncidentReport(
+                    report_id, instance(), "service.x", Severity.MINOR, "x", clock.now(), "u"))
+            elif operation == "shutdown":
+                registry.mark_shutdown(instance(), "tested")
+            elif operation == "revoke":
+                registry.revoke_key(*data.draw(st.sampled_from([("beta", "b1"), ("acme", "k1")])))
+            else:
+                event = {
+                    "created": lambda: Created("sys-a", data.draw(st.sampled_from(["", "u"]))),
+                    "reloaded": lambda: Reloaded(instance()),
+                    "regenerated": lambda: Regenerated(instance()),
+                    "merged": lambda: Merged((instance(), instance())),
+                    "fine-tuned": lambda: FineTuned("sys-a"),
+                }[operation]()
+                signed = registry.issue(
+                    event,
+                    nonce=data.draw(st.sampled_from([None, "", "n0", "n1"])),
+                    upstream=data.draw(st.sampled_from([None, _UPSTREAM])),
+                )
+                instances.append(signed.doc.identifier)
+        except ProtocolError:
+            pass
+
+    log = registry.log_lines()
+    replayed = Registry.replay(log, "acme", clock=clock)
+    assert replayed.log_lines() == log
+    assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
