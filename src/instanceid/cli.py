@@ -190,22 +190,26 @@ def registry_serve(config_path):
         click.echo(f"bad config: {exc}", err=True)
         sys.exit(1)
     registry = Registry(config.author_id, retention=config.retention())
-    if config.log_file and Path(config.log_file).exists():
-        registry = Registry.replay(
-            Path(config.log_file).read_bytes(),
-            config.author_id,
-            retention=config.retention(),
-        )
-    if config.key_file:
-        key_path = Path(config.key_file)
-        if key_path.exists():
-            keypair = load_keypair_file(key_path)
+    try:
+        if config.log_file and Path(config.log_file).exists():
+            registry = Registry.replay(
+                Path(config.log_file).read_bytes(),
+                config.author_id,
+                retention=config.retention(),
+            )
+        if config.key_file:
+            key_path = Path(config.key_file)
+            if key_path.exists():
+                keypair = load_keypair_file(key_path)
+            else:
+                keypair = KeyPair.generate(config.author_id, "k1")
+                save_keypair_file(key_path, keypair)
+            registry.install_key(keypair)
         else:
-            keypair = KeyPair.generate(config.author_id, "k1")
-            save_keypair_file(key_path, keypair)
-        registry.install_key(keypair)
-    else:
-        registry.install_key(KeyPair.generate(config.author_id, "k1"))
+            registry.install_key(KeyPair.generate(config.author_id, "k1"))
+    except (ProtocolError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     server = TcpRegistryServer(RegistryServer(registry), config.host, config.port)
     host, port = server.address
     click.echo(f"serving {config.author_id} on {host}:{port}")

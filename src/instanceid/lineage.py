@@ -5,10 +5,11 @@ merge, fine-tune) and derivation edges accumulate in an append-only store.
 Every mutation is one record applied through a single path; ``build``
 makes the records of an event without applying them, ``commit`` applies
 them, and the registry keeps them in its log, the only log there is.
-Registry replay checks each logged record with ``_check_record`` and
-commits it again, which reconstructs the store exactly. One lock covers
-every write and every read that walks the DAG, so a traversal never meets
-a half-applied record.
+``build`` alone checks an event against the store: registry replay builds
+each logged record again from its event and logged identifier and commits
+it, which reconstructs the store exactly. One lock covers every write and
+every read that walks the DAG, so a traversal never meets a half-applied
+record.
 """
 
 from __future__ import annotations
@@ -126,30 +127,6 @@ def event_from_jsonable(body: Any) -> LineageEvent:
     raise MalformedRecord(f"unknown event kind: {kind!r}")
 
 
-# The node ids each kind of lineage record names, besides merged constituents.
-_NODE_FIELDS = {
-    "created": ("identifier",),
-    "reloaded": ("identifier",),
-    "regenerated": ("parent", "identifier"),
-    "merged": ("identifier",),
-    "fine-tuned": ("base", "identifier"),
-    "external-link": ("parent", "child"),
-}
-
-
-def _check_record(record: Any) -> None:
-    """Check that a persisted record's kind is known, its time an integer
-    and its node ids parse. The caller's decoding guard turns what this
-    raises into ``MalformedRecord``."""
-    if type(record["at"]) is not int:
-        raise MalformedRecord(f"lineage record time must be an integer, not {record['at']!r}")
-    nodes = [record[field] for field in _NODE_FIELDS[record["kind"]]]
-    if record["kind"] == "merged":
-        nodes = nodes + record["constituents"]  # not +=, which takes any iterable
-    for node in nodes:
-        parse_identifier(node)
-
-
 class LineageStore:
     """Append-only DAG of instance derivations.
 
@@ -192,7 +169,11 @@ class LineageStore:
     # -- event registration --------------------------------------------------
 
     def build(
-        self, event: LineageEvent, at: int, upstream: Optional[InstanceIdentifier] = None
+        self,
+        event: LineageEvent,
+        at: int,
+        upstream: Optional[InstanceIdentifier] = None,
+        identifier: Optional[InstanceIdentifier] = None,
     ) -> tuple[dict, Optional[dict]]:
         """The records a lifecycle event adds, built but not applied, so that
         a caller can finish the work that depends on the new identifier
@@ -200,12 +181,14 @@ class LineageStore:
 
         With ``upstream``, the new identifier also gets that cross-deployer
         parent, recorded as a second, ``external-link`` record; the second
-        item is ``None`` without it. Nodes and edges are never removed, so
-        the checks made here still hold at ``commit``; callers that build
-        concurrently must serialize build and commit themselves.
+        item is ``None`` without it. A logged ``identifier`` replaces the
+        draw of a new node's identifier; one that is a node already or of
+        another system raises ``MalformedRecord``. Nodes and edges are never
+        removed, so these checks still hold at ``commit``; callers that
+        build concurrently must serialize build and commit themselves.
         """
         with self._lock:
-            record = self._build_record(event, at)
+            record = self._build_record(event, at, identifier)
             if upstream is None:
                 return record, None
             return record, self._external_record(upstream, record["identifier"], at)
@@ -241,10 +224,15 @@ class LineageStore:
             raise UnknownParent(f"{parent} descends from {child}; edge would cycle")
         return {"at": at, "child": child, "kind": "external-link", "parent": str(parent)}
 
-    def _fresh_id(self, system_id: str) -> InstanceIdentifier:
+    def _fresh_id(self, system_id: str, logged: Optional[InstanceIdentifier]) -> str:
+        """A new instance of ``system_id``: ``logged``, if it is one, or a draw."""
+        if logged is not None:
+            if logged.system_id != system_id or logged.is_system_node or logged in self:
+                raise MalformedRecord(f"{logged} is not a new instance of {system_id}")
+            return str(logged)
         while True:
-            candidate = InstanceIdentifier(system_id, fresh_instance_id(self._rng))
-            if str(candidate) not in self._nodes:
+            candidate = str(InstanceIdentifier(system_id, fresh_instance_id(self._rng)))
+            if candidate not in self._nodes:
                 return candidate
 
     def _fresh_system_token(self) -> str:
@@ -254,17 +242,19 @@ class LineageStore:
             return "ft-" + os.urandom(8).hex()
         return "ft-" + f"{self._rng.getrandbits(64):016x}"
 
-    def _build_record(self, event: LineageEvent, at: int) -> dict:
+    def _build_record(
+        self, event: LineageEvent, at: int, logged: Optional[InstanceIdentifier]
+    ) -> dict:
         record = event_to_jsonable(event)
         record["at"] = at
         if isinstance(event, Created):
-            record["identifier"] = str(self._fresh_id(event.system_id))
+            record["identifier"] = self._fresh_id(event.system_id, logged)
         elif isinstance(event, Reloaded):
             record["identifier"] = str(event.original)
         elif isinstance(event, Regenerated):
             if str(event.parent) not in self._nodes:
                 raise UnknownParent(str(event.parent))
-            record["identifier"] = str(self._fresh_id(event.parent.system_id))
+            record["identifier"] = self._fresh_id(event.parent.system_id, logged)
         elif isinstance(event, Merged):
             if len(set(event.constituents)) != len(event.constituents):
                 raise DuplicateConstituents(
@@ -274,10 +264,14 @@ class LineageStore:
                 if str(constituent) not in self._nodes:
                     raise UnknownConstituent(str(constituent))
             system = composite_system_id(c.system_id for c in event.constituents)
-            record["identifier"] = str(self._fresh_id(system))
+            record["identifier"] = self._fresh_id(system, logged)
         elif isinstance(event, FineTuned):
-            record["identifier"] = f"{self._fresh_system_token()}:{SYSTEM_SENTINEL}"
             record["base"] = f"{event.base_system_id}:{SYSTEM_SENTINEL}"
+            if logged is None:
+                logged = InstanceIdentifier(self._fresh_system_token(), SYSTEM_SENTINEL)
+            elif not logged.is_system_node or logged in self or str(logged) == record["base"]:
+                raise MalformedRecord(f"{logged} is not a new system node")
+            record["identifier"] = str(logged)
         return record
 
     def _add_node(self, identifier: str, external: bool = False) -> None:
@@ -290,6 +284,7 @@ class LineageStore:
         self._children.setdefault(parent, set()).add((child, kind))
 
     def _apply(self, record: dict) -> InstanceIdentifier:
+        """Add a record's nodes and edges; ``build`` has checked it."""
         kind = record["kind"]
         ident = parse_identifier(record["identifier"]) if "identifier" in record else None
         if kind == "created":
@@ -297,14 +292,9 @@ class LineageStore:
         elif kind == "reloaded":
             pass  # identifier retained; no node, no edge
         elif kind == "regenerated":
-            if record["parent"] not in self._nodes:
-                raise UnknownParent(record["parent"])
             self._add_node(record["identifier"])
             self._add_edge(record["parent"], record["identifier"], EDGE_BRANCH)
         elif kind == "merged":
-            for constituent in record["constituents"]:
-                if constituent not in self._nodes:
-                    raise UnknownConstituent(constituent)
             self._add_node(record["identifier"])
             for constituent in record["constituents"]:
                 self._add_edge(constituent, record["identifier"], EDGE_CONSTITUENT)
@@ -313,8 +303,6 @@ class LineageStore:
             self._add_node(record["identifier"])
             self._add_edge(record["base"], record["identifier"], EDGE_BASE_SYSTEM)
         elif kind == "external-link":
-            if record["child"] not in self._nodes:
-                raise UnknownIdentifier(record["child"])
             if record["parent"] not in self._nodes:
                 self._add_node(record["parent"], external=True)
             self._add_edge(record["parent"], record["child"], EDGE_BRANCH)

@@ -4,8 +4,10 @@ Every state mutation is one record in an append-only log, the only log in
 the package. ``Registry._apply`` alone checks a record against the state,
 applies it and logs it: a live mutator does only what replay cannot redo
 (nonce lookup, signing key, ``LineageStore.build``, signing the document)
-and hands it its record, and ``replay`` hands it each decoded line, so a
-replayed registry is byte-identical and refuses what the live one refuses.
+and hands it its record. ``replay`` builds each line's record again the
+live way, accepts it only if ``_log_line`` writes it back as the same bytes
+and hands it to ``_apply``; so a replayed registry is byte-identical and
+refuses what the live one refuses.
 Writes and incident queries serialize through the registry lock, and
 lineage reads through the lineage store's lock, so no read observes a
 partially applied mutation.
@@ -77,7 +79,7 @@ from .lineage import (
     Merged,
     Regenerated,
     Reloaded,
-    _check_record,
+    event_from_jsonable,
 )
 from .verifiability import (
     KEY_REVOKED,
@@ -311,41 +313,64 @@ def _log_line(record: dict) -> bytes:
     return canonical_json_line(record)
 
 
+def _issue_record(
+    at: int,
+    lineage: dict,
+    external: Optional[dict],
+    nonce: Optional[str],
+    signed: Optional[SignedId],
+    upstream: Optional[InstanceIdentifier],
+) -> dict:
+    """The log record of an ``issue``; a reload's has no ``external`` field."""
+    record = {"at": at, "kind": "issue", "lineage": lineage, "nonce": nonce, "signed": signed}
+    record["upstream"] = None if upstream is None else str(upstream)
+    if lineage["kind"] != "reloaded":
+        record["external"] = external
+    return record
+
+
 @decoding("registry log")
-def _log_record_from_jsonable(record: Any) -> dict:
-    """A log record with the fields it feeds the state checked and its key,
-    document or report decoded, so that ``Registry._apply`` raises only the
-    state's own errors on it."""
-    kind = record["kind"]
-    if type(record["at"]) is not int:
-        raise MalformedRecord(f"log record time must be an integer, not {record['at']!r}")
+def _log_record_from_line(line: bytes, lineage: LineageStore) -> dict:
+    """The record whose log line is ``line``, with its key, document or
+    report decoded and, for an ``issue``, its lineage records built again by
+    ``lineage.build`` (which reads the store and changes nothing) from the
+    logged event and identifier, as the live ``issue`` builds them. Only the
+    fields that feed the state are checked one by one; the line must then
+    be the one ``_log_line`` writes for the record, byte for byte."""
+    record = load_canonical(line)
+    kind, at = record["kind"], record["at"]
+    valid = type(at) is int
     if kind == "register-key":
         record["key"] = PublicKey.from_jsonable(record["key"])
-        valid = "author_id" in record  # TrustStore.add_record checks it
+        valid = valid and "author_id" in record  # TrustStore.add_record checks it
     elif kind == "revoke-key":
-        valid = is_token(record["author_id"]) and is_token(record["key_id"])
+        valid = valid and is_token(record["author_id"]) and is_token(record["key_id"])
     elif kind == "issue":
-        lineage, external, nonce = record["lineage"], record.get("external"), record["nonce"]
-        _check_record(lineage)
-        if external is not None:
-            _check_record(external)
-        # only a reload has no document of its own; _apply files any other
-        # under the lineage identifier
-        valid = (record["signed"] is None) == (lineage["kind"] == "reloaded")
-        if record["signed"] is not None:
-            record["signed"] = SignedId.from_jsonable(record["signed"])
-            valid = valid and str(record["signed"].doc.identifier) == lineage["identifier"]
-        valid = valid and (nonce is None or isinstance(nonce, str))
+        logged, nonce, signed = record["lineage"], record["nonce"], record["signed"]
+        event = event_from_jsonable(logged)
+        identifier = parse_identifier(logged["identifier"])
+        reload, upstream = isinstance(event, Reloaded), record["upstream"]
+        # a reload names no upstream; only a reload has no document of its
+        # own, and _apply files any other under the lineage identifier
+        upstream = None if reload or upstream is None else parse_identifier(upstream)
+        valid = valid and (signed is None) == reload and (nonce is None or isinstance(nonce, str))
+        if signed is not None:
+            signed = SignedId.from_jsonable(signed)
+            valid = valid and signed.doc.identifier == identifier
     elif kind == "incident":
         record["report"] = IncidentReport.from_jsonable(record["report"])
-        valid = record.keys() == {"at", "kind", "report"}  # log_lines writes exactly these
     elif kind == "shutdown":
         parse_identifier(record["identifier"])
-        valid = isinstance(record["reason"], str)
+        valid = valid and isinstance(record["reason"], str)
     else:
         raise MalformedRecord(f"unknown log record kind {kind!r}")
     if not valid:
         raise MalformedRecord(f"bad {kind} record fields")
+    if kind == "issue":
+        built = lineage.build(event, at, upstream, identifier)
+        record = _issue_record(at, *built, nonce, signed, upstream)
+    if _log_line(record) != line:
+        raise MalformedRecord(f"not a line the registry writes: {line[:200]!r}")
     return record
 
 
@@ -451,17 +476,7 @@ class Registry:
             at = self.clock.now()
 
             if isinstance(event, Reloaded):
-                lineage_record, _ = self.lineage.build(event, at)
-                self._apply(
-                    {
-                        "at": at,
-                        "kind": "issue",
-                        "lineage": lineage_record,
-                        "nonce": nonce,
-                        "signed": None,
-                        "upstream": None,
-                    }
-                )
+                self._apply(_issue_record(at, *self.lineage.build(event, at), nonce, None, None))
                 return self.documents[str(event.original)]
 
             # the lineage changes only once the document is built and signed,
@@ -476,15 +491,7 @@ class Registry:
                 doc = add_attribute(doc, attr, rng=self._rng)
             signed = sign_id(doc, keypair, trust_store=self.trust)
             self._apply(
-                {
-                    "at": at,
-                    "external": external_record,
-                    "kind": "issue",
-                    "lineage": lineage_record,
-                    "nonce": nonce,
-                    "signed": signed,
-                    "upstream": str(upstream) if upstream else None,
-                }
+                _issue_record(at, lineage_record, external_record, nonce, signed, upstream)
             )
             return signed
 
@@ -697,11 +704,14 @@ class Registry:
     ) -> "Registry":
         """Reconstruct a registry from its newline-delimited event log.
 
-        Each line is decoded and then applied by ``_apply``, the path every
-        live mutation takes, so replay refuses what the live registry
-        refuses. A line that does not decode, or repeats a report id, raises
-        ``MalformedRecord``; a record the state cannot take otherwise raises
-        its domain error, such as ``UnknownParent`` or ``UnknownIdentifier``.
+        Each line's record is made again the live way (an ``issue``'s
+        lineage records by ``LineageStore.build``), must be written back by
+        ``_log_line`` as the same bytes, and is then applied by ``_apply``,
+        the path of every live mutation. So replay refuses what the live
+        registry refuses, and ``log_lines`` of a replayed log is that log. A
+        line the registry would not write, or that repeats a report id or a
+        nonce, raises ``MalformedRecord``; a record the state cannot take
+        raises what the live path raises, such as ``UnknownParent``.
         """
         registry = cls(
             author_id,
@@ -710,13 +720,12 @@ class Registry:
             retention=retention,
             disclosure_policy=disclosure_policy,
         )
-        for line in log_data.splitlines():
-            if line.strip():
-                record = _log_record_from_jsonable(load_canonical(line))
-                try:
-                    registry._apply(record)
-                except DuplicateReportId as exc:
-                    raise MalformedRecord(f"log repeats report id {exc}") from exc
+        for line in log_data.splitlines(keepends=True):
+            record = _log_record_from_line(line, registry.lineage)
+            try:
+                registry._apply(record)
+            except DuplicateReportId as exc:
+                raise MalformedRecord(f"log repeats report id {exc}") from exc
         return registry
 
     def _apply(self, record: dict) -> None:
@@ -733,6 +742,8 @@ class Registry:
             lineage, signed = record["lineage"], record["signed"]
             if signed is None and lineage["identifier"] not in self.documents:
                 raise NotFound(f"no document for reloaded instance {lineage['identifier']}")
+            if record["nonce"] in self._nonces:  # the live issue returns its document
+                raise MalformedRecord(f"log repeats nonce {record['nonce']!r}")
             key = str(self.lineage.commit(lineage, record.get("external")))
             if signed is not None:
                 self.documents[key] = signed

@@ -213,6 +213,21 @@ def test_log_commands_reject_a_malformed_log(runner, tmp_path, command, line):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("file_field", ["log_file", "key_file"])
+def test_registry_serve_rejects_a_malformed_log_or_key_file(runner, tmp_path, file_field):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"kind":"shutdown"}\n')
+    config = tmp_path / "registry.json"
+    config.write_text(json.dumps(
+        {"author_id": "acme", "listen": "127.0.0.1:0", file_field: str(bad)}
+    ))
+    env = {f"INSTANCEID_{name}": None for name in ("LISTEN", "LOG_FILE", "KEY_FILE")}
+    result = runner.invoke(main, ["registry", "serve", "--config", str(config)], env=env)
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_registry_serve_rejects_a_bad_listen_address(runner, tmp_path):
     config = tmp_path / "registry.json"
     config.write_text('{"author_id": "acme", "listen": "127.0.0.1:abc"}')

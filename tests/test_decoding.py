@@ -29,6 +29,7 @@ from instanceid import (
     IncidentReport,
     IncidentScope,
     Manifest,
+    Merged,
     OnMissing,
     PartyClass,
     PolicyRule,
@@ -51,7 +52,7 @@ from instanceid import (
     verify_view,
 )
 from instanceid.canonical import canonical_json_line, load_canonical
-from instanceid.errors import MalformedRecord, ProtocolError
+from instanceid.errors import DuplicateConstituents, MalformedRecord, ProtocolError
 from instanceid.gatekeeper import (
     IncidentThreshold,
     Presented,
@@ -282,12 +283,15 @@ RECORDS = [load_canonical(line) for line in LOG_LINES]
 @given(rng=randoms)
 @settings(max_examples=300, deadline=None)
 def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
+    """A log that replays comes back byte for byte from ``log_lines``."""
     index = rng.randrange(len(LOG_LINES))
     line = json_line(mutate(rng, load_canonical(LOG_LINES[index])))
+    log = b"".join(LOG_LINES[:index]) + line
     try:
-        Registry.replay(b"".join(LOG_LINES[:index]) + line, "acme", clock=SimClock(1_000_000))
+        replayed = Registry.replay(log, "acme", clock=SimClock(1_000_000))
     except ProtocolError:
-        pass
+        return
+    assert replayed.log_lines() == log
 
 
 @pytest.mark.parametrize(
@@ -321,6 +325,27 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
         canonical_json_line({**RECORDS[3], "signed": None}),
         b"".join(LOG_LINES[:4])
         + canonical_json_line({**RECORDS[8], "signed": RECORDS[3]["signed"]}),
+        b"".join(LOG_LINES[:5]) + LOG_LINES[4],
+        json_line({**RECORDS[9], "upstream": 1.5}),
+        canonical_json_line({**RECORDS[4], "lineage": {**RECORDS[4]["lineage"], "user_ref": 5}}),
+        b"".join(LOG_LINES[:4])
+        + json_line({**RECORDS[5], "lineage": {**RECORDS[5]["lineage"], "branch_point": 3.5}}),
+        canonical_json_line({**RECORDS[9], "external": None}),
+        canonical_json_line(
+            {**RECORDS[4], "lineage": {**RECORDS[4]["lineage"], "system_id": "sys-z"}}
+        ),
+        b"".join(LOG_LINES[:6]) + canonical_json_line({**RECORDS[6], "lineage": {
+            **RECORDS[6]["lineage"], "constituents": RECORDS[6]["lineage"]["constituents"][:1]}}),
+        b"".join(LOG_LINES[:4])
+        + canonical_json_line({**RECORDS[8], "upstream": RECORDS[9]["upstream"]}),
+        b"".join(LOG_LINES[:4])
+        + canonical_json_line({**RECORDS[11], "report": {**RECORDS[11]["report"], "x": 1}}),
+        canonical_json_line({**RECORDS[4], "signed": {
+            **RECORDS[4]["signed"], "doc": {**RECORDS[4]["signed"]["doc"], "x": 1}}}),
+        b"".join(LOG_LINES[:4]) + canonical_json_line({**RECORDS[4], "nonce": "n0"}),
+        canonical_json_line({**RECORDS[7], "lineage": {
+            **RECORDS[7]["lineage"], "base": RECORDS[7]["lineage"]["identifier"],
+            "base_system_id": parse_identifier(RECORDS[7]["lineage"]["identifier"]).system_id}}),
     ],
     ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
          "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
@@ -328,11 +353,28 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
          "incident-at-not-an-integer", "incident-with-an-unknown-field",
          "register-key-at-a-float", "issue-at-a-float",
          "lineage-at-a-float", "external-link-at-a-float", "document-names-another-instance",
-         "issue-without-a-document", "document-on-a-reload"],
+         "issue-without-a-document", "document-on-a-reload",
+         "issue-for-an-existing-instance", "upstream-a-float", "user-ref-a-number",
+         "branch-point-a-float", "upstream-without-its-external-link",
+         "created-in-another-system", "merged-with-one-constituent",
+         "reload-names-an-upstream", "report-with-an-unknown-field",
+         "document-with-an-unknown-field", "repeated-nonce", "fine-tuned-from-itself"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):
         Registry.replay(line, "acme")
+
+
+def test_replay_raises_what_the_live_issue_raises_on_a_repeated_constituent():
+    merged = RECORDS[6]["lineage"]
+    constituent = parse_identifier(merged["constituents"][0])
+    with pytest.raises(DuplicateConstituents):
+        every_record_kind_registry().issue(Merged((constituent, constituent)))
+    line = canonical_json_line(
+        {**RECORDS[6], "lineage": {**merged, "constituents": [str(constituent)] * 2}}
+    )
+    with pytest.raises(DuplicateConstituents):
+        Registry.replay(b"".join(LOG_LINES[:6]) + line, "acme")
 
 
 @pytest.mark.parametrize(

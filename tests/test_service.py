@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import instanceid.registry
 from instanceid import (
     Created,
     IncidentReport,
@@ -143,6 +144,28 @@ def test_query_incidents_reply_and_incident_log_lines_are_canonical_bytes():
         )
         for report in reports
     ]
+
+
+def test_replayed_reports_are_served_without_encoding_them_again(monkeypatch):
+    registry = _registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    for index in range(5):
+        registry.report_incident(
+            IncidentReport(f"r{index}", identifier, "service.x", Severity.MINOR, "x", 9_000)
+        )
+    server = RegistryServer(Registry.replay(registry.log_lines(), "acme", clock=registry.clock))
+    encoded = Counter()
+    encode = instanceid.registry.canonical_json_bytes
+
+    def counting(value):
+        encoded["calls"] += 1
+        return encode(value)
+
+    monkeypatch.setattr(instanceid.registry, "canonical_json_bytes", counting)
+    reply = server.handle({"body": {"scope": IncidentScope.instance(identifier).to_jsonable()},
+                           "endpoint": "query-incidents"})
+    assert len(load_canonical(reply)["body"]["reports"]) == 5
+    assert encoded["calls"] == 0
 
 
 @pytest.mark.parametrize(
