@@ -43,25 +43,27 @@ def b64u_decode(text: str) -> bytes:
     return base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
 
 
+# Container items of exactly these types are canonical as they stand (Python
+# writes an int in shortest decimal form) and cost no call; any other item,
+# a subclass included, takes the checks below.
+_LEAF_TYPES = frozenset({str, int, bool, type(None)})
+
+
 def _check_value(value: Any) -> None:
-    if value is None or isinstance(value, (bool, int, str)):
-        if isinstance(value, int) and not isinstance(value, bool):
-            # shortest-decimal requirement is automatic for python ints
-            return
-        return
-    if isinstance(value, float):
-        raise MalformedRecord("floats are not canonical-serializable")
-    if isinstance(value, list):
-        for item in value:
-            _check_value(item)
-        return
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str) or not key.isascii():
                 raise MalformedRecord(f"non-ASCII or non-string key: {key!r}")
-            _check_value(item)
-        return
-    raise MalformedRecord(f"type {type(value).__name__} is not canonical-serializable")
+            if type(item) not in _LEAF_TYPES:
+                _check_value(item)
+    elif isinstance(value, list):
+        for item in value:
+            if type(item) not in _LEAF_TYPES:
+                _check_value(item)
+    elif isinstance(value, float):
+        raise MalformedRecord("floats are not canonical-serializable")
+    elif not (value is None or isinstance(value, (bool, int, str))):
+        raise MalformedRecord(f"type {type(value).__name__} is not canonical-serializable")
 
 
 def canonical_json_bytes(value: Any) -> bytes:

@@ -73,9 +73,23 @@ class InstanceIdentifier:
 
 
 def parse_identifier(text: str) -> InstanceIdentifier:
-    """Split on the first ``:`` and validate both tokens."""
+    """Split on the first ``:`` and validate both tokens.
+
+    Decoding a reply or a log parses the same identifiers again and again,
+    so the split and the validated ``InstanceIdentifier`` (an immutable
+    value, so a hit equals a fresh parse) are memoised for the ``1 << 14``
+    most recently used texts, each at most 257 characters (~13 MB at most
+    in CPython 3.11). Only a ``str`` holding the separator reaches the
+    memo, and it keeps no failed parse, so every call on bad input raises
+    ``MalformedIdentifier``.
+    """
     if not isinstance(text, str) or SEPARATOR not in text:
         raise MalformedIdentifier(f"missing separator in {text!r}")
+    return _split_identifier(text)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _split_identifier(text: str) -> InstanceIdentifier:
     system_id, _, instance_id = text.partition(SEPARATOR)
     return InstanceIdentifier(system_id, instance_id)
 

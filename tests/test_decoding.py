@@ -265,6 +265,9 @@ def _rule_with_threshold(max_count):
         ("policy_from_jsonable", {"rules": [_rule_with_rate(0.5, True)]}),
         ("PolicyRule", _rule_with_threshold(0.5)),
         ("PolicyRule", _rule_with_threshold(True)),
+        ("IncidentReport", {**REPORT.to_jsonable(), "severity": "bogus"}),
+        ("IncidentReport", {**REPORT.to_jsonable(), "severity": ["minor"]}),
+        ("IncidentReport", {**REPORT.to_jsonable(), "severity": None}),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
@@ -275,8 +278,8 @@ def test_named_malformed_inputs_raise_malformed_record(name, body):
 # -- registry log ----------------------------------------------------------------------
 
 LOG_LINES = every_record_kind_registry().log_lines().splitlines(keepends=True)
-# 0 register-key, 3-4 created issues (3 the reloaded root), 8 the reload,
-# 9 an issue with an upstream link
+# 0-1 register-key, 2 revoke-key, 3-4 created issues (3 the reloaded root),
+# 8 the reload, 9 an issue with an upstream link, 12 shutdown
 RECORDS = [load_canonical(line) for line in LOG_LINES]
 
 
@@ -346,6 +349,9 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
         canonical_json_line({**RECORDS[7], "lineage": {
             **RECORDS[7]["lineage"], "base": RECORDS[7]["lineage"]["identifier"],
             "base_system_id": parse_identifier(RECORDS[7]["lineage"]["identifier"]).system_id}}),
+        canonical_json_line({**RECORDS[0], "x": 1}),
+        b"".join(LOG_LINES[:2]) + canonical_json_line({**RECORDS[2], "x": 1}),
+        b"".join(LOG_LINES[:12]) + canonical_json_line({**RECORDS[12], "x": 1}),
     ],
     ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
          "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
@@ -358,7 +364,9 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
          "branch-point-a-float", "upstream-without-its-external-link",
          "created-in-another-system", "merged-with-one-constituent",
          "reload-names-an-upstream", "report-with-an-unknown-field",
-         "document-with-an-unknown-field", "repeated-nonce", "fine-tuned-from-itself"],
+         "document-with-an-unknown-field", "repeated-nonce", "fine-tuned-from-itself",
+         "register-key-with-an-unknown-field", "revoke-key-with-an-unknown-field",
+         "shutdown-with-an-unknown-field"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):

@@ -27,6 +27,7 @@ from instanceid.errors import (
     MalformedIdentifier,
     MalformedRecord,
 )
+from instanceid import identity
 from instanceid.identity import IdDocument, digest_form_bytes, doc_from_jsonable, doc_to_jsonable
 
 from helpers import random_attribute, random_document, random_identifier
@@ -65,6 +66,25 @@ def test_parse_examples():
 def test_parse_rejects(bad):
     with pytest.raises(MalformedIdentifier):
         parse_identifier(bad)
+
+
+def test_parse_of_repeated_text_returns_equal_identifiers():
+    first = parse_identifier("sys-a:0001")
+    for _ in range(3):
+        assert parse_identifier("sys-a:0001") == first == InstanceIdentifier("sys-a", "0001")
+    memo = identity._split_identifier.cache_info()
+    assert memo.maxsize == 1 << 14 and memo.currsize <= memo.maxsize
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["sys-a", "0001"], "a:" + "x" * 129, "no-separator"],
+    ids=["a-list", "token-over-128-characters", "no-separator"],
+)
+def test_parse_rejects_on_every_call(bad):
+    for _ in range(3):
+        with pytest.raises(MalformedIdentifier):
+            parse_identifier(bad)
 
 
 def test_format_examples():
@@ -350,3 +370,34 @@ def test_b64u_no_padding_round_trip():
 def test_canonical_rejects_floats():
     with pytest.raises(MalformedRecord):
         canonical_json_bytes({"x": 1.5})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"x": [1, 1.5]}, {1: "x"}, {"caf\u00e9": 1}, ("a", 1), [b"bytes"], {"x": {"a"}}],
+    ids=["float-in-a-list-in-a-dict", "int-key", "non-ascii-key", "tuple", "bytes", "set"],
+)
+def test_canonical_rejects_each_value_json_cannot_spell_canonically(value):
+    with pytest.raises(MalformedRecord):
+        canonical_json_bytes(value)
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ({"on": True, "off": [False, None]}, b'{"off":[false,null],"on":true}'),
+        ({"n": _Int(7), "m": [_Int(-3)]}, b'{"m":[-3],"n":7}'),
+        ({_Str("key"): _Str("text"), "list": [_Str("x")]}, b'{"key":"text","list":["x"]}'),
+    ],
+    ids=["bool", "int-subclass", "str-subclass"],
+)
+def test_canonical_bytes_of_bools_and_subclasses(value, expected):
+    assert canonical_json_bytes(value) == expected

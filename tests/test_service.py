@@ -87,6 +87,22 @@ def test_incident_endpoints(served, clients):
     assert [r.report_id for r in got] == ["r1"]
 
 
+def test_tcp_query_incidents_decodes_the_reports_the_registry_holds(served):
+    registry, _, tcp, _ = served
+    identifiers = [registry.issue(Created("sys-a", f"u{n}")).doc.identifier for n in range(5)]
+    severities = list(Severity)
+    for n in range(60):
+        registry.report_incident(IncidentReport(
+            f"r{n}", identifiers[n % 5], f"service.p{n % 3}", severities[n % 4], f"d{n}",
+            9_000 + n % 17, None if n % 2 else f"user-{n % 7}",
+        ))
+    scope = IncidentScope.system("sys-a")
+    with TcpClient(*tcp.address) as remote:
+        got = remote.query_incidents(scope)
+    assert len(got) == 60
+    assert got == registry.query_incidents(scope)
+
+
 class _Recording(RegistryServer):
     """Keeps every reply line it returns."""
 
