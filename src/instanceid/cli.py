@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .canonical import load_canonical
+from .canonical import canonical_json_line, load_canonical
 from .clock import SystemClock
 from .disclosure import DisclosedView, verify_view
 from .errors import ProtocolError
@@ -102,8 +102,8 @@ def id_verify(file, trust_path, at, fmt):
         reference = artifact.created_at if at is None else at
         report = verify_view(artifact, trust, reference)
     if fmt == "canonical":
-        click.echo(json.dumps({"detail": report.detail, "verdict": report.verdict.value},
-                              sort_keys=True, separators=(",", ":")))
+        click.echo(canonical_json_line({"detail": report.detail, "verdict": report.verdict.value}),
+                   nl=False)
     else:
         click.echo(f"{report.verdict.value}" + (f" ({report.detail})" if report.detail else ""))
     sys.exit(0 if report.ok else 1)
@@ -134,8 +134,8 @@ def lineage_trace(identifier, direction, log_path, author_id, fmt):
         sys.exit(1)
     for ident, external in related:
         if fmt == "canonical":
-            click.echo(json.dumps({"external": external, "identifier": str(ident)},
-                                  sort_keys=True, separators=(",", ":")))
+            click.echo(canonical_json_line({"external": external, "identifier": str(ident)}),
+                       nl=False)
         else:
             marker = " [external]" if external else ""
             click.echo(f"{ident}{marker}")
@@ -167,7 +167,7 @@ def incidents_query(scope_kind, value, log_path, author_id, start, end, fmt):
         sys.exit(1)
     for report in reports:
         if fmt == "canonical":
-            click.echo(json.dumps(report.to_jsonable(), sort_keys=True, separators=(",", ":")))
+            click.echo(report.canonical_bytes)
         else:
             click.echo(
                 f"{report.occurred_at} {report.report_id} {report.identifier} "
@@ -189,13 +189,13 @@ def registry_serve(config_path):
     except (ProtocolError, OSError) as exc:
         click.echo(f"bad config: {exc}", err=True)
         sys.exit(1)
-    registry = Registry(config.author_id, retention=config.retention())
+    registry = Registry(config.author_id, retention=config.retention)
     try:
         if config.log_file and Path(config.log_file).exists():
             registry = Registry.replay(
                 Path(config.log_file).read_bytes(),
                 config.author_id,
-                retention=config.retention(),
+                retention=config.retention,
             )
         if config.key_file:
             key_path = Path(config.key_file)

@@ -1,11 +1,22 @@
 """Service-provider policy engine: verify presented IDs, gate access.
 
-Rules are an ordered list; the first match wins (firewall convention).
-A matching rule can require an ID, full output-bound verification, or a
-named certification, throttle or refuse ID-less callers, and refuse
-instances with too many prior incidents. ID-less rate limiting keys on the
-caller's transport address; presenting a verified ID bypasses that limiter,
-which is exactly the incentive the limiter exists to create.
+Rules are an ordered list; the first match wins (firewall convention). No
+match, or a rule that requires nothing, allows. A caller with no ID gets the
+rule's ``on_missing``: allow or deny with ``no-id``, or throttle with
+``no-id``, ``rate-limit`` by a token bucket per transport address. Showing an
+ID bypasses that limiter, which is exactly the incentive it exists to create.
+A presented ID is checked in this order; the first check that fails denies:
+
+1. the ID or view, then the manifest if one is shown, must verify at the
+   request time (never at a time the presenter wrote, which a revoked key's
+   holder could backdate), and the manifest must name the ID and the shown
+   output, else ``unverified``; a ``verified-id`` rule needs a manifest, the
+   binding of the ID to the output, else ``no-manifest``;
+2. a ``certification`` rule needs a revealed ``cert:<name>`` property
+   attribute, else ``no-certification``;
+3. the incident threshold's scope must hold at most ``max_count`` reports,
+   else ``incident-threshold``; an unreachable registry gives
+   ``registry-unavailable``, allowed only when the config fails open.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from typing import Any, Mapping, Optional, Union
 from .canonical import b64u
 from .disclosure import DisclosedView, verify_view
 from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable, decoding
-from .identity import AttributeCategory, InstanceIdentifier
+from .identity import AttributeCategory, InstanceIdentifier, is_attribute_name
 from .registry import IncidentScope, TimeWindow
 from .verifiability import (
     Manifest,
@@ -53,8 +64,9 @@ class Requirement:
     def __post_init__(self):
         if self.kind not in REQUIREMENT_KINDS:
             raise MalformedRecord(f"unknown requirement {self.kind!r}")
-        if (self.kind == "certification") != (self.cert is not None):
-            raise MalformedRecord("certification requirement needs a cert name")
+        named = isinstance(self.cert, str) and is_attribute_name(f"cert:{self.cert}")
+        if not (named if self.kind == "certification" else self.cert is None):
+            raise MalformedRecord(f"bad cert {self.cert!r} for a {self.kind!r} requirement")
 
     @classmethod
     def none(cls) -> "Requirement":
@@ -273,63 +285,56 @@ def rate_limiter_admit(
 # -- evaluation ------------------------------------------------------------------
 
 
-def _verify_presented(
-    presented: Presented,
-    requirement: Requirement,
+def _denied(reason: str) -> Decision:
+    return Decision(GateVerdict.DENIED, reasons=(reason,), admitted=False)
+
+
+def _judge_presented(
+    rule: PolicyRule,
+    ctx: RequestContext,
     trust_store: TrustStore,
-    at: int,
-) -> Optional[str]:
-    """None when acceptable, else the refusal reason token.
+    registry_client,
+    config: GatekeeperConfig,
+) -> Decision:
+    """Decide on a presented ID by the checks of the module docstring, in order."""
+    presented, at = ctx.presented, ctx.timestamp
+    artifact, manifest = presented.id_artifact, presented.manifest
+    verify = verify_id if isinstance(artifact, SignedId) else verify_view
+    if not verify(artifact, trust_store, at).ok or (manifest is not None and (
+        manifest.identifier != presented.identifier
+        or presented.output is None
+        or not verify_manifest(manifest, presented.output, trust_store, at=at).ok
+    )):
+        return _denied("unverified")
+    if manifest is None and rule.requirement.kind == "verified-id":
+        return _denied("no-manifest")
 
-    The ID or view and the manifest are checked at ``at``, the request
-    time, never at a time the presenter wrote into them: a holder of a
-    revoked key could otherwise backdate fresh artifacts to before the
-    revocation."""
-    artifact = presented.id_artifact
-    if isinstance(artifact, SignedId):
-        report = verify_id(artifact, trust_store, at)
-    else:
-        report = verify_view(artifact, trust_store, at)
-    if not report.ok:
-        return "unverified"
-    if presented.manifest is not None:
-        if presented.manifest.identifier != presented.identifier:
-            return "unverified"
-        if (
-            presented.output is None
-            or not verify_manifest(
-                presented.manifest, presented.output, trust_store, at=at
-            ).ok
+    if rule.requirement.kind == "certification":
+        if isinstance(artifact, SignedId):
+            attributes = artifact.doc.attributes
+        else:
+            attributes = (entry.attribute for entry in artifact.revealed)
+        name = f"cert:{rule.requirement.cert}"
+        if not any(
+            attr.name == name and attr.category is AttributeCategory.PROPERTY
+            for attr in attributes
         ):
-            return "unverified"
-    elif requirement.kind == "verified-id":
-        # full verification binds the ID to the presented output
-        return "no-manifest"
-    return None
+            return _denied("no-certification")
 
-
-def _has_certification(presented: Presented, cert: str) -> bool:
-    name = f"cert:{cert}"
-    artifact = presented.id_artifact
-    if isinstance(artifact, SignedId):
-        attrs = artifact.doc.attributes
-    else:
-        attrs = tuple(entry.attribute for entry in artifact.revealed)
-    return any(
-        attr.name == name and attr.category is AttributeCategory.PROPERTY
-        for attr in attrs
-    )
-
-
-def _resolve_threshold_scope(
-    threshold: IncidentThreshold, presented: Presented
-) -> IncidentScope:
-    identifier = presented.identifier
-    if threshold.scope_kind == "instance":
-        return IncidentScope.instance(identifier)
-    if threshold.scope_kind == "system":
-        return IncidentScope.system(identifier.system_id)
-    return IncidentScope.systems(identifier.system_id)
+    threshold = rule.incident_threshold
+    if threshold is not None:
+        identifier = presented.identifier
+        kind = threshold.scope_kind
+        scope = IncidentScope(kind, str(identifier) if kind == "instance" else identifier.system_id)
+        try:
+            reports = registry_client.query_incidents(scope, TimeWindow())
+        except RegistryUnavailable:
+            if config.fail_open:
+                return Decision(GateVerdict.ALLOW, reasons=("registry-unavailable",))
+            return _denied("registry-unavailable")
+        if len(reports) > threshold.max_count:
+            return _denied("incident-threshold")
+    return Decision(GateVerdict.ALLOW)
 
 
 def evaluate(
@@ -347,74 +352,19 @@ def evaluate(
     bucket changes, and a throttled decision returns a new mapping."""
     rule = next((r for r in rules if r.matches(ctx)), None)
     if rule is None or rule.requirement.kind == "none":
-        return Decision(GateVerdict.ALLOW), limiter
-
-    if ctx.presented is None:
-        if rule.on_missing.kind == "allow":
-            return Decision(GateVerdict.ALLOW, reasons=("no-id",)), limiter
-        if rule.on_missing.kind == "deny":
-            return (
-                Decision(GateVerdict.DENIED, reasons=("no-id",), admitted=False),
-                limiter,
-            )
+        decision = Decision(GateVerdict.ALLOW)
+    elif ctx.presented is not None:
+        decision = _judge_presented(rule, ctx, trust_store, registry_client, config)
+    elif rule.on_missing.kind == "allow":
+        decision = Decision(GateVerdict.ALLOW, reasons=("no-id",))
+    elif rule.on_missing.kind == "deny":
+        decision = _denied("no-id")
+    else:
         admitted, limiter = rate_limiter_admit(
             limiter, f"addr:{ctx.caller}", rule.on_missing.rate, ctx.timestamp
         )
-        return (
-            Decision(
-                GateVerdict.THROTTLED,
-                reasons=("no-id", "rate-limit"),
-                admitted=admitted,
-            ),
-            limiter,
-        )
-
-    refusal = _verify_presented(ctx.presented, rule.requirement, trust_store, ctx.timestamp)
-    if refusal is not None:
-        return (
-            Decision(GateVerdict.DENIED, reasons=(refusal,), admitted=False),
-            limiter,
-        )
-
-    if rule.requirement.kind == "certification" and not _has_certification(
-        ctx.presented, rule.requirement.cert
-    ):
-        return (
-            Decision(
-                GateVerdict.DENIED, reasons=("no-certification",), admitted=False
-            ),
-            limiter,
-        )
-
-    if rule.incident_threshold is not None:
-        scope = _resolve_threshold_scope(rule.incident_threshold, ctx.presented)
-        try:
-            reports = registry_client.query_incidents(scope, TimeWindow())
-        except RegistryUnavailable:
-            if config.fail_open:
-                return (
-                    Decision(GateVerdict.ALLOW, reasons=("registry-unavailable",)),
-                    limiter,
-                )
-            return (
-                Decision(
-                    GateVerdict.DENIED,
-                    reasons=("registry-unavailable",),
-                    admitted=False,
-                ),
-                limiter,
-            )
-        if len(reports) > rule.incident_threshold.max_count:
-            return (
-                Decision(
-                    GateVerdict.DENIED,
-                    reasons=("incident-threshold",),
-                    admitted=False,
-                ),
-                limiter,
-            )
-
-    return Decision(GateVerdict.ALLOW), limiter
+        decision = Decision(GateVerdict.THROTTLED, ("no-id", "rate-limit"), admitted)
+    return decision, limiter
 
 
 def flag_and_notify(ctx: RequestContext, reason: str) -> dict:

@@ -190,18 +190,32 @@ class AgentSim:
 
 
 class ServiceSim:
-    def __init__(self, name: str, rules: list[PolicyRule], trust: TrustStore):
+    """A service provider that gates one action with one rule."""
+
+    def __init__(
+        self,
+        name: str,
+        action: str,
+        requirement: Requirement,
+        on_missing: OnMissing,
+        trust: TrustStore,
+    ):
         self.name = name
-        self.rules = rules
+        self.action = action
+        self.rules = [PolicyRule(action, requirement=requirement, on_missing=on_missing)]
         self.trust = trust
         self.limiter: dict = {}
         self.report_seq = 0
 
-    def decide(self, ctx: RequestContext, registry_client) -> Decision:
+    def decide(
+        self, caller: str, presented: Optional[Presented], at: int, registry_client
+    ) -> tuple[Decision, RequestContext]:
+        """Gate one request for the action; the context is returned for flagging."""
+        ctx = RequestContext(self.action, 0, "none", at, caller, presented)
         decision, self.limiter = evaluate(
             self.rules, ctx, self.trust, registry_client, self.limiter
         )
-        return decision
+        return decision, ctx
 
 
 class Ecosystem:
@@ -269,16 +283,12 @@ def run_shutdown_scenario(config: SimConfig, transport: str = "inproc") -> SimEv
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
     trace = SimEventTrace("shutdown")
-    service_rules = [
-        PolicyRule(
-            action="use-service",
-            requirement=Requirement.id_required(),
-            on_missing=OnMissing.deny(),
-        )
-    ]
     with ecosystem(config, clock, rng, transport) as eco:
         services = [
-            ServiceSim(f"svc-{i}", service_rules, eco.trust) for i in range(3)
+            ServiceSim(
+                f"svc-{i}", "use-service", Requirement.id_required(), OnMissing.deny(), eco.trust
+            )
+            for i in range(3)
         ]
         agents: list[AgentSim] = []
         for i in range(config.agents):
@@ -299,15 +309,10 @@ def run_shutdown_scenario(config: SimConfig, transport: str = "inproc") -> SimEv
                 service = services[(step + index) % len(services)]
                 output = f"output:{agent.identifier}:{step}".encode()
                 presented = agent.present(eco.policy, output, clock.now())
-                ctx = RequestContext(
-                    action="use-service",
-                    magnitude=0,
-                    unit="none",
-                    timestamp=clock.now(),
-                    caller=f"addr-{agent.identifier}",
-                    presented=presented,
+                decision, ctx = service.decide(
+                    f"addr-{agent.identifier}", presented, clock.now(),
+                    eco.client_for(agent.identifier),
                 )
-                decision = service.decide(ctx, eco.client_for(agent.identifier))
                 trace.add(
                     step,
                     service.name,
@@ -385,16 +390,12 @@ def run_certification_scenario(config: SimConfig, transport: str = "inproc") -> 
     clock = SimClock(CLOCK_EPOCH)
     trace = SimEventTrace("certification")
     cert_name = "no-prompt-injection"
-    rules = [
-        PolicyRule(
-            action="interact",
-            requirement=Requirement.certification(cert_name),
-            on_missing=OnMissing.deny(),
-        )
-    ]
     with ecosystem(config, clock, rng, transport) as eco:
         deployer = eco.deployers[0]
-        service = ServiceSim("svc-gate", rules, eco.trust)
+        service = ServiceSim(
+            "svc-gate", "interact", Requirement.certification(cert_name), OnMissing.deny(),
+            eco.trust,
+        )
 
         cert_attr = Attribute.inline_bytes(
             f"cert:{cert_name}",
@@ -416,21 +417,25 @@ def run_certification_scenario(config: SimConfig, transport: str = "inproc") -> 
         trace.add(0, deployer.name, "issue", {"identifier": str(certified.identifier), "certified": True})
         trace.add(0, deployer.name, "issue", {"identifier": str(plain.identifier), "certified": False})
 
-        clock.advance()
-        for label, agent in (("certified", certified), ("uncertified", plain)):
-            output = f"hello:{label}".encode()
+        presentations = (  # step, label, agent, caller, output
+            (1, "certified", certified, f"addr-{certified.identifier}", b"hello:certified"),
+            (1, "uncertified", plain, f"addr-{plain.identifier}", b"hello:uncertified"),
+            # an attacker presents the certified agent's ID with a tampered payload
+            (2, "tampered", certified, "addr-attacker", b"hello:attacker"),
+        )
+        for step, label, agent, caller, output in presentations:
+            if clock.now() < CLOCK_EPOCH + step:  # each step is one tick later
+                clock.advance()
             presented = agent.present(eco.policy, output, clock.now())
-            ctx = RequestContext(
-                action="interact",
-                magnitude=0,
-                unit="none",
-                timestamp=clock.now(),
-                caller=f"addr-{agent.identifier}",
-                presented=presented,
+            if label == "tampered":
+                presented = Presented(
+                    _tamper_view(presented.id_artifact), presented.manifest, output
+                )
+            decision, _ = service.decide(
+                caller, presented, clock.now(), eco.client_for(agent.identifier)
             )
-            decision = service.decide(ctx, eco.client_for(agent.identifier))
             trace.add(
-                1,
+                step,
                 service.name,
                 "service-decision",
                 {
@@ -440,32 +445,6 @@ def run_certification_scenario(config: SimConfig, transport: str = "inproc") -> 
                     "verdict": decision.verdict,
                 },
             )
-
-        # attacker presents the certified agent's ID with a tampered payload
-        clock.advance()
-        output = b"hello:attacker"
-        honest = certified.present(eco.policy, output, clock.now())
-        tampered = Presented(_tamper_view(honest.id_artifact), honest.manifest, output)
-        ctx = RequestContext(
-            action="interact",
-            magnitude=0,
-            unit="none",
-            timestamp=clock.now(),
-            caller="addr-attacker",
-            presented=tampered,
-        )
-        decision = service.decide(ctx, eco.client_for(certified.identifier))
-        trace.add(
-            2,
-            service.name,
-            "service-decision",
-            {
-                "agent": "tampered",
-                "identifier": str(certified.identifier),
-                "reasons": list(decision.reasons),
-                "verdict": decision.verdict,
-            },
-        )
         _assert_healthy(eco)
     return trace
 
@@ -484,15 +463,11 @@ def run_investigation_scenario(config: SimConfig, transport: str = "inproc") -> 
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
     trace = SimEventTrace("scam")
-    rules = [
-        PolicyRule(
-            action="place-call",
-            requirement=Requirement.id_required(),
-            on_missing=OnMissing.rate_limit(1000, 3600),
-        )
-    ]
     with ecosystem(config, clock, rng, transport) as eco:
-        telco = ServiceSim("svc-telco", rules, eco.trust)
+        telco = ServiceSim(
+            "svc-telco", "place-call", Requirement.id_required(),
+            OnMissing.rate_limit(1000, 3600), eco.trust,
+        )
         root_deployer = eco.deployers[0]
         root_user = f"mallory-{rng.getrandbits(32):08x}"
         root = AgentSim(
@@ -562,15 +537,9 @@ def run_investigation_scenario(config: SimConfig, transport: str = "inproc") -> 
         for index, agent in enumerate(sub_agents):
             output = f"call-script:{index}".encode()
             presented = agent.present(eco.policy, output, clock.now())
-            ctx = RequestContext(
-                action="place-call",
-                magnitude=0,
-                unit="none",
-                timestamp=clock.now(),
-                caller=f"addr-{index}",
-                presented=presented,
+            decision, _ = telco.decide(
+                f"addr-{index}", presented, clock.now(), eco.client_for(agent.identifier)
             )
-            decision = telco.decide(ctx, eco.client_for(agent.identifier))
             if not decision.admitted:
                 continue
             cdr = {

@@ -263,6 +263,11 @@ class RetentionConfig:
     documents: int = 365 * 86400
     incidents: int = 730 * 86400
 
+    def __post_init__(self):
+        for seconds in (self.documents, self.incidents):
+            if type(seconds) is not int or seconds < 0:
+                raise MalformedRecord(f"retention must be an integer >= 0, not {seconds!r}")
+
     def to_jsonable(self) -> dict:
         return {"documents": self.documents, "incidents": self.incidents}
 

@@ -433,12 +433,18 @@ class ServiceConfig:
     author_id: str
     host: str = "127.0.0.1"
     port: int = 7710
-    retention_documents: int = RetentionConfig.documents
-    retention_incidents: int = RetentionConfig.incidents
+    retention: RetentionConfig = RetentionConfig()
     key_file: Optional[str] = None
     log_file: Optional[str] = None
 
     ENV_PREFIX = "INSTANCEID_"
+
+    def __post_init__(self):
+        if type(self.port) is not int or not 0 <= self.port <= 65535:
+            raise MalformedRecord(f"port must be in 0-65535, not {self.port!r}")
+        for path in (self.key_file, self.log_file):
+            if path is not None and not isinstance(path, str):
+                raise MalformedRecord(f"key and log files must be strings or null, not {path!r}")
 
     @classmethod
     def from_file(cls, path: str | Path, env: Optional[dict] = None) -> "ServiceConfig":
@@ -448,28 +454,21 @@ class ServiceConfig:
             listen = env.get(cls.ENV_PREFIX + "LISTEN", body.get("listen", "127.0.0.1:7710"))
             host, _, port = listen.rpartition(":")
             retention = body.get("retention", {})
+            for field in ("documents", "incidents"):
+                text = env.get(f"{cls.ENV_PREFIX}RETENTION_{field.upper()}")
+                if text is not None:  # only environment values are strings
+                    retention = {**retention, field: int(text)}
             return cls(
                 author_id=env.get(cls.ENV_PREFIX + "AUTHOR_ID", body["author_id"]),
                 host=host or "127.0.0.1",
                 port=int(port),
-                retention_documents=int(
-                    env.get(
-                        cls.ENV_PREFIX + "RETENTION_DOCUMENTS",
-                        retention.get("documents", RetentionConfig.documents),
-                    )
-                ),
-                retention_incidents=int(
-                    env.get(
-                        cls.ENV_PREFIX + "RETENTION_INCIDENTS",
-                        retention.get("incidents", RetentionConfig.incidents),
-                    )
+                retention=RetentionConfig(
+                    retention.get("documents", RetentionConfig.documents),
+                    retention.get("incidents", RetentionConfig.incidents),
                 ),
                 key_file=env.get(cls.ENV_PREFIX + "KEY_FILE", body.get("key_file")),
                 log_file=env.get(cls.ENV_PREFIX + "LOG_FILE", body.get("log_file")),
             )
-
-    def retention(self) -> RetentionConfig:
-        return RetentionConfig(self.retention_documents, self.retention_incidents)
 
 
 @decoding("key file")

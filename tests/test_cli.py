@@ -196,6 +196,29 @@ def test_incidents_query_from_log(runner, tmp_path):
     assert empty.exit_code == 0 and empty.output.strip() == ""
 
 
+def test_incidents_query_canonical_prints_canonical_bytes(runner, tmp_path):
+    import time
+
+    clock = SimClock(int(time.time()))
+    registry = Registry("acme", clock=clock, rng=random.Random(4))
+    registry.install_key(fixed_keypair("acme", "k1"))
+    root = registry.issue(Created("sys-a", "user-1")).doc.identifier
+    report = IncidentReport(
+        "r1", root, "service.x", Severity.MAJOR, "café — déjà", clock.now()
+    )
+    registry.report_incident(report)
+    log = tmp_path / "registry.log"
+    log.write_bytes(registry.log_lines())
+    result = runner.invoke(
+        main,
+        ["incidents", "query", "--scope", "instance", "--value", str(root),
+         "--log", str(log), "--author", "acme", "--format", "canonical"],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == report.canonical_bytes + b"\n"
+    assert "café — déjà".encode() in result.stdout_bytes
+
+
 @pytest.mark.parametrize("line", [b'{"kind":"shutdown"}\n', b"[]\n"])
 @pytest.mark.parametrize(
     "command",

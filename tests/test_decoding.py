@@ -242,6 +242,10 @@ def _rule_with_threshold(max_count):
     return {**RULE.to_jsonable(), "incident_threshold": {"max": max_count, "scope": "system"}}
 
 
+def _rule_with_cert(kind, cert):
+    return {**RULE.to_jsonable(), "requirement": {"cert": cert, "kind": kind}}
+
+
 @pytest.mark.parametrize(
     "name, body",
     [
@@ -268,6 +272,9 @@ def _rule_with_threshold(max_count):
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": "bogus"}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": ["minor"]}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": None}),
+        ("policy_from_jsonable", {"rules": [_rule_with_cert("certification", 5)]}),
+        ("PolicyRule", _rule_with_cert("certification", "No Name")),
+        ("PolicyRule", _rule_with_cert("id", "x")),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
@@ -528,7 +535,13 @@ def test_load_canonical_rejects_a_lone_surrogate(data):
 @pytest.mark.parametrize(
     "body",
     [b"[]", b"{}", b'{"author_id": "acme", "listen": 5}', b'{"author_id": "acme", "listen": ":x"}',
-     b'{"author_id": "acme", "retention": []}', b"\xff"],
+     b'{"author_id": "acme", "retention": []}', b"\xff",
+     b'{"author_id": "acme", "key_file": 5}', b'{"author_id": "acme", "log_file": ["x"]}',
+     b'{"author_id": "acme", "listen": "127.0.0.1:70000"}',
+     b'{"author_id": "acme", "listen": "127.0.0.1:-1"}',
+     b'{"author_id": "acme", "retention": {"documents": 1.5}}',
+     b'{"author_id": "acme", "retention": {"incidents": true}}',
+     b'{"author_id": "acme", "retention": {"documents": -1}}'],
 )
 def test_service_config_rejects_malformed_files(tmp_path, body):
     path = tmp_path / "registry.json"

@@ -1,5 +1,6 @@
 """Policy evaluation, token-bucket arithmetic, fail-closed behavior."""
 
+import itertools
 import random
 from types import MappingProxyType
 
@@ -345,6 +346,140 @@ def test_registry_unavailable_fails_closed_by_default():
         config=GatekeeperConfig(fail_open=True),
     )
     assert decision.verdict == GateVerdict.ALLOW
+
+
+# -- decision matrix --------------------------------------------------------------------------
+
+
+def matrix_presentations():
+    """Each kind of presentation the gate tells apart, by name.
+
+    Every shown instance runs under sys-a. The three that can pass
+    verification hold two incidents each, and an instance under sys-ab holds
+    two more, so an instance scope counts 2, a system scope 6 and a systems
+    (prefix) scope 8."""
+    registry, client, clock = make_registry()
+    signed, view = agent_presented(registry, clock, cert="no-prompt-injection", output=b"out")
+    other, _ = agent_presented(registry, clock, with_manifest=False)
+    behaviour = Attribute.inline_bytes(
+        "cert:no-prompt-injection", b"attested",
+        AttributeCategory.BEHAVIOUR, AttributeSpecificity.INSTANCE,
+    )
+    not_property = registry.issue(Created("sys-a", "user-1"), [behaviour])
+    neighbour = registry.issue(Created("sys-ab", "user-1"))
+    registry.disclosure_policy = DisclosurePolicy(rules={})  # hide everything
+    hidden_signed, hidden = agent_presented(
+        registry, clock, cert="no-prompt-injection", output=b"out"
+    )
+    for subject in (signed, not_property, hidden_signed, neighbour):
+        for index in range(2):
+            registry.report_incident(
+                IncidentReport(f"{subject.doc.identifier.instance_id}-{index}",
+                               subject.doc.identifier, "service.x", Severity.MAJOR,
+                               "x", clock.now())
+            )
+    body = view.id_artifact.to_jsonable()
+    body["created_at"] += 1
+    foreign = create_manifest(other.doc.identifier, b"out", None, KEYPAIR, clock.now())
+    shown = {
+        "nothing": None,
+        "signed-id": Presented(signed, view.manifest, b"out"),
+        "view": view,
+        "tampered-view": Presented(DisclosedView.from_jsonable(body), view.manifest, b"out"),
+        "other-output": Presented(view.id_artifact, view.manifest, b"other"),
+        "foreign-manifest": Presented(view.id_artifact, foreign, b"out"),
+        "no-output": Presented(view.id_artifact, view.manifest),
+        "no-manifest": Presented(view.id_artifact),
+        "hidden-cert": hidden,
+        "behaviour-cert": Presented(
+            not_property,
+            create_manifest(not_property.doc.identifier, b"out", None, KEYPAIR, clock.now()),
+            b"out",
+        ),
+    }
+    return client, shown
+
+
+MATRIX_REQUIREMENTS = {
+    "none": Requirement.none(),
+    "id": Requirement.id_required(),
+    "verified-id": Requirement.verified_id(),
+    "certification": Requirement.certification("no-prompt-injection"),
+}
+MATRIX_ON_MISSING = {  # on_missing, the limiter passed in (read-only)
+    "allow": (OnMissing.allow(), MappingProxyType({})),
+    "deny": (OnMissing.deny(), MappingProxyType({})),
+    "rate-limit": (OnMissing.rate_limit(2, 60), MappingProxyType({})),
+    "exhausted": (
+        OnMissing.rate_limit(2, 60),
+        MappingProxyType({"addr:addr-1": Bucket(tokens=0, window_start=NOW)}),
+    ),
+}
+MATRIX_THRESHOLDS = {  # incident threshold, and whether the registry answers
+    "none": (None, True),
+    "under-instance": (IncidentThreshold("instance", 2), True),
+    "over-instance": (IncidentThreshold("instance", 1), True),
+    "under-system": (IncidentThreshold("system", 6), True),
+    "over-system": (IncidentThreshold("system", 5), True),
+    "over-systems": (IncidentThreshold("systems", 7), True),
+    "unavailable": (IncidentThreshold("instance", 2), False),
+}
+
+
+def expected_decision(requirement, shown, on_missing, threshold, fail_open):
+    """(verdict, reasons, admitted) by the documented check order."""
+    def denied(reason):
+        return GateVerdict.DENIED, (reason,), False
+
+    if requirement == "none":
+        return GateVerdict.ALLOW, (), True
+    if shown == "nothing":
+        return {
+            "allow": (GateVerdict.ALLOW, ("no-id",), True),
+            "deny": denied("no-id"),
+            "rate-limit": (GateVerdict.THROTTLED, ("no-id", "rate-limit"), True),
+            "exhausted": (GateVerdict.THROTTLED, ("no-id", "rate-limit"), False),
+        }[on_missing]
+    if shown in ("tampered-view", "other-output", "foreign-manifest", "no-output"):
+        return denied("unverified")
+    if shown == "no-manifest" and requirement == "verified-id":
+        return denied("no-manifest")
+    if shown in ("hidden-cert", "behaviour-cert") and requirement == "certification":
+        return denied("no-certification")
+    if threshold == "unavailable":
+        if fail_open:
+            return GateVerdict.ALLOW, ("registry-unavailable",), True
+        return denied("registry-unavailable")
+    if threshold.startswith("over"):
+        return denied("incident-threshold")
+    return GateVerdict.ALLOW, (), True
+
+
+def test_decision_matrix():
+    client, shown = matrix_presentations()
+    wrong = []
+    for requirement, show, missing, threshold, fail_open in itertools.product(
+        MATRIX_REQUIREMENTS, shown, MATRIX_ON_MISSING, MATRIX_THRESHOLDS, (False, True)
+    ):
+        on_missing, limiter = MATRIX_ON_MISSING[missing]
+        incident_threshold, reachable = MATRIX_THRESHOLDS[threshold]
+        rules = [PolicyRule("transfer-funds", 0, MATRIX_REQUIREMENTS[requirement],
+                            on_missing, incident_threshold)]
+        decision, returned = evaluate(
+            rules, ctx_for(shown[show]), TRUST, client if reachable else UnavailableClient(),
+            limiter, config=GatekeeperConfig(fail_open=fail_open),
+        )
+        case = (requirement, show, missing, threshold, fail_open)
+        want = expected_decision(*case)
+        if (decision.verdict, decision.reasons, decision.admitted) != want:
+            wrong.append((case, decision, want))
+        if want[0] == GateVerdict.THROTTLED:
+            tokens = 1 if missing == "rate-limit" else 0
+            if returned is limiter or returned["addr:addr-1"] != Bucket(tokens, NOW):
+                wrong.append((case, "bucket", dict(returned)))
+        elif returned is not limiter:
+            wrong.append((case, "limiter replaced", dict(returned)))
+    assert not wrong, wrong[:5]
 
 
 # -- notifications ------------------------------------------------------------------------------

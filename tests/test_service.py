@@ -573,7 +573,7 @@ def test_service_config_file_and_env_overrides(tmp_path):
     )
     config = ServiceConfig.from_file(config_path, env={})
     assert (config.author_id, config.host, config.port) == ("acme", "127.0.0.1", 7711)
-    assert config.retention().documents == 100
+    assert config.retention.documents == 100
     assert config.key_file == "keys.json"
 
     env = {
@@ -583,7 +583,7 @@ def test_service_config_file_and_env_overrides(tmp_path):
     }
     overridden = ServiceConfig.from_file(config_path, env=env)
     assert (overridden.host, overridden.port) == ("0.0.0.0", 9000)
-    assert overridden.retention().documents == 5
+    assert overridden.retention.documents == 5
     assert overridden.key_file == "other-keys.json"
 
 
