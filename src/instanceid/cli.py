@@ -18,7 +18,7 @@ from .disclosure import DisclosedView, verify_view
 from .errors import ProtocolError
 from .harness import SCENARIOS, SimConfig
 from .identity import parse_identifier
-from .registry import IncidentScope, Registry, TimeWindow
+from .registry import SCOPE_KINDS, IncidentScope, Registry, TimeWindow
 from .service import (
     RegistryServer,
     ServiceConfig,
@@ -147,8 +147,7 @@ def incidents_group():
 
 
 @incidents_group.command("query")
-@click.option("--scope", "scope_kind", required=True,
-              type=click.Choice(["instance", "user", "system", "systems", "party-class"]))
+@click.option("--scope", "scope_kind", required=True, type=click.Choice(SCOPE_KINDS))
 @click.option("--value", required=True)
 @click.option("--log", "log_path", required=True, type=click.Path(exists=True))
 @click.option("--author", "author_id", default="registry")

@@ -102,10 +102,6 @@ class DisclosurePolicy:
             return False
         return any(matcher.matches(attr) for matcher in matchers)
 
-    @classmethod
-    def reveal_all(cls, *parties: PartyClass) -> "DisclosurePolicy":
-        return cls(rules={party: (AttributeMatcher(),) for party in parties})
-
     def to_jsonable(self) -> dict:
         return {
             party.value: [m.to_jsonable() for m in matchers]

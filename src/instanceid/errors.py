@@ -141,10 +141,6 @@ class DuplicateReportId(ProtocolError):
     """Incident report_id already used."""
 
 
-class UnknownInstanceClass(ProtocolError):
-    """Instance-class scope names a predicate token that is not registered."""
-
-
 class RegistryUnavailable(ProtocolError):
     """The registry cannot be reached over the configured transport."""
 

@@ -76,16 +76,6 @@ class SimConfig:
         if self.steps < 1:
             raise ConfigInvalid("steps must be >= 1")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "agents": self.agents,
-            "deployers": self.deployers,
-            "lineage_depth": self.lineage_depth,
-            "malfunction_rate": self.malfunction_rate,
-            "seed": self.seed,
-            "steps": self.steps,
-        }
-
     @classmethod
     @decoding("scenario config")
     def from_jsonable(cls, body: Any) -> "SimConfig":
@@ -122,9 +112,6 @@ class SimEventTrace:
         digest = sha256(canonical_json_bytes(payload)).hex()
         self.records.append(TraceRecord(step, actor, event, digest))
         self.payloads.append(payload)
-
-    def last_event(self) -> str:
-        return self.records[-1].event if self.records else ""
 
     def find(self, event: str) -> list[tuple[TraceRecord, dict]]:
         return [

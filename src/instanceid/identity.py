@@ -108,7 +108,6 @@ class AttributeCategory(enum.Enum):
     RELATIONSHIP = "relationship"
 
 
-@functools.total_ordering
 class AttributeSpecificity(enum.Enum):
     """How widely an attribute applies, narrowest first."""
 
@@ -118,25 +117,6 @@ class AttributeSpecificity(enum.Enum):
     PARTY_CLASS = "party-class"
     SYSTEM = "system"
     SYSTEMS = "systems"
-
-    @property
-    def rank(self) -> int:
-        return _SPECIFICITY_ORDER.index(self)
-
-    def __lt__(self, other: object):
-        if not isinstance(other, AttributeSpecificity):
-            return NotImplemented
-        return self.rank < other.rank
-
-
-_SPECIFICITY_ORDER = [
-    AttributeSpecificity.INSTANCE,
-    AttributeSpecificity.INSTANCE_CLASS,
-    AttributeSpecificity.USER,
-    AttributeSpecificity.PARTY_CLASS,
-    AttributeSpecificity.SYSTEM,
-    AttributeSpecificity.SYSTEMS,
-]
 
 
 @dataclass(frozen=True)
@@ -302,12 +282,6 @@ class IdDocument:
             raise InvalidDocument("created_at must be a non-negative integer")
         if self.hash_suite != HASH_SUITE:
             raise InvalidDocument(f"unsupported hash suite: {self.hash_suite!r}")
-
-    def attribute(self, name: str) -> Attribute:
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise KeyError(name)
 
     def attribute_names(self) -> list[str]:
         return [attr.name for attr in self.attributes]

@@ -2,9 +2,11 @@
 
 Identifiers are assigned on lifecycle events (create, reload, regenerate,
 merge, fine-tune) and derivation edges accumulate in an append-only store.
-Every mutation is one record applied through a single path; ``build``
-makes the records of an event without applying them, ``commit`` applies
-them, and the registry keeps them in its log, the only log there is.
+Every mutation is one record applied through a single path, and ``build``
+and ``commit`` are the only mutators: ``build`` makes the records of an
+event, and of its cross-deployer upstream link if it has one, without
+applying them, ``commit`` applies them, and the registry keeps them in its
+log, the only log there is.
 ``build`` alone checks an event against the store: registry replay builds
 each logged record again from its event and logged identifier and commits
 it, which reconstructs the store exactly. One lock covers every write and
@@ -19,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
-from .canonical import canonical_json_bytes, sha256
+from .canonical import sha256
 from .errors import (
     DuplicateConstituents,
     MalformedRecord,
@@ -205,15 +207,6 @@ class LineageStore:
         """Apply a lifecycle event; returns the identifier it resolves to."""
         return self.commit(*self.build(event, at))
 
-    def link_external_parent(
-        self, parent: InstanceIdentifier, child: InstanceIdentifier, at: int = 0
-    ) -> None:
-        """Record a cross-deployer derivation: stub parent node + branch edge."""
-        with self._lock:
-            if str(child) not in self._nodes:
-                raise UnknownIdentifier(str(child))
-            self._apply(self._external_record(parent, str(child), at))
-
     def _external_record(self, parent: InstanceIdentifier, child: str, at: int) -> dict:
         """The record linking ``parent`` to ``child``, a node or one being built."""
         if (
@@ -362,6 +355,3 @@ class LineageStore:
                 "external": sorted(self._external),
                 "nodes": sorted(self._nodes),
             }
-
-    def state_bytes(self) -> bytes:
-        return canonical_json_bytes(self.state_jsonable())

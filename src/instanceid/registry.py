@@ -22,8 +22,7 @@ reports:
   index (duplicate id and identifier checks are set lookups);
 * ``query_incidents`` on the ``instance``, ``user``, ``system`` and
   ``party-class`` scopes costs two bisects plus the results it copies out;
-  ``systems`` merges the lists of the systems whose id has the prefix;
-  ``instance-class`` scans every report and sorts the hits.
+  ``systems`` merges the lists of the systems whose id has the prefix.
 
 Key, issue and incident log records hold references to the registry's own
 immutable ``PublicKey``, ``SignedId`` and ``IncidentReport`` objects, so the
@@ -53,7 +52,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .canonical import canonical_json_bytes, canonical_json_line, load_canonical
 from .clock import SystemClock
@@ -64,7 +63,6 @@ from .errors import (
     NoActiveKey,
     NotFound,
     UnknownIdentifier,
-    UnknownInstanceClass,
     decoding,
 )
 from .identity import (
@@ -173,13 +171,12 @@ SCOPE_KINDS = (
     "system",
     "systems",
     "party-class",
-    "instance-class",
 )
 
 
 @dataclass(frozen=True)
 class IncidentScope:
-    """One of six specificity levels an incident query can target."""
+    """One of five specificity levels an incident query can target."""
 
     kind: str
     value: str
@@ -210,10 +207,6 @@ class IncidentScope:
     def party_class(cls, reporter_class: str) -> "IncidentScope":
         return cls("party-class", reporter_class)
 
-    @classmethod
-    def instance_class(cls, predicate_token: str) -> "IncidentScope":
-        return cls("instance-class", predicate_token)
-
     def to_jsonable(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
@@ -234,13 +227,6 @@ class TimeWindow:
         for bound in (self.start, self.end):
             if bound is not None and type(bound) is not int:
                 raise MalformedRecord(f"window bound must be an integer or null, not {bound!r}")
-
-    def contains(self, at: int) -> bool:
-        if self.start is not None and at < self.start:
-            return False
-        if self.end is not None and at > self.end:
-            return False
-        return True
 
     def to_jsonable(self) -> dict:
         return {"end": self.end, "start": self.start}
@@ -443,7 +429,6 @@ class Registry:
         self.inbox: list[dict] = []
         self._signing: Optional[KeyPair] = None
         self._nonces: dict[str, str] = {}
-        self._instance_classes: dict[str, Callable[[IdDocument], bool]] = {}
         self._log: list[dict] = []  # only _apply appends; key/issue/incident records hold objects
         self._lock = threading.Lock()
 
@@ -589,11 +574,6 @@ class Registry:
         self._report_ids.add(report.report_id)
         self.incidents.append(report)
 
-    def register_instance_class(
-        self, token: str, predicate: Callable[[IdDocument], bool]
-    ) -> None:
-        self._instance_classes[token] = predicate
-
     def query_incidents(
         self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW
     ) -> list[IncidentReport]:
@@ -605,27 +585,10 @@ class Registry:
         later) and at the window end, and copy the slice between: O(log n +
         results) for n reports. ``systems`` does the same on each system
         whose id has the prefix, found by bisecting the sorted system ids,
-        and merges the slices. ``instance-class`` scans every report and
-        sorts the hits.
+        and merges the slices.
         """
-        predicate = None
-        if scope.kind == "instance-class":
-            predicate = self._instance_classes.get(scope.value)
-            if predicate is None:
-                raise UnknownInstanceClass(scope.value)
         with self._lock:
             horizon = self.clock.now() - self.retention.incidents
-            if predicate is not None:
-                return sorted(
-                    (
-                        report
-                        for report in self.incidents
-                        if report.occurred_at >= horizon
-                        and window.contains(report.occurred_at)
-                        and self._in_class(report, predicate)
-                    ),
-                    key=_INCIDENT_ORDER,
-                )
             start = horizon if window.start is None else max(horizon, window.start)
             if scope.kind != "systems":
                 return _cut(
@@ -638,10 +601,6 @@ class Registry:
                 for system_id in self._systems_with_prefix(scope.value)
             ]
         return list(heapq.merge(*slices, key=_INCIDENT_ORDER))
-
-    def _in_class(self, report: IncidentReport, predicate: Callable[[IdDocument], bool]) -> bool:
-        signed = self.documents.get(str(report.identifier))
-        return signed is not None and predicate(signed.doc)
 
     def _systems_with_prefix(self, prefix: str) -> Iterator[str]:
         index = bisect_left(self._system_ids, prefix)

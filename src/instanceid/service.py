@@ -230,12 +230,18 @@ class InProcessClient(BaseClient):
         return json.loads(self._server.handle(json.loads(raw)))
 
 
+_MAX_LINE = 1 << 20  # bytes per request line, its newline included
+
+
 class _TcpHandler(socketserver.StreamRequestHandler):
     def handle(self):
         try:
             while True:
-                line = self.rfile.readline()
+                line = self.rfile.readline(_MAX_LINE + 1)
                 if not line:
+                    return
+                if len(line) > _MAX_LINE:  # reply, then close: the rest is unframed
+                    self.wfile.write(_error_line(MalformedRecord("request line too long")))
                     return
                 if not line.strip():
                     continue
@@ -453,15 +459,17 @@ class ServiceConfig:
         with decoding("service config"):
             listen = env.get(cls.ENV_PREFIX + "LISTEN", body.get("listen", "127.0.0.1:7710"))
             host, _, port = listen.rpartition(":")
+            if host != host.strip():
+                raise MalformedRecord(f"listen host has surrounding whitespace: {host!r}")
             retention = body.get("retention", {})
             for field in ("documents", "incidents"):
                 text = env.get(f"{cls.ENV_PREFIX}RETENTION_{field.upper()}")
                 if text is not None:  # only environment values are strings
-                    retention = {**retention, field: int(text)}
+                    retention = {**retention, field: _digits(text, f"retention {field}")}
             return cls(
                 author_id=env.get(cls.ENV_PREFIX + "AUTHOR_ID", body["author_id"]),
                 host=host or "127.0.0.1",
-                port=int(port),
+                port=_digits(port, "port"),
                 retention=RetentionConfig(
                     retention.get("documents", RetentionConfig.documents),
                     retention.get("incidents", RetentionConfig.incidents),
@@ -469,6 +477,14 @@ class ServiceConfig:
                 key_file=env.get(cls.ENV_PREFIX + "KEY_FILE", body.get("key_file")),
                 log_file=env.get(cls.ENV_PREFIX + "LOG_FILE", body.get("log_file")),
             )
+
+
+def _digits(text: str, what: str) -> int:
+    """``text`` as an int if it is ASCII digits only; ``int()`` would also
+    take signs, underscores, surrounding spaces and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedRecord(f"{what} must be ASCII digits, not {text!r}")
+    return int(text)
 
 
 @decoding("key file")

@@ -219,6 +219,16 @@ def test_incidents_query_canonical_prints_canonical_bytes(runner, tmp_path):
     assert "café — déjà".encode() in result.stdout_bytes
 
 
+def test_incidents_query_refuses_the_instance_class_scope(runner, tmp_path):
+    log, _, _ = _write_log(tmp_path)
+    result = runner.invoke(
+        main,
+        ["incidents", "query", "--scope", "instance-class", "--value", "x",
+         "--log", str(log), "--author", "acme"],
+    )
+    assert result.exit_code == 2
+
+
 @pytest.mark.parametrize("line", [b'{"kind":"shutdown"}\n', b"[]\n"])
 @pytest.mark.parametrize(
     "command",

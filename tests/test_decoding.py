@@ -105,7 +105,9 @@ DECODERS = {
     ),
     "DisclosurePolicy": (
         DisclosurePolicy.from_jsonable,
-        DisclosurePolicy.reveal_all(PartyClass.AUDITOR, PartyClass.USER).to_jsonable(),
+        DisclosurePolicy(
+            rules={party: (AttributeMatcher(),) for party in (PartyClass.AUDITOR, PartyClass.USER)}
+        ).to_jsonable(),
     ),
     "DisclosedView": (DisclosedView.from_jsonable, VIEW.to_jsonable()),
     "IncidentReport": (IncidentReport.from_jsonable, REPORT.to_jsonable()),
@@ -275,6 +277,7 @@ def _rule_with_cert(kind, cert):
         ("policy_from_jsonable", {"rules": [_rule_with_cert("certification", 5)]}),
         ("PolicyRule", _rule_with_cert("certification", "No Name")),
         ("PolicyRule", _rule_with_cert("id", "x")),
+        ("IncidentScope", {"kind": "instance-class", "value": "x"}),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
@@ -541,7 +544,12 @@ def test_load_canonical_rejects_a_lone_surrogate(data):
      b'{"author_id": "acme", "listen": "127.0.0.1:-1"}',
      b'{"author_id": "acme", "retention": {"documents": 1.5}}',
      b'{"author_id": "acme", "retention": {"incidents": true}}',
-     b'{"author_id": "acme", "retention": {"documents": -1}}'],
+     b'{"author_id": "acme", "retention": {"documents": -1}}',
+     b'{"author_id": "acme", "listen": "127.0.0.1:7_1_0"}',
+     b'{"author_id": "acme", "listen": "127.0.0.1:+80"}',
+     b'{"author_id": "acme", "listen": "127.0.0.1: 80"}',
+     b'{"author_id": "acme", "listen": "127.0.0.1:\\u0668\\u0660"}',
+     b'{"author_id": "acme", "listen": " 127.0.0.1:80"}'],
 )
 def test_service_config_rejects_malformed_files(tmp_path, body):
     path = tmp_path / "registry.json"

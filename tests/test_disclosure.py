@@ -26,7 +26,7 @@ TRUST = trust_for(KEYPAIR)
 
 
 def reveal_all_policy():
-    return DisclosurePolicy.reveal_all(*PartyClass)
+    return DisclosurePolicy(rules={party: (AttributeMatcher(),) for party in PartyClass})
 
 
 def signed_with(seed, n_attrs=4):

@@ -21,7 +21,7 @@ from instanceid.harness import (
 
 def test_shutdown_default_config_ends_in_shutdown():
     trace = run_shutdown_scenario(SimConfig(seed=7))
-    assert trace.last_event() == "deployer-shutdown"
+    assert trace.records[-1].event == "deployer-shutdown"
     investigation = trace.find("deployer-investigate")
     assert investigation, "no deployer investigation recorded"
     payload = investigation[0][1]

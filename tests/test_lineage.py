@@ -130,13 +130,22 @@ def test_register_errors():
 
 def test_external_link_adds_stub():
     store = LineageStore(rng=random.Random(7))
-    child = store.register(Created("s", "u"))
     upstream = parse_identifier("othersys:deadbeef00000000")
-    store.link_external_parent(upstream, child)
+    record, external = store.build(Created("s", "u"), 0, upstream=upstream)
+    child = store.commit(record, external)
     assert store.is_external(upstream)
     assert (str(upstream), str(child), "branch") in store.edges()
-    with pytest.raises(UnknownIdentifier):
-        store.link_external_parent(upstream, parse_identifier("s:missing00"))
+
+
+def test_an_upstream_that_descends_from_the_event_instance_is_refused():
+    store = LineageStore(rng=random.Random(7))
+    a = store.register(Created("s", "u"))
+    b = store.register(Regenerated(a))
+    nodes, edges = store.nodes(), store.edges()
+    with pytest.raises(UnknownParent):
+        store.build(Reloaded(a), 0, upstream=b)
+    assert store.nodes() == nodes
+    assert store.edges() == edges
 
 
 # -- traversal ---------------------------------------------------------------------
@@ -290,5 +299,5 @@ def test_log_replay_reconstructs_state():
     assert any(registry.lineage.is_external(parse_identifier(f"up:{n:04d}")) for n in range(80))
 
     replayed = Registry.replay(registry.log_lines(), "acme", clock=clock)
-    assert replayed.lineage.state_bytes() == registry.lineage.state_bytes()
+    assert replayed.lineage.state_jsonable() == registry.lineage.state_jsonable()
     assert replayed.log_lines() == registry.log_lines()

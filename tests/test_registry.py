@@ -40,7 +40,6 @@ from instanceid.errors import (
     NotFound,
     ProtocolError,
     UnknownIdentifier,
-    UnknownInstanceClass,
 )
 from instanceid.registry import INCIDENT_DB_ATTRIBUTE, USER_REF_ATTRIBUTE
 
@@ -149,10 +148,10 @@ def _card(name, salt=None):
 def test_a_refused_issue_leaves_lineage_and_log_as_they_were(attributes, upstream):
     registry, clock = make_registry()
     root = registry.issue(Created("sys-a", "u")).doc.identifier
-    lineage, log = registry.lineage.state_bytes(), registry.log_lines()
+    lineage, log = registry.lineage.state_jsonable(), registry.log_lines()
     with pytest.raises((DuplicateAttributeName, InvalidDocument)):
         registry.issue(Regenerated(root), attributes, upstream=upstream)
-    assert registry.lineage.state_bytes() == lineage
+    assert registry.lineage.state_jsonable() == lineage
     assert registry.log_lines() == log
     replayed = Registry.replay(log, "acme", clock=clock)
     assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
@@ -231,27 +230,6 @@ def test_query_ordering():
     got = [r.report_id for r in registry.query_incidents(
         IncidentScope.instance(signed.doc.identifier))]
     assert got == ["r-c", "r-a", "r-b"]
-
-
-def test_instance_class_scope():
-    registry, clock = make_registry()
-    certified = registry.issue(
-        Created("sys-a", "u"),
-        [Attribute.inline_bytes("cert:safe", b"y", AttributeCategory.PROPERTY,
-                                AttributeSpecificity.INSTANCE)],
-    )
-    plain = registry.issue(Created("sys-a", "u"))
-    registry.register_instance_class(
-        "has-cert", lambda doc: any(n.startswith("cert:") for n in doc.attribute_names())
-    )
-    for index, ident in enumerate([certified.doc.identifier, plain.doc.identifier]):
-        registry.report_incident(
-            IncidentReport(f"r{index}", ident, "service.x", Severity.INFO, "x", clock.now())
-        )
-    hits = registry.query_incidents(IncidentScope.instance_class("has-cert"))
-    assert [r.report_id for r in hits] == ["r0"]
-    with pytest.raises(UnknownInstanceClass):
-        registry.query_incidents(IncidentScope.instance_class("unregistered"))
 
 
 # systems whose ids nest as prefixes, so the "systems" scope merges several lists
@@ -364,7 +342,7 @@ def test_concurrent_reports_never_leak_into_windowed_queries():
         while not done.is_set():
             leaked.extend(
                 r.report_id for r in registry.query_incidents(scope, window)
-                if not window.contains(r.occurred_at)
+                if not window.start <= r.occurred_at <= window.end
             )
 
     writers = [threading.Thread(target=write, args=(w,)) for w in range(2)]
@@ -406,7 +384,7 @@ def test_lineage_reads_never_race_lineage_writes():
                 registry.get_lineage(root, "descendants")
                 registry.lineage.edges()
                 registry.lineage.validate_acyclic()
-                registry.lineage.state_bytes()
+                registry.lineage.state_jsonable()
             except Exception as exc:  # "set changed size during iteration", ...
                 errors.append(exc)
 

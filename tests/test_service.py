@@ -217,6 +217,7 @@ def test_report_incident_rejects_malformed_fields(served, clients, field, value)
         {"scope": {"kind": "system", "value": "sys-a"}, "window": {"start": True}},
         {"scope": {"kind": "system", "value": "sys-a"}, "window": ["x"]},
         {"scope": {"kind": "system", "value": 5}, "window": None},
+        {"scope": {"kind": "instance-class", "value": "x"}, "window": None},
     ],
 )
 def test_query_incidents_rejects_malformed_scope_and_window(served, clients, body):
@@ -277,7 +278,8 @@ def test_concurrent_reports_and_queries_over_tcp(served):
                         if keys != sorted(set(keys)):
                             problems.append(f"unordered or repeated: {scope}")
                         for report in got:
-                            if not (in_scope(report) and window.contains(report.occurred_at)):
+                            if not (in_scope(report)
+                                    and window.start <= report.occurred_at <= window.end):
                                 problems.append(f"{report.report_id} outside {scope}")
         except Exception as exc:  # recorded for the main thread to report
             problems.append(repr(exc))
@@ -585,6 +587,43 @@ def test_service_config_file_and_env_overrides(tmp_path):
     assert (overridden.host, overridden.port) == ("0.0.0.0", 9000)
     assert overridden.retention.documents == 5
     assert overridden.key_file == "other-keys.json"
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"INSTANCEID_LISTEN": " 127.0.0.1: +80 "},
+        {"INSTANCEID_LISTEN": "127.0.0.1:7_1_0"},
+        {"INSTANCEID_LISTEN": "127.0.0.1:\u0668\u0660"},
+        {"INSTANCEID_LISTEN": "127.0.0.1 :80"},
+        {"INSTANCEID_RETENTION_DOCUMENTS": " 1_0 "},
+        {"INSTANCEID_RETENTION_DOCUMENTS": "10 "},
+        {"INSTANCEID_RETENTION_INCIDENTS": "+5"},
+        {"INSTANCEID_RETENTION_INCIDENTS": "\u0665"},
+    ],
+)
+def test_service_config_rejects_environment_numbers_that_are_not_ascii_digits(tmp_path, env):
+    path = tmp_path / "registry.json"
+    path.write_text('{"author_id": "acme"}')
+    with pytest.raises(MalformedRecord):
+        ServiceConfig.from_file(path, env=env)
+
+
+def test_an_overlong_request_line_gets_malformed_record_and_the_connection_closes(served):
+    registry, _, tcp, _ = served
+    identifier = str(registry.issue(Created("sys-a", "u")).doc.identifier)
+    get_id = canonical_json_line({"body": {"identifier": identifier}, "endpoint": "get-id"})
+    limit = 1 << 20  # bytes per request line, its newline included
+    with socket.create_connection(tcp.address, timeout=5) as conn, conn.makefile("rb") as replies:
+        conn.sendall(b"[" * (limit + 1))  # no newline, and nothing after it
+        reply = load_canonical(replies.readline())
+        assert (reply["ok"], reply["error"]) == (False, "MalformedRecord"), reply
+        assert replies.read() == b""
+    with socket.create_connection(tcp.address, timeout=5) as conn, conn.makefile("rb") as replies:
+        conn.sendall(b" " * (limit - 1) + b"\n" + get_id)  # a blank line at the limit
+        reply = load_canonical(replies.readline())
+        assert reply["ok"] and reply["body"]["signed"]["doc"]["identifier"] == identifier
+    _assert_untouched(registry)
 
 
 def test_keypair_file_round_trip(tmp_path):
