@@ -53,9 +53,7 @@ from .identity import (
     attribute_digest,
     canonical_bytes,
     digest_form_bytes,
-    new_id_document,
     parse_identifier,
-    validate_document,
 )
 from .lineage import (
     Created,

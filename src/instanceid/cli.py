@@ -58,7 +58,6 @@ def id_inspect(file, fmt):
         click.echo(f"malformed artifact: {exc}", err=True)
         sys.exit(1)
     if isinstance(artifact, SignedId):
-        body = artifact.to_jsonable()
         doc = artifact.doc
         summary = {
             "attributes": doc.attribute_names(),
@@ -68,9 +67,8 @@ def id_inspect(file, fmt):
             "links": [f"{l.relation}->{l.target}" for l in doc.links],
         }
     else:
-        body = artifact.to_jsonable()
         summary = {
-            "author": artifact.author.author_id if artifact.author else None,
+            "author": artifact.author.author_id,
             "created_at": artifact.created_at,
             "hidden": [e.name for e in artifact.hidden],
             "identifier": str(artifact.identifier),

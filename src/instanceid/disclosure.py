@@ -4,7 +4,9 @@ Hidden attributes appear only as (name, salted digest) commitments; the
 original signature still verifies because it covers the digest form, which
 is reconstructible from any honest redaction. Policies are declarative
 matcher lists so they can ship as fixture files; unlisted party classes get
-nothing (default deny).
+nothing (default deny). A view checks its structure when it is built, so
+decoding refuses a malformed one with ``MalformedRecord``, and
+:func:`verify_view` judges only the revealed commitments and the signature.
 """
 
 from __future__ import annotations
@@ -141,10 +143,15 @@ ViewEntry = Union[RevealedEntry, HiddenEntry]
 @dataclass(frozen=True)
 class DisclosedView:
     """A redaction of a signed ID; entries keep document order so the
-    signing bytes can be reconstructed."""
+    signing bytes can be reconstructed.
+
+    Construction raises :class:`InvalidDocument` unless ``created_at`` is a
+    non-negative integer, the hash suite is supported, the author is an
+    :class:`AuthorRef`, entry names are unique, and every revealed attribute
+    has a salt."""
 
     identifier: InstanceIdentifier
-    author: Optional[AuthorRef]
+    author: AuthorRef
     created_at: int
     entries: tuple[ViewEntry, ...]
     links: tuple[Link, ...]
@@ -155,6 +162,14 @@ class DisclosedView:
         valid = isinstance(self.created_at, int) and self.created_at >= 0
         if not valid or self.hash_suite != HASH_SUITE:
             raise InvalidDocument(f"bad view: {self.created_at!r}, {self.hash_suite!r}")
+        if not isinstance(self.author, AuthorRef):
+            raise InvalidDocument(f"view author must be an AuthorRef, not {self.author!r}")
+        names = [e.attribute.name if isinstance(e, RevealedEntry) else e.name
+                 for e in self.entries]
+        if len(set(names)) != len(names):
+            raise InvalidDocument("duplicate attribute names")
+        if any(entry.attribute.salt is None for entry in self.revealed):
+            raise InvalidDocument("revealed attribute without salt")
 
     @property
     def revealed(self) -> tuple[RevealedEntry, ...]:
@@ -191,7 +206,7 @@ class DisclosedView:
                     }
                 )
         return {
-            "author": self.author.to_jsonable() if self.author else None,
+            "author": self.author.to_jsonable(),
             "created_at": self.created_at,
             "entries": entries,
             "hash_suite": self.hash_suite,
@@ -214,9 +229,7 @@ class DisclosedView:
                 raise MalformedRecord(f"unknown entry kind {item['kind']!r}")
         return cls(
             identifier=parse_identifier(body["identifier"]),
-            author=(
-                AuthorRef.from_jsonable(body["author"]) if body["author"] is not None else None
-            ),
+            author=AuthorRef.from_jsonable(body["author"]),
             created_at=body["created_at"],
             entries=tuple(entries),
             links=tuple(Link.from_jsonable(l) for l in body["links"]),
@@ -270,20 +283,16 @@ def redact(
 def view_signing_bytes(view: DisclosedView) -> bytes:
     """Rebuild the digest-form canonical bytes the original signature covers.
 
-    Revealed entries contribute a freshly recomputed commitment, hidden
-    entries the carried one, in entry (= document) order; the bytes come
-    from the same builder that produced the signing input.
+    Every entry gives its carried commitment, in entry (= document) order, to
+    the builder of the signing input. So these bytes trust the carried
+    digests; :func:`verify_view` binds revealed content to them first.
     """
-    if view.author is None:
-        raise InvalidDocument("view does not disclose the author")
     return digest_form(
         view.identifier,
         view.author,
         view.created_at,
         [
-            (entry.attribute.name, attribute_digest(entry.attribute))
-            if isinstance(entry, RevealedEntry)
-            else (entry.name, entry.digest)
+            (entry.attribute.name if isinstance(entry, RevealedEntry) else entry.name, entry.digest)
             for entry in view.entries
         ],
         view.links,
@@ -294,27 +303,12 @@ def view_signing_bytes(view: DisclosedView) -> bytes:
 def verify_view(
     view: DisclosedView, trust_store: TrustStore, at: int
 ) -> VerificationReport:
-    """Recompute revealed commitments, rebuild the signing bytes, check the
-    signature. Altered revealed content surfaces as a digest mismatch before
-    the signature is even consulted."""
-    if view.author is None:
-        return VerificationReport(Verdict.MALFORMED, "author not disclosed")
-    names = [
-        e.attribute.name if isinstance(e, RevealedEntry) else e.name
-        for e in view.entries
-    ]
-    if len(set(names)) != len(names):
-        return VerificationReport(Verdict.MALFORMED, "duplicate attribute names")
+    """Compare each revealed commitment, recomputed, with the carried digest,
+    then check the signature over the rebuilt signing bytes. Altered revealed
+    content surfaces as a digest mismatch before the signature is consulted."""
     for entry in view.revealed:
-        attr = entry.attribute
-        if attr.salt is None:
-            return VerificationReport(Verdict.MALFORMED, f"{attr.name}: no salt")
-        if attribute_digest(attr) != entry.digest:
+        if attribute_digest(entry.attribute) != entry.digest:
             return VerificationReport(
-                Verdict.DIGEST_MISMATCH, f"attribute {attr.name!r}"
+                Verdict.DIGEST_MISMATCH, f"attribute {entry.attribute.name!r}"
             )
-    try:
-        message = view_signing_bytes(view)
-    except InvalidDocument as exc:
-        return VerificationReport(Verdict.MALFORMED, str(exc))
-    return _verify_signature(view.author, view.signature, message, trust_store, at)
+    return _verify_signature(view.author, view.signature, view_signing_bytes(view), trust_store, at)

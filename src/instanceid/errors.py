@@ -148,7 +148,7 @@ class RegistryUnavailable(ProtocolError):
 # -- gatekeeper ------------------------------------------------------------
 
 class NoAuthorInfo(ProtocolError):
-    """Notification requires the presented ID to carry author information."""
+    """A notification goes to the presented ID's author, and no ID was presented."""
 
 
 # -- harness ---------------------------------------------------------------

@@ -377,8 +377,6 @@ def flag_and_notify(ctx: RequestContext, reason: str) -> dict:
         raise NoAuthorInfo("no ID presented")
     artifact = ctx.presented.id_artifact
     author = artifact.doc.author if isinstance(artifact, SignedId) else artifact.author
-    if author is None:
-        raise NoAuthorInfo("author not disclosed in the presented view")
     evidence = []
     if ctx.presented.manifest is not None:
         evidence.append(b64u(manifest_hash(ctx.presented.manifest)))

@@ -220,9 +220,8 @@ class Attribute:
 
 
 def attribute_digest(attr: Attribute) -> bytes:
-    """Salted commitment: sha256(salt || canonical payload encoding)."""
-    if attr.salt is None:
-        raise InvalidDocument(f"attribute {attr.name!r} has no salt")
+    """Salted commitment of a document's or view's attribute (each carries a
+    salt): sha256(salt || canonical payload encoding)."""
     return sha256(attr.salt + canonical_json_bytes(attr.payload_jsonable()))
 
 
@@ -268,7 +267,12 @@ class Link:
 
 @dataclass(frozen=True)
 class IdDocument:
-    """Container for an identifier plus attributes and relation links."""
+    """Container for an identifier plus attributes and relation links.
+
+    Construction raises :class:`InvalidDocument` unless ``created_at`` is a
+    non-negative integer, the hash suite is supported, attribute names are
+    unique, every attribute has a salt, no two salts are equal, and no link
+    targets the document's own identifier."""
 
     identifier: InstanceIdentifier
     created_at: int
@@ -282,15 +286,19 @@ class IdDocument:
             raise InvalidDocument("created_at must be a non-negative integer")
         if self.hash_suite != HASH_SUITE:
             raise InvalidDocument(f"unsupported hash suite: {self.hash_suite!r}")
+        names = self.attribute_names()
+        if len(set(names)) != len(names):
+            raise InvalidDocument("duplicate attribute names")
+        salts = [attr.salt for attr in self.attributes]
+        if None in salts:
+            raise InvalidDocument("attribute without salt")
+        if len(set(salts)) != len(salts):
+            raise InvalidDocument("duplicate attribute salts")
+        if any(link.target == self.identifier for link in self.links):
+            raise InvalidDocument("link may not target the document's own identifier")
 
     def attribute_names(self) -> list[str]:
         return [attr.name for attr in self.attributes]
-
-
-def new_id_document(
-    identifier: InstanceIdentifier, author: AuthorRef, created_at: int
-) -> IdDocument:
-    return IdDocument(identifier=identifier, created_at=created_at, author=author)
 
 
 def add_attribute(
@@ -302,30 +310,11 @@ def add_attribute(
     if attr.salt is None:
         salt = bytes(rng.getrandbits(8) for _ in range(SALT_SIZE)) if rng else os.urandom(SALT_SIZE)
         attr = replace(attr, salt=salt)
-    if any(existing.salt == attr.salt for existing in doc.attributes):
-        raise InvalidDocument(f"salt reuse on attribute {attr.name!r}")
     return replace(doc, attributes=doc.attributes + (attr,))
 
 
 def add_link(doc: IdDocument, relation: str, target: InstanceIdentifier) -> IdDocument:
-    if target == doc.identifier:
-        raise InvalidDocument("link may not target the document's own identifier")
     return replace(doc, links=doc.links + (Link(relation, target),))
-
-
-def validate_document(doc: IdDocument) -> None:
-    """Raise :class:`InvalidDocument` unless every invariant holds."""
-    names = doc.attribute_names()
-    if len(set(names)) != len(names):
-        raise InvalidDocument("duplicate attribute names")
-    salts = [attr.salt for attr in doc.attributes]
-    if any(salt is None for salt in salts):
-        raise InvalidDocument("attribute without salt")
-    if len(set(salts)) != len(salts):
-        raise InvalidDocument("duplicate attribute salts")
-    for link in doc.links:
-        if link.target == doc.identifier:
-            raise InvalidDocument("self-targeting link")
 
 
 def doc_to_jsonable(doc: IdDocument) -> dict:
@@ -341,7 +330,6 @@ def doc_to_jsonable(doc: IdDocument) -> dict:
 
 def canonical_bytes(doc: IdDocument) -> bytes:
     """Deterministic full serialization (payloads and salts included)."""
-    validate_document(doc)
     return canonical_json_bytes(doc_to_jsonable(doc))
 
 
@@ -377,7 +365,6 @@ def digest_form_bytes(doc: IdDocument) -> bytes:
     Redacting a payload later does not disturb these bytes, which is what
     lets disclosure-redacted views keep the original signature.
     """
-    validate_document(doc)
     return digest_form(
         doc.identifier,
         doc.author,
@@ -390,7 +377,7 @@ def digest_form_bytes(doc: IdDocument) -> bytes:
 
 @decoding("document")
 def doc_from_jsonable(body: Any) -> IdDocument:
-    doc = IdDocument(
+    return IdDocument(
         identifier=parse_identifier(body["identifier"]),
         created_at=body["created_at"],
         author=AuthorRef.from_jsonable(body["author"]),
@@ -398,5 +385,3 @@ def doc_from_jsonable(body: Any) -> IdDocument:
         links=tuple(Link.from_jsonable(l) for l in body["links"]),
         hash_suite=body["hash_suite"],
     )
-    validate_document(doc)
-    return doc

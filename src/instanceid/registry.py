@@ -75,7 +75,6 @@ from .identity import (
     add_attribute,
     add_link,
     is_token,
-    new_id_document,
     parse_identifier,
 )
 from .lineage import (
@@ -410,13 +409,12 @@ class Registry:
         clock=None,
         rng: Optional[random.Random] = None,
         retention: Optional[RetentionConfig] = None,
-        disclosure_policy: Optional[DisclosurePolicy] = None,
     ):
         self.author_id = author_id
         self.clock = clock or SystemClock()
         self._rng = rng
         self.retention = retention or RetentionConfig()
-        self.disclosure_policy = disclosure_policy or default_disclosure_policy()
+        self.disclosure_policy = default_disclosure_policy()
         self.lineage = LineageStore(rng=rng)
         self.documents: dict[str, SignedId] = {}
         self.incidents: list[IncidentReport] = []  # arrival order
@@ -502,7 +500,7 @@ class Registry:
             lineage_record, external_record = self.lineage.build(event, at, upstream)
             identifier = parse_identifier(lineage_record["identifier"])
 
-            doc = new_id_document(identifier, AuthorRef(self.author_id, keypair.key_id), at)
+            doc = IdDocument(identifier, at, AuthorRef(self.author_id, keypair.key_id))
             doc = self._attach_auto_links(doc, event, upstream)
             doc = self._attach_auto_attributes(doc, event)
             for attr in attributes:
@@ -685,7 +683,6 @@ class Registry:
         clock=None,
         rng: Optional[random.Random] = None,
         retention: Optional[RetentionConfig] = None,
-        disclosure_policy: Optional[DisclosurePolicy] = None,
     ) -> "Registry":
         """Reconstruct a registry from its newline-delimited event log.
 
@@ -703,7 +700,6 @@ class Registry:
             clock=clock,
             rng=rng,
             retention=retention,
-            disclosure_policy=disclosure_policy,
         )
         for line in log_data.splitlines(keepends=True):
             record = _log_record_from_line(line, registry.lineage)

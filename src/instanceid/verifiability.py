@@ -7,7 +7,10 @@ output. Manifests chain via previous-manifest hashes to cover an extended
 interaction.
 
 Verification failures are verdicts in a :class:`VerificationReport`, never
-exceptions: an attacker-supplied artifact is an expected input.
+exceptions: an attacker-supplied artifact is an expected input. Decoding
+refuses a malformed artifact with ``MalformedRecord`` (each type checks its
+structure when built), so verdicts judge only commitments, keys, signatures
+and times.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import (
     ChainAuthorMismatch,
     ChainIdentifierMismatch,
     DuplicateKeyId,
-    InvalidDocument,
     MalformedRecord,
     RevokedKey,
     UnknownKey,
@@ -272,7 +274,6 @@ class Verdict(enum.Enum):
     OUTPUT_MISMATCH = "output-mismatch"
     BROKEN_CHAIN = "broken-chain"
     DIGEST_MISMATCH = "digest-mismatch"
-    MALFORMED = "malformed"
 
 
 @dataclass(frozen=True)
@@ -339,12 +340,8 @@ def verify_id(signed: SignedId, trust_store: TrustStore, at: int) -> Verificatio
     ``at`` is the issuance reference time: artifacts signed before a key
     compromise remain attributable (certificate practice).
     """
-    try:
-        message = digest_form_bytes(signed.doc)
-    except InvalidDocument as exc:
-        return VerificationReport(Verdict.MALFORMED, str(exc))
     return _verify_signature(
-        signed.doc.author, signed.signature, message, trust_store, at
+        signed.doc.author, signed.signature, digest_form_bytes(signed.doc), trust_store, at
     )
 
 
@@ -452,17 +449,17 @@ def verify_manifest(
     manifest: Manifest,
     output: bytes,
     trust_store: TrustStore,
-    at: Optional[int] = None,
+    at: int,
 ) -> VerificationReport:
-    """Signature must verify under a key active at ``at`` (by default the
-    manifest's own ``issued_at``) and the presented output must hash to the
-    binding."""
+    """Signature must verify under a key active at ``at``, the caller's time
+    (never ``issued_at``, which a revoked key's holder can backdate), and the
+    presented output must hash to the binding."""
     report = _verify_signature(
         manifest.author,
         manifest.signature,
         manifest.signing_bytes(),
         trust_store,
-        manifest.issued_at if at is None else at,
+        at,
     )
     if not report.ok:
         return report
@@ -474,9 +471,10 @@ def verify_manifest(
 
 
 def verify_chain(
-    manifests: Sequence[Manifest], trust_store: TrustStore
+    manifests: Sequence[Manifest], trust_store: TrustStore, at: int
 ) -> VerificationReport:
-    """A chain verifies iff it is exactly a run of iterated create_manifest."""
+    """A chain verifies iff it is exactly a run of iterated create_manifest
+    and each signature verifies under a key active at ``at``, the caller's time."""
     if not manifests:
         return VerificationReport(Verdict.BROKEN_CHAIN, "empty chain")
     head = manifests[0]
@@ -506,7 +504,7 @@ def verify_chain(
             manifest.signature,
             manifest.signing_bytes(),
             trust_store,
-            manifest.issued_at,
+            at,
         )
         if not report.ok:
             return report

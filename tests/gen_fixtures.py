@@ -18,12 +18,12 @@ from instanceid import (
     AttributeSpecificity,
     AttributeMatcher,
     DisclosurePolicy,
+    IdDocument,
     KeyPair,
     PartyClass,
     add_attribute,
     add_link,
     create_manifest,
-    new_id_document,
     parse_identifier,
     redact,
     sign_id,
@@ -48,7 +48,7 @@ def build():
     trust.register_key("mallory", attacker.public_key())
     (FIXTURES / "trust_store.json").write_bytes(trust.to_bytes())
 
-    doc = new_id_document(parse_identifier("gpt4-0409:inst-00a1"), author.author_ref(), CREATED_AT)
+    doc = IdDocument(parse_identifier("gpt4-0409:inst-00a1"), CREATED_AT, author.author_ref())
     doc = add_attribute(
         doc,
         Attribute.linked(

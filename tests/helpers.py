@@ -18,7 +18,6 @@ from instanceid import (
     TrustStore,
     add_attribute,
     add_link,
-    new_id_document,
     sign_id,
 )
 
@@ -66,7 +65,7 @@ def random_document(
     n_attrs: int = 3,
     n_links: int = 0,
 ) -> IdDocument:
-    doc = new_id_document(random_identifier(rng), author, rng.randint(0, 10**9))
+    doc = IdDocument(random_identifier(rng), rng.randint(0, 10**9), author)
     for index in range(n_attrs):
         doc = add_attribute(doc, random_attribute(rng, name=f"attr-{index}-{random_token(rng)}"))
     for _ in range(n_links):

@@ -82,6 +82,18 @@ def test_verify_rejects_malformed_trust_store(runner, tmp_path, trust_body):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_author_less_view_file_is_refused(runner, tmp_path):
+    body = json.loads((FIXTURES / "service_provider_view.json").read_text())
+    body["author"] = None
+    view_path = tmp_path / "view.json"
+    view_path.write_text(json.dumps(body))
+    verify = ["verify", str(view_path), "--trust-store", str(FIXTURES / "trust_store.json")]
+    for args in (verify, ["inspect", str(view_path)]):
+        result = runner.invoke(main, ["id", *args])
+        assert result.exit_code == 1, args
+        assert "malformed" in result.output
+
+
 def test_usage_error_exits_two(runner):
     result = runner.invoke(main, ["id", "verify", "--no-such-flag"])
     assert result.exit_code == 2

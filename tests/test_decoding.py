@@ -142,7 +142,7 @@ def _evaluate(rules: list[PolicyRule], trust: TrustStore) -> None:
 VERIFIERS = {
     "SignedId": lambda signed, trust: verify_id(signed, trust, 4),
     "DisclosedView": lambda view, trust: verify_view(view, trust, 4),
-    "Manifest": lambda manifest, trust: verify_manifest(manifest, b"output", trust),
+    "Manifest": lambda manifest, trust: verify_manifest(manifest, b"output", trust, 4),
     "PolicyRule": lambda rule, trust: _evaluate([rule], trust),
     "policy_from_jsonable": _evaluate,
     "AttributeMatcher": lambda matcher, trust: [
@@ -235,6 +235,13 @@ def _view_with_hidden_name(name):
     return body
 
 
+def _view_with_unsalted_revealed():
+    body = VIEW.to_jsonable()
+    revealed = next(entry for entry in body["entries"] if entry["kind"] == "revealed")
+    revealed["attribute"]["salt"] = None
+    return body
+
+
 def _rule_with_rate(requests, window):
     return {**RULE.to_jsonable(), "on_missing": {
         "kind": "rate-limit", "rate": {"requests": requests, "window": window}}}
@@ -278,6 +285,9 @@ def _rule_with_cert(kind, cert):
         ("PolicyRule", _rule_with_cert("certification", "No Name")),
         ("PolicyRule", _rule_with_cert("id", "x")),
         ("IncidentScope", {"kind": "instance-class", "value": "x"}),
+        ("DisclosedView", {**VIEW.to_jsonable(), "author": None}),
+        ("DisclosedView", _view_with_hidden_name(VIEW.revealed[0].attribute.name)),
+        ("DisclosedView", _view_with_unsalted_revealed()),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):

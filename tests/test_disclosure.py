@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from instanceid import (
     verify_view,
 )
 from instanceid.canonical import b64u, b64u_decode, load_canonical
-from instanceid.errors import MalformedRecord, UnverifiedInput
+from instanceid.disclosure import HiddenEntry, RevealedEntry, view_signing_bytes
+from instanceid.errors import InvalidDocument, MalformedRecord, UnverifiedInput
+from instanceid.identity import digest_form_bytes
 
 from helpers import fixed_keypair, random_signed, trust_for, view_mutations
 
@@ -49,13 +52,13 @@ def test_named_attribute_hidden_from_service_provider():
         Attribute,
         AttributeCategory,
         AttributeSpecificity,
+        IdDocument,
         add_attribute,
-        new_id_document,
         parse_identifier,
         sign_id,
     )
 
-    doc = new_id_document(parse_identifier("s:i"), KEYPAIR.author_ref(), 50)
+    doc = IdDocument(parse_identifier("s:i"), 50, KEYPAIR.author_ref())
     doc = add_attribute(
         doc,
         Attribute.inline_bytes(
@@ -124,6 +127,9 @@ def test_altered_revealed_payload_is_digest_mismatch():
     else:
         pytest.fail("no inline revealed attribute to alter")
     mutated = DisclosedView.from_jsonable(body)
+    # the signing bytes take each carried commitment as it is; verify_view
+    # binds the revealed content to it first
+    assert view_signing_bytes(mutated) == digest_form_bytes(signed.doc)
     assert verify_view(mutated, TRUST, 0).verdict is Verdict.DIGEST_MISMATCH
 
 
@@ -145,8 +151,21 @@ def test_author_hidden_view_cannot_verify():
     view = redact(signed, reveal_all_policy(), PartyClass.AUDITOR)
     body = view.to_jsonable()
     body["author"] = None
-    anonymous = DisclosedView.from_jsonable(body)
-    assert not verify_view(anonymous, TRUST, 0).ok
+    with pytest.raises(MalformedRecord):
+        DisclosedView.from_jsonable(body)
+
+
+def test_view_construction_checks_its_invariants():
+    view = redact(signed_with(10), reveal_all_policy(), PartyClass.AUDITOR)
+    first = view.entries[0]
+    unsalted = RevealedEntry(replace(first.attribute, salt=None), first.digest)
+    for defect in (
+        {"author": None},
+        {"entries": view.entries + (HiddenEntry(first.attribute.name, first.digest),)},
+        {"entries": (unsalted,) + view.entries[1:]},
+    ):
+        with pytest.raises(InvalidDocument):
+            replace(view, **defect)
 
 
 # -- completeness property -------------------------------------------------------------

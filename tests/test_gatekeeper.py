@@ -39,7 +39,7 @@ from instanceid import (
     redact,
 )
 from instanceid.disclosure import DisclosedView
-from instanceid.errors import NoAuthorInfo
+from instanceid.errors import MalformedRecord, NoAuthorInfo
 from instanceid.gatekeeper import Bucket, policy_from_jsonable, policy_to_jsonable
 
 from helpers import fixed_keypair, trust_for
@@ -511,9 +511,8 @@ def test_flag_and_notify_requires_author_info():
     _, presented = agent_presented(registry, clock)
     body = presented.id_artifact.to_jsonable()
     body["author"] = None
-    anonymous = Presented(DisclosedView.from_jsonable(body))
-    with pytest.raises(NoAuthorInfo):
-        flag_and_notify(ctx_for(anonymous), "malfunction")
+    with pytest.raises(MalformedRecord):  # a view names its author, or does not exist
+        DisclosedView.from_jsonable(body)
 
 
 # -- properties -----------------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from instanceid import (
     add_link,
     attribute_digest,
     canonical_bytes,
-    new_id_document,
     parse_identifier,
-    validate_document,
 )
 from instanceid.canonical import b64u, b64u_decode, canonical_json_bytes
 from instanceid.errors import (
@@ -28,7 +26,13 @@ from instanceid.errors import (
     MalformedRecord,
 )
 from instanceid import identity
-from instanceid.identity import IdDocument, digest_form_bytes, doc_from_jsonable, doc_to_jsonable
+from instanceid.identity import (
+    IdDocument,
+    Link,
+    digest_form_bytes,
+    doc_from_jsonable,
+    doc_to_jsonable,
+)
 
 from helpers import random_attribute, random_document, random_identifier
 
@@ -124,14 +128,13 @@ def test_round_trip_random_generator():
 
 
 def test_new_document_is_empty():
-    doc = new_id_document(parse_identifier("a:b"), author(), 0)
+    doc = IdDocument(parse_identifier("a:b"), 0, author())
     assert doc.attributes == ()
     assert doc.links == ()
-    validate_document(doc)
 
 
 def test_attribute_round_trip():
-    doc = new_id_document(parse_identifier("a:b"), author(), 0)
+    doc = IdDocument(parse_identifier("a:b"), 0, author())
     attr = Attribute.linked(
         "system-card",
         "https://example.test/card",
@@ -147,7 +150,7 @@ def test_attribute_round_trip():
 
 
 def test_duplicate_attribute_name_rejected():
-    doc = new_id_document(parse_identifier("a:b"), author(), 0)
+    doc = IdDocument(parse_identifier("a:b"), 0, author())
     attr = random_attribute(random.Random(0), name="dup")
     doc = add_attribute(doc, attr)
     with pytest.raises(DuplicateAttributeName):
@@ -155,7 +158,7 @@ def test_duplicate_attribute_name_rejected():
 
 
 def test_incident_db_link_attribute_in_canonical_bytes():
-    doc = new_id_document(parse_identifier("a:b"), author(), 0)
+    doc = IdDocument(parse_identifier("a:b"), 0, author())
     doc = add_attribute(
         doc,
         Attribute.linked(
@@ -179,7 +182,7 @@ def test_cert_attribute_name_allows_colon():
 
 
 def test_self_link_rejected():
-    doc = new_id_document(parse_identifier("a:b"), author(), 0)
+    doc = IdDocument(parse_identifier("a:b"), 0, author())
     with pytest.raises(InvalidDocument):
         add_link(doc, "ancestor", parse_identifier("a:b"))
 
@@ -300,7 +303,9 @@ def test_digest_binding_100k_trials():
 def test_validator_accepts_valid_documents():
     rng = random.Random(31)
     for _ in range(20):
-        validate_document(random_document(rng, author(), n_attrs=3, n_links=1))
+        doc = random_document(rng, author(), n_attrs=3, n_links=1)
+        rebuilt = IdDocument(doc.identifier, doc.created_at, doc.author, doc.attributes, doc.links)
+        assert rebuilt == doc
 
 
 def test_validator_rejects_each_violation():
@@ -308,23 +313,24 @@ def test_validator_rejects_each_violation():
     base = random_document(rng, author(), n_attrs=2)
     a0, a1 = base.attributes
 
-    dup_names = IdDocument(base.identifier, base.created_at, base.author,
-                           (a0, Attribute(a0.name, a1.category, a1.specificity,
-                                          a1.inline, a1.link, a1.salt)), base.links)
-    with pytest.raises(InvalidDocument):
-        validate_document(dup_names)
+    with pytest.raises(InvalidDocument):  # duplicate names
+        IdDocument(base.identifier, base.created_at, base.author,
+                   (a0, Attribute(a0.name, a1.category, a1.specificity,
+                                  a1.inline, a1.link, a1.salt)), base.links)
 
-    dup_salts = IdDocument(base.identifier, base.created_at, base.author,
-                           (a0, Attribute(a1.name, a1.category, a1.specificity,
-                                          a1.inline, a1.link, a0.salt)), base.links)
-    with pytest.raises(InvalidDocument):
-        validate_document(dup_salts)
+    with pytest.raises(InvalidDocument):  # duplicate salts
+        IdDocument(base.identifier, base.created_at, base.author,
+                   (a0, Attribute(a1.name, a1.category, a1.specificity,
+                                  a1.inline, a1.link, a0.salt)), base.links)
 
-    missing_salt = IdDocument(base.identifier, base.created_at, base.author,
-                              (Attribute(a0.name, a0.category, a0.specificity,
-                                         a0.inline, a0.link, None),), base.links)
-    with pytest.raises(InvalidDocument):
-        validate_document(missing_salt)
+    with pytest.raises(InvalidDocument):  # missing salt
+        IdDocument(base.identifier, base.created_at, base.author,
+                   (Attribute(a0.name, a0.category, a0.specificity,
+                              a0.inline, a0.link, None),), base.links)
+
+    with pytest.raises(InvalidDocument):  # a link to the document itself
+        IdDocument(base.identifier, base.created_at, base.author, base.attributes,
+                   (Link("ancestor", base.identifier),))
 
 
 def test_attribute_requires_exactly_one_payload():

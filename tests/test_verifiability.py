@@ -35,6 +35,7 @@ from instanceid.errors import (
 from instanceid.identity import digest_form_bytes
 from instanceid.verifiability import Signature
 
+import gen_fixtures
 from helpers import fixed_keypair, random_document, random_signed, trust_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -178,7 +179,7 @@ def test_manifest_genesis(keypair, trust):
     m0 = create_manifest(ident, b"out", None, keypair, 100)
     assert m0.seq == 0
     assert m0.prev_manifest_hash == ZERO_DIGEST
-    assert verify_manifest(m0, b"out", trust).ok
+    assert verify_manifest(m0, b"out", trust, 100).ok
 
 
 def test_manifest_chain_links(keypair):
@@ -202,7 +203,7 @@ def test_manifest_chain_mismatches(keypair):
 def test_instance_spoofing_detected(keypair, trust):
     ident = parse_identifier("s:i1")
     manifest = create_manifest(ident, b"genuine output", None, keypair, 100)
-    report = verify_manifest(manifest, b"attacker output", trust)
+    report = verify_manifest(manifest, b"attacker output", trust, 100)
     assert report.verdict is Verdict.OUTPUT_MISMATCH
 
 
@@ -213,7 +214,7 @@ def test_forged_manifest_signature(keypair, trust):
         manifest,
         signature=Signature("ed25519", "k1", bytes(64)),
     )
-    assert verify_manifest(forged, b"out", trust).verdict is Verdict.BAD_SIGNATURE
+    assert verify_manifest(forged, b"out", trust, 100).verdict is Verdict.BAD_SIGNATURE
 
 
 def _chain(keypair, n=3, ident="s:i1", start=100):
@@ -227,17 +228,25 @@ def _chain(keypair, n=3, ident="s:i1", start=100):
 
 
 def test_chain_verifies(keypair, trust):
-    assert verify_chain(_chain(keypair, 3), trust).ok
+    assert verify_chain(_chain(keypair, 3), trust, 102).ok
 
 
 def test_chain_breaks_detected(keypair, trust):
     chain = _chain(keypair, 4)
-    assert verify_chain([chain[0], chain[2], chain[3]], trust).verdict is Verdict.BROKEN_CHAIN
-    assert verify_chain([chain[1], chain[0], chain[2], chain[3]], trust).verdict is Verdict.BROKEN_CHAIN
-    assert verify_chain([], trust).verdict is Verdict.BROKEN_CHAIN
+    assert verify_chain([chain[0], chain[2], chain[3]], trust, 600).verdict is Verdict.BROKEN_CHAIN
+    reordered = [chain[1], chain[0], chain[2], chain[3]]
+    assert verify_chain(reordered, trust, 600).verdict is Verdict.BROKEN_CHAIN
+    assert verify_chain([], trust, 600).verdict is Verdict.BROKEN_CHAIN
     spliced = _chain(keypair, 4, ident="s:i1", start=500)
     mixed = chain[:2] + spliced[2:]
-    assert verify_chain(mixed, trust).verdict is Verdict.BROKEN_CHAIN
+    assert verify_chain(mixed, trust, 600).verdict is Verdict.BROKEN_CHAIN
+
+
+def test_backdated_chain_is_checked_at_the_callers_time(keypair, trust):
+    trust.revoke_key(keypair.author_id, keypair.key_id, 1000)
+    chain = _chain(keypair, 2, start=10)  # signed after the revocation, dated before it
+    assert verify_chain(chain, trust, 5000).verdict is Verdict.REVOKED_KEY
+    assert verify_manifest(chain[0], b"out-0", trust, 5000).verdict is Verdict.REVOKED_KEY
 
 
 def test_manifest_serialization_round_trip(keypair):
@@ -280,9 +289,18 @@ def test_fixture_manifest_chain():
     trust = TrustStore.from_bytes((FIXTURES / "trust_store.json").read_bytes())
     chain_body = json.loads((FIXTURES / "manifest_chain.json").read_text())
     chain = [Manifest.from_jsonable(item) for item in chain_body]
-    assert verify_chain(chain, trust).ok
+    assert verify_chain(chain, trust, vectors["at"]).ok
     for manifest, output in zip(chain, vectors["manifest_outputs"]):
-        assert verify_manifest(manifest, output.encode(), trust).ok
+        assert verify_manifest(manifest, output.encode(), trust, vectors["at"]).ok
+
+
+def test_fixtures_regenerate_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(gen_fixtures, "FIXTURES", tmp_path)
+    gen_fixtures.build()
+    names = sorted(path.name for path in FIXTURES.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_malformed_manifest_rejected():
