@@ -5,6 +5,11 @@ match, or a rule that requires nothing, allows. A caller with no ID gets the
 rule's ``on_missing``: allow or deny with ``no-id``, or throttle with
 ``no-id``, ``rate-limit`` by a token bucket per transport address. Showing an
 ID bypasses that limiter, which is exactly the incentive it exists to create.
+Its buckets live in an immutable hash trie that shares structure between
+versions: a throttled decision copies one leaf of at most 32 buckets and the
+32-slot nodes above it, so it costs the same however many buckets are held
+(up to one level more per 32-fold growth), and the limiter it returns is
+never changed afterwards, so threads may share it.
 A presented ID is checked in this order; the first check that fails denies:
 
 1. the ID or view, then the manifest if one is shown, must verify at the
@@ -21,7 +26,8 @@ A presented ID is checked in this order; the first check that fails denies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Mapping, Optional, Union
 
@@ -251,7 +257,7 @@ class GatekeeperConfig:
 # -- token-bucket rate limiter -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bucket:
     tokens: int
     window_start: int
@@ -259,27 +265,108 @@ class Bucket:
 
 LimiterState = Mapping[str, Bucket]
 
+_BITS = 5
+_FANOUT = 1 << _BITS  # children per trie node, and the most buckets a leaf holds
+_MASK = _FANOUT - 1
+_HASH_BITS = sys.hash_info.width  # past this depth every key of a leaf shares one hash
+
+
+class _BucketTrie(LimiterState):
+    """An immutable ``LimiterState`` that shares structure between versions.
+
+    A hash trie: a node is a tuple of ``_FANOUT`` children indexed by the
+    next ``_BITS`` bits of the key's hash, and a leaf is a dict of at most
+    ``_FANOUT`` buckets, split into a node when it outgrows that. A version
+    made by ``_with`` copies one leaf and the nodes on the path to it, and
+    shares everything else with the version it came from. No version is
+    changed once made, so any number of threads can read one.
+    """
+
+    __slots__ = ("_root", "_len")
+
+    def __init__(self, buckets: LimiterState):
+        leaf = dict(buckets)
+        self._root = _settle(leaf, 0)
+        self._len = len(leaf)
+
+    def _path(self, key: str) -> list:
+        """The nodes from the root down to ``key``'s leaf, the leaf last."""
+        node, h = self._root, hash(key)
+        path = [node]
+        while type(node) is tuple:
+            node = node[h & _MASK]
+            h >>= _BITS
+            path.append(node)
+        return path
+
+    def __getitem__(self, key: str) -> Bucket:
+        return self._path(key)[-1][key]
+
+    def __iter__(self):
+        nodes = [self._root]
+        while nodes:
+            node = nodes.pop()
+            if type(node) is tuple:
+                nodes.extend(node)
+            else:
+                yield from node
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _with(self, path: list, key: str, bucket: Bucket) -> "_BucketTrie":
+        """A new version holding ``bucket`` at ``key``, whose ``_path`` is
+        ``path``: the leaf and the nodes above it are copied, every other
+        child is shared."""
+        leaf = {**path[-1], key: bucket}
+        new = object.__new__(_BucketTrie)
+        new._len = self._len + (len(leaf) > len(path[-1]))
+        node = _settle(leaf, (len(path) - 1) * _BITS)
+        h = hash(key)
+        for depth in range(len(path) - 2, -1, -1):
+            children = list(path[depth])
+            children[(h >> depth * _BITS) & _MASK] = node
+            node = tuple(children)
+        new._root = node
+        return new
+
+
+def _settle(leaf: dict[str, Bucket], shift: int):
+    """``leaf`` itself, or a node of leaves split on the hash bits from
+    ``shift`` up if it holds more than ``_FANOUT`` buckets."""
+    if len(leaf) <= _FANOUT or shift >= _HASH_BITS:
+        return leaf
+    children = [{} for _ in range(_FANOUT)]
+    for key, bucket in leaf.items():
+        children[(hash(key) >> shift) & _MASK][key] = bucket
+    return tuple(_settle(child, shift + _BITS) for child in children)
+
 
 def rate_limiter_admit(
     state: LimiterState, key: str, rate: RateLimit, now: int
-) -> tuple[bool, dict[str, Bucket]]:
+) -> tuple[bool, LimiterState]:
     """Admit iff a token is available; buckets refill at window boundaries,
-    so exactly ``rate.requests`` requests pass per window per key."""
-    bucket = state.get(key)
-    if bucket is None:
-        bucket = Bucket(tokens=rate.requests, window_start=now)
-    elif now - bucket.window_start >= rate.window:
-        elapsed_windows = (now - bucket.window_start) // rate.window
-        bucket = Bucket(
-            tokens=rate.requests,
-            window_start=bucket.window_start + elapsed_windows * rate.window,
-        )
-    admitted = bucket.tokens > 0
-    if admitted:
-        bucket = replace(bucket, tokens=bucket.tokens - 1)
-    new_state = dict(state)
-    new_state[key] = bucket
-    return admitted, new_state
+    so exactly ``rate.requests`` requests pass per window per key.
+
+    ``state`` is never mutated. The returned limiter is a new, immutable
+    version, safe to share across threads, that differs from ``state`` in
+    ``key``'s bucket alone. It copies one leaf of at most 32 buckets and one
+    32-slot node per trie level, so one call costs the same however many
+    buckets are held, up to one level more per 32-fold growth (two levels at
+    5,000 buckets). A ``state`` that is not such a version, such as a dict,
+    is copied into one first, once."""
+    if not isinstance(state, _BucketTrie):
+        state = _BucketTrie(state)
+    path = state._path(key)
+    bucket = path[-1].get(key)
+    if bucket is None or now - bucket.window_start >= rate.window:
+        tokens = rate.requests
+        start = now if bucket is None else now - (now - bucket.window_start) % rate.window
+    else:
+        tokens, start = bucket.tokens, bucket.window_start
+    admitted = tokens > 0
+    bucket = Bucket(tokens=tokens - 1 if admitted else tokens, window_start=start)
+    return admitted, state._with(path, key, bucket)
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -349,7 +436,8 @@ def evaluate(
     results, registry responses, limiter state).
 
     The mapping passed in is never mutated. It is returned as is when no
-    bucket changes, and a throttled decision returns a new mapping."""
+    bucket changes, and a throttled decision returns a new, immutable mapping
+    from ``rate_limiter_admit``, at a cost that does not grow with it."""
     rule = next((r for r in rules if r.matches(ctx)), None)
     if rule is None or rule.requirement.kind == "none":
         decision = Decision(GateVerdict.ALLOW)

@@ -21,6 +21,7 @@ from .errors import ConfigInvalid, MalformedRecord, decoding
 from .gatekeeper import (
     Decision,
     GateVerdict,
+    LimiterState,
     OnMissing,
     PolicyRule,
     Presented,
@@ -191,7 +192,7 @@ class ServiceSim:
         self.action = action
         self.rules = [PolicyRule(action, requirement=requirement, on_missing=on_missing)]
         self.trust = trust
-        self.limiter: dict = {}
+        self.limiter: LimiterState = {}
         self.report_seq = 0
 
     def decide(

@@ -27,6 +27,7 @@ import select
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -336,7 +337,9 @@ class TcpClient(BaseClient):
     on it, so threads sharing a client never interleave lines on one socket
     and never wait on a lock. Before reuse, a zero-timeout poll checks the
     connection; one the server has closed, or one holding unread bytes, is
-    closed and replaced. A request is sent at most once: when sending it or
+    closed and replaced. ``timeout`` bounds a whole request, from opening
+    the connection to the end of the reply line, however slowly the server
+    sends it. A request is sent at most once: when sending it or
     reading its reply fails, times out or meets the end of the stream, the
     connection is dropped, so that a late reply cannot answer a later
     request, and ``RegistryUnavailable`` is raised. The request is never
@@ -366,10 +369,12 @@ class TcpClient(BaseClient):
 
     def request(self, endpoint: str, body: dict) -> dict:
         payload = canonical_json_line({"body": body, "endpoint": endpoint})
+        deadline = time.monotonic() + self.timeout
         conn = self._connection()
         try:
+            _time_left(conn, deadline)
             conn.sendall(payload)
-            line = _read_line(conn)
+            line = _read_line(conn, deadline)
         except OSError as exc:
             self._drop(conn)
             raise RegistryUnavailable(f"{self.host}:{self.port}: {exc}") from exc
@@ -413,10 +418,21 @@ def _stale(conn: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-def _read_line(conn: socket.socket) -> bytes:
-    """One reply line, or b"" if the stream ends before its newline."""
+def _time_left(conn: socket.socket, deadline: float) -> None:
+    """Let ``conn``'s next operation wait only until ``deadline``."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    conn.settimeout(left)
+
+
+def _read_line(conn: socket.socket, deadline: float) -> bytes:
+    """One reply line, or b"" if the stream ends before its newline; raises
+    ``TimeoutError`` if the line is not complete by ``deadline``, however
+    the server spaces its bytes."""
     chunks = []
     while True:
+        _time_left(conn, deadline)
         chunk = conn.recv(65536)
         if not chunk:
             return b""

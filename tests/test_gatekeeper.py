@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from types import MappingProxyType
 
 import pytest
@@ -121,6 +122,75 @@ def test_limiter_is_pure():
     _, new_state = rate_limiter_admit(state, "k", rate, NOW)
     assert state == {}
     assert "k" in new_state
+
+
+def reference_admit(state, key, rate, now):
+    """The limiter as a plain dict, copied whole on every call: the model
+    the structure-sharing limiter must agree with."""
+    bucket = state.get(key)
+    if bucket is None:
+        bucket = Bucket(rate.requests, now)
+    elif now - bucket.window_start >= rate.window:
+        elapsed = (now - bucket.window_start) // rate.window
+        bucket = Bucket(rate.requests, bucket.window_start + elapsed * rate.window)
+    admitted = bucket.tokens > 0
+    if admitted:
+        bucket = Bucket(bucket.tokens - 1, bucket.window_start)
+    return admitted, {**state, key: bucket}
+
+
+@given(
+    start=st.sampled_from(["dict", "read-only", "returned"]),
+    filler=st.integers(0, 100),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([f"addr:{n}" for n in range(10)]),
+            st.sampled_from([RateLimit(1, 10), RateLimit(2, 60), RateLimit(3, 7)]),
+            st.integers(0, 30),  # seconds since the previous step
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_limiter_agrees_with_the_copying_model_and_keeps_every_version(start, filler, steps):
+    model = {f"fill:{n}": Bucket(n % 3, NOW - n) for n in range(filler)}
+    if start == "returned":  # the limiter's own type, as rate_limiter_admit returns it
+        _, state = rate_limiter_admit(model, "fill:last", RateLimit(2, 60), NOW)
+        _, model = reference_admit(model, "fill:last", RateLimit(2, 60), NOW)
+    else:
+        state = dict(model) if start == "dict" else MappingProxyType(dict(model))
+    versions = [(state, model)]
+    now = NOW
+    for key, rate, pause in steps:
+        now += pause
+        admitted, state = rate_limiter_admit(state, key, rate, now)
+        want_admitted, model = reference_admit(model, key, rate, now)
+        assert admitted == want_admitted
+        assert dict(state) == model and len(state) == len(model)
+        versions.append((state, model))
+    for version, contents in versions:  # no update changed an earlier version
+        assert dict(version) == contents and len(version) == len(contents)
+
+
+@pytest.fixture(scope="module")
+def large_limiter():
+    """A limiter of 100,000 buckets, as rate_limiter_admit returns it."""
+    buckets = {f"addr:{n}": Bucket(5, NOW) for n in range(99_999)}
+    _, limiter = rate_limiter_admit(buckets, "addr:99999", RateLimit(5, 60), NOW)
+    return limiter
+
+
+@pytest.mark.parametrize("key", ["addr:7", "addr:new"])
+def test_one_admit_allocates_a_leaf_not_a_copy_of_every_bucket(large_limiter, key):
+    tracemalloc.start()
+    try:
+        _, limiter = rate_limiter_admit(large_limiter, key, RateLimit(5, 60), NOW)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # a copy of 100,000 buckets' dict takes several MiB
+    assert limiter[key] == Bucket(4, NOW) and large_limiter.get("addr:new") is None
+    assert len(limiter) == 100_000 + (key == "addr:new") and len(large_limiter) == 100_000
 
 
 # -- evaluate: missing-ID paths -------------------------------------------------------
@@ -259,6 +329,19 @@ def test_evaluate_never_mutates_the_limiter_passed_in():
     assert decision.verdict == GateVerdict.THROTTLED and decision.admitted
     assert returned["addr:addr-1"].tokens == 0
     assert buckets == {"addr:addr-1": Bucket(tokens=1, window_start=NOW)}
+
+
+def test_evaluate_changes_one_bucket_of_a_large_read_only_limiter():
+    buckets = {f"addr:other-{n}": Bucket(n % 3, NOW) for n in range(999)}
+    buckets["addr:addr-1"] = Bucket(2, NOW)
+    before = dict(buckets)
+    limiter = MappingProxyType(buckets)
+    decision, returned = evaluate(
+        RULES_RATELIMIT, ctx_for(None), TRUST, UnavailableClient(), limiter
+    )
+    assert decision.verdict == GateVerdict.THROTTLED and decision.admitted
+    assert buckets == before
+    assert returned == {**buckets, "addr:addr-1": Bucket(1, NOW)} and len(returned) == 1000
 
 
 # -- certification -------------------------------------------------------------------------

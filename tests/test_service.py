@@ -472,6 +472,38 @@ def test_timed_out_request_is_not_resent_and_the_next_gets_its_own_reply():
     assert [r.report_id for r in registry.incidents] == ["r1"]
 
 
+def test_a_reply_trickled_byte_by_byte_is_cut_off_at_the_request_timeout():
+    """A server that sends one byte of its reply every 0.2 s for 3 s never
+    lets a single recv wait 0.5 s, yet the request must fail at 0.5 s."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)  # accept gives up if the client never connects
+
+    def trickle():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)  # the request line
+            for _ in range(15):
+                time.sleep(0.2)
+                try:
+                    conn.sendall(b"{")
+                except OSError:
+                    return  # the client has given up and closed
+
+    server = threading.Thread(target=trickle)
+    server.start()
+    try:
+        with TcpClient(*listener.getsockname(), timeout=0.5) as client:
+            start = time.monotonic()
+            with pytest.raises(RegistryUnavailable):
+                client.list_keys()
+            elapsed = time.monotonic() - start
+        server.join(timeout=10)
+        assert not server.is_alive()
+    finally:
+        listener.close()
+    assert elapsed < 1.0
+
+
 def test_stopped_server_releases_its_registry_and_handler_threads():
     registry = _registry()
     identifier = registry.issue(Created("sys-a", "u")).doc.identifier
