@@ -83,7 +83,8 @@ def id_inspect(file, fmt):
 @id_group.command("verify")
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--trust-store", "trust_path", required=True, type=click.Path(exists=True))
-@click.option("--at", "at", type=int, default=None, help="verification reference time")
+@click.option("--at", "at", type=int, default=None,
+              help="verification time (default: now); an earlier time checks a past signing")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
 def id_verify(file, trust_path, at, fmt):
     """Verify a signed ID or a disclosed view against a trust store."""
@@ -93,12 +94,8 @@ def id_verify(file, trust_path, at, fmt):
     except ProtocolError as exc:
         click.echo(f"malformed input: {exc}", err=True)
         sys.exit(1)
-    if isinstance(artifact, SignedId):
-        reference = artifact.doc.created_at if at is None else at
-        report = verify_id(artifact, trust, reference)
-    else:
-        reference = artifact.created_at if at is None else at
-        report = verify_view(artifact, trust, reference)
+    verify = verify_id if isinstance(artifact, SignedId) else verify_view
+    report = verify(artifact, trust, SystemClock().now() if at is None else at)
     if fmt == "canonical":
         click.echo(canonical_json_line({"detail": report.detail, "verdict": report.verdict.value}),
                    nl=False)

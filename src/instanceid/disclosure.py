@@ -2,11 +2,11 @@
 
 Hidden attributes appear only as (name, salted digest) commitments; the
 original signature still verifies because it covers the digest form, which
-is reconstructible from any honest redaction. Policies are declarative
-matcher lists so they can ship as fixture files; unlisted party classes get
-nothing (default deny). A view checks its structure when it is built, so
-decoding refuses a malformed one with ``MalformedRecord``, and
-:func:`verify_view` judges only the revealed commitments and the signature.
+is reconstructible from any honest redaction. A policy maps each party class
+to attribute matchers; unlisted party classes get nothing (default deny). A
+view checks its structure when it is built, so decoding refuses a malformed
+one with ``MalformedRecord``, and :func:`verify_view` judges only the
+revealed commitments and the signature.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fnmatch import fnmatchcase
 from typing import Any, Optional, Union
 
 from .canonical import HASH_SUITE, b64u, b64u_decode, canonical_json_bytes, load_canonical
-from .errors import InvalidDocument, MalformedRecord, UnverifiedInput, decoding
+from .errors import InvalidDocument, MalformedRecord, decoding
 from .identity import (
     Attribute,
     AttributeCategory,
@@ -37,7 +37,6 @@ from .verifiability import (
     VerificationReport,
     Verdict,
     _verify_signature,
-    verify_id,
 )
 
 
@@ -71,26 +70,6 @@ class AttributeMatcher:
             return False
         return True
 
-    def to_jsonable(self) -> dict:
-        return {
-            "category": self.category.value if self.category else None,
-            "name": self.name,
-            "specificity": self.specificity.value if self.specificity else None,
-        }
-
-    @classmethod
-    @decoding("attribute matcher")
-    def from_jsonable(cls, body: Any) -> "AttributeMatcher":
-        return cls(
-            name=body.get("name"),
-            category=AttributeCategory(body["category"]) if body.get("category") else None,
-            specificity=(
-                AttributeSpecificity(body["specificity"])
-                if body.get("specificity")
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class DisclosurePolicy:
@@ -103,22 +82,6 @@ class DisclosurePolicy:
         if not matchers:
             return False
         return any(matcher.matches(attr) for matcher in matchers)
-
-    def to_jsonable(self) -> dict:
-        return {
-            party.value: [m.to_jsonable() for m in matchers]
-            for party, matchers in sorted(self.rules.items(), key=lambda kv: kv[0].value)
-        }
-
-    @classmethod
-    @decoding("disclosure policy")
-    def from_jsonable(cls, body: Any) -> "DisclosurePolicy":
-        return cls(
-            rules={
-                PartyClass(party): tuple(AttributeMatcher.from_jsonable(m) for m in matchers)
-                for party, matchers in body.items()
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -159,7 +122,7 @@ class DisclosedView:
     hash_suite: str = HASH_SUITE
 
     def __post_init__(self):
-        valid = isinstance(self.created_at, int) and self.created_at >= 0
+        valid = type(self.created_at) is int and self.created_at >= 0
         if not valid or self.hash_suite != HASH_SUITE:
             raise InvalidDocument(f"bad view: {self.created_at!r}, {self.hash_suite!r}")
         if not isinstance(self.author, AuthorRef):
@@ -245,23 +208,12 @@ class DisclosedView:
         return cls.from_jsonable(load_canonical(data))
 
 
-def redact(
-    signed: SignedId,
-    policy: DisclosurePolicy,
-    party: PartyClass,
-    trust_store: Optional[TrustStore] = None,
-    at: Optional[int] = None,
-) -> DisclosedView:
+def redact(signed: SignedId, policy: DisclosurePolicy, party: PartyClass) -> DisclosedView:
     """Produce the view ``party`` is entitled to under ``policy``.
 
-    Pass a trust store to enforce the verified-input precondition; the
-    signature is carried unchanged either way.
+    The signature is carried unchanged and nothing is verified here: a
+    redaction of a bad ID is a view that fails :func:`verify_view`.
     """
-    if trust_store is not None:
-        reference = signed.doc.created_at if at is None else at
-        report = verify_id(signed, trust_store, reference)
-        if not report.ok:
-            raise UnverifiedInput(report.verdict.value)
     entries: list[ViewEntry] = []
     for attr in signed.doc.attributes:
         digest = attribute_digest(attr)

@@ -121,12 +121,6 @@ class ChainIdentifierMismatch(ProtocolError):
     """Previous manifest in a chain binds a different identifier."""
 
 
-# -- disclosure ------------------------------------------------------------
-
-class UnverifiedInput(ProtocolError):
-    """redact() refuses to operate on an ID that fails verification."""
-
-
 # -- registry --------------------------------------------------------------
 
 class NotFound(ProtocolError):

@@ -29,11 +29,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Any, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .canonical import b64u
 from .disclosure import DisclosedView, verify_view
-from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable, decoding
+from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable
 from .identity import AttributeCategory, InstanceIdentifier, is_attribute_name
 from .registry import IncidentScope, TimeWindow
 from .verifiability import (
@@ -143,64 +143,6 @@ class PolicyRule:
 
     def matches(self, ctx: "RequestContext") -> bool:
         return fnmatchcase(ctx.action, self.action) and ctx.magnitude >= self.threshold
-
-    def to_jsonable(self) -> dict:
-        return {
-            "action": self.action,
-            "incident_threshold": (
-                {
-                    "max": self.incident_threshold.max_count,
-                    "scope": self.incident_threshold.scope_kind,
-                }
-                if self.incident_threshold
-                else None
-            ),
-            "on_missing": {
-                "kind": self.on_missing.kind,
-                "rate": (
-                    {
-                        "requests": self.on_missing.rate.requests,
-                        "window": self.on_missing.rate.window,
-                    }
-                    if self.on_missing.rate
-                    else None
-                ),
-            },
-            "requirement": {"cert": self.requirement.cert, "kind": self.requirement.kind},
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    @decoding("policy rule")
-    def from_jsonable(cls, body: Any) -> "PolicyRule":
-        on_missing_body = body["on_missing"]
-        rate = on_missing_body.get("rate")
-        return cls(
-            action=body["action"],
-            threshold=body.get("threshold", 0),
-            requirement=Requirement(body["requirement"]["kind"], body["requirement"].get("cert")),
-            on_missing=OnMissing(
-                on_missing_body["kind"],
-                RateLimit(rate["requests"], rate["window"]) if rate else None,
-            ),
-            incident_threshold=(
-                IncidentThreshold(
-                    body["incident_threshold"]["scope"],
-                    body["incident_threshold"]["max"],
-                )
-                if body.get("incident_threshold")
-                else None
-            ),
-        )
-
-
-@decoding("gate policy")
-def policy_from_jsonable(body: Any) -> list[PolicyRule]:
-    return [PolicyRule.from_jsonable(item) for item in body["rules"]]
-
-
-def policy_to_jsonable(rules: list[PolicyRule]) -> dict:
-    return {"rules": [rule.to_jsonable() for rule in rules]}
 
 
 @dataclass(frozen=True)

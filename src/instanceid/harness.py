@@ -569,7 +569,7 @@ def run_investigation_scenario(config: SimConfig, transport: str = "inproc") -> 
             while True:
                 client = eco.client_for(current)
                 view = client.get_view(current, PartyClass.REGULATOR)
-                if not verify_view(view, eco.trust, view.created_at).ok:
+                if not verify_view(view, eco.trust, clock.now()).ok:
                     raise ConfigInvalid(f"registry served an unverifiable view for {current}")
                 ancestors = [l.target for l in view.links if l.relation == "ancestor"]
                 trace.add(

@@ -282,7 +282,7 @@ class IdDocument:
     hash_suite: str = HASH_SUITE
 
     def __post_init__(self):
-        if not isinstance(self.created_at, int) or self.created_at < 0:
+        if type(self.created_at) is not int or self.created_at < 0:
             raise InvalidDocument("created_at must be a non-negative integer")
         if self.hash_suite != HASH_SUITE:
             raise InvalidDocument(f"unsupported hash suite: {self.hash_suite!r}")

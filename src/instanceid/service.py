@@ -33,7 +33,9 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import errors
-from .canonical import b64u, b64u_decode, canonical_json_bytes, canonical_json_line, load_canonical
+from .canonical import (
+    SIGNATURE_SUITE, b64u, b64u_decode, canonical_json_bytes, canonical_json_line, load_canonical,
+)
 from .disclosure import DisclosedView, PartyClass
 from .errors import MalformedRecord, ProtocolError, RegistryUnavailable, decoding
 from .identity import Attribute, InstanceIdentifier, parse_identifier
@@ -505,8 +507,11 @@ def _digits(text: str, what: str) -> int:
 
 @decoding("key file")
 def load_keypair_file(path: str | Path):
-    """Key file: canonical JSON {author_id, key_id, suite, private(b64u)}."""
+    """Key file: canonical JSON {author_id, key_id, suite, private(b64u)};
+    the suite must be ``ed25519``, the only one this package signs with."""
     body = load_canonical(Path(path).read_bytes())
+    if body["suite"] != SIGNATURE_SUITE:
+        raise MalformedRecord(f"unsupported key suite: {body['suite']!r}")
     return KeyPair.generate(body["author_id"], body["key_id"], seed=b64u_decode(body["private"]))
 
 
@@ -526,7 +531,7 @@ def save_keypair_file(path: str | Path, keypair) -> None:
                 "author_id": keypair.author_id,
                 "key_id": keypair.key_id,
                 "private": b64u(raw),
-                "suite": keypair.suite,
+                "suite": SIGNATURE_SUITE,
             }
         )
     )

@@ -89,7 +89,6 @@ class KeyPair:
     author_id: str
     key_id: str
     private: Ed25519PrivateKey
-    suite: str = SIGNATURE_SUITE
 
     @classmethod
     def generate(
@@ -106,7 +105,7 @@ class KeyPair:
 
     def public_key(self) -> PublicKey:
         raw = self.private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return PublicKey(suite=self.suite, key_id=self.key_id, public=raw)
+        return PublicKey(suite=SIGNATURE_SUITE, key_id=self.key_id, public=raw)
 
     def author_ref(self) -> AuthorRef:
         return AuthorRef(self.author_id, self.key_id)
@@ -330,15 +329,17 @@ def sign_id(
     message = digest_form_bytes(doc)
     return SignedId(
         doc=doc,
-        signature=Signature(keypair.suite, keypair.key_id, keypair.sign(message)),
+        signature=Signature(SIGNATURE_SUITE, keypair.key_id, keypair.sign(message)),
     )
 
 
 def verify_id(signed: SignedId, trust_store: TrustStore, at: int) -> VerificationReport:
     """Check the signature under an author key active at ``at``.
 
-    ``at`` is the issuance reference time: artifacts signed before a key
-    compromise remain attributable (certificate practice).
+    ``at`` is the verifier's own time, never the ``created_at`` the signer
+    wrote, which the holder of a revoked key could backdate. An earlier
+    ``at`` asks whether the key was active then, as when attributing a past
+    signing whose time is known from elsewhere.
     """
     return _verify_signature(
         signed.doc.author, signed.signature, digest_form_bytes(signed.doc), trust_store, at
@@ -437,10 +438,10 @@ def create_manifest(
         seq=seq,
         prev_manifest_hash=prev_hash,
         issued_at=at,
-        signature=Signature(keypair.suite, keypair.key_id, b""),
+        signature=Signature(SIGNATURE_SUITE, keypair.key_id, b""),
     )
     signature = Signature(
-        keypair.suite, keypair.key_id, keypair.sign(unsigned.signing_bytes())
+        SIGNATURE_SUITE, keypair.key_id, keypair.sign(unsigned.signing_bytes())
     )
     return replace(unsigned, signature=signature)
 

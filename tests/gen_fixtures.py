@@ -108,9 +108,6 @@ def build():
             PartyClass.AUDITOR: (AttributeMatcher(),),
         }
     )
-    (FIXTURES / "disclosure_policy.json").write_bytes(
-        canonical_json_bytes(policy.to_jsonable())
-    )
     view = redact(honest, policy, PartyClass.SERVICE_PROVIDER)
     (FIXTURES / "service_provider_view.json").write_bytes(view.to_bytes())
 

@@ -7,10 +7,23 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from instanceid import Created, IncidentReport, Regenerated, Registry, Severity, SimClock
+from instanceid import (
+    Created,
+    DisclosurePolicy,
+    IdDocument,
+    IncidentReport,
+    PartyClass,
+    Regenerated,
+    Registry,
+    Severity,
+    SimClock,
+    parse_identifier,
+    redact,
+    sign_id,
+)
 from instanceid.cli import main
 
-from helpers import fixed_keypair
+from helpers import fixed_keypair, trust_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -92,6 +105,28 @@ def test_author_less_view_file_is_refused(runner, tmp_path):
         result = runner.invoke(main, ["id", *args])
         assert result.exit_code == 1, args
         assert "malformed" in result.output
+
+
+@pytest.mark.parametrize("artifact", ["signed-id", "view"])
+def test_verify_without_at_uses_the_time_of_verification(runner, tmp_path, artifact):
+    """A key revoked at 1000 cannot sign a document dated 10 that verifies now."""
+    keypair = fixed_keypair("acme", "k1")
+    trust = trust_for(keypair)
+    trust.revoke_key("acme", "k1", 1000)
+    signed = sign_id(IdDocument(parse_identifier("sys-a:i1"), 10, keypair.author_ref()), keypair)
+    if artifact == "view":
+        signed = redact(signed, DisclosurePolicy(rules={}), PartyClass.PUBLIC)
+    artifact_path, trust_path = tmp_path / "artifact.json", tmp_path / "trust.json"
+    artifact_path.write_bytes(signed.to_bytes())
+    trust_path.write_bytes(trust.to_bytes())
+    verify = ["id", "verify", str(artifact_path), "--trust-store", str(trust_path)]
+
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 1
+    assert "revoked-key" in result.output
+    result = runner.invoke(main, [*verify, "--at", "10"])
+    assert result.exit_code == 0, result.output
+    assert "verified" in result.output
 
 
 def test_usage_error_exits_two(runner):

@@ -3,8 +3,7 @@
 Inputs are valid bodies with one node deleted or replaced by an arbitrary
 JSON value, the replacement of the whole body included. Decoders must return
 a value or raise ``MalformedRecord``; a decoded signed ID, view or manifest
-must verify to a verdict, and a decoded policy or matcher must decide,
-never raise. ``Registry.replay`` may also raise a
+must verify to a verdict, never raise. ``Registry.replay`` may also raise a
 domain error such as ``UnknownParent``, but nothing outside ``ProtocolError``.
 ``RegistryServer.handle`` must answer every request; a refused one leaves the
 registry log as it was, and a TCP connection keeps answering after any of
@@ -30,14 +29,10 @@ from instanceid import (
     IncidentScope,
     Manifest,
     Merged,
-    OnMissing,
     PartyClass,
-    PolicyRule,
     PublicKey,
     Registry,
     RegistryServer,
-    RateLimit,
-    Requirement,
     Severity,
     SignedId,
     SimClock,
@@ -51,19 +46,11 @@ from instanceid import (
     verify_manifest,
     verify_view,
 )
-from instanceid.canonical import canonical_json_line, load_canonical
+from instanceid.canonical import b64u, canonical_json_line, load_canonical
 from instanceid.errors import DuplicateConstituents, MalformedRecord, ProtocolError
-from instanceid.gatekeeper import (
-    IncidentThreshold,
-    Presented,
-    RequestContext,
-    evaluate,
-    policy_from_jsonable,
-    policy_to_jsonable,
-)
 from instanceid.identity import Link, doc_from_jsonable, doc_to_jsonable
 from instanceid.lineage import event_from_jsonable
-from instanceid.service import ServiceConfig, UnavailableClient, load_keypair_file
+from instanceid.service import ServiceConfig, load_keypair_file
 from instanceid.verifiability import KeyRecord, Signature
 
 from helpers import fixed_keypair, random_signed, trust_for
@@ -78,10 +65,6 @@ VIEW = redact(
     PartyClass.AUDITOR,
 )
 MANIFEST = create_manifest(SIGNED.doc.identifier, b"output", None, KEYPAIR, at=5)
-RULE = PolicyRule(
-    "transfer-*", 10, Requirement.certification("cert:safety"),
-    OnMissing("rate-limit", RateLimit(5, 60)), IncidentThreshold("system", 3),
-)
 REPORT = IncidentReport("r1", SIGNED.doc.identifier, "service.x", Severity.MAJOR, "spam", 7, "u")
 REVOKED = TrustStore()
 REVOKED.register_key("acme", KEYPAIR.public_key())
@@ -99,22 +82,10 @@ DECODERS = {
     "SignedId": (SignedId.from_jsonable, SIGNED.to_jsonable()),
     "Manifest": (Manifest.from_jsonable, MANIFEST.to_jsonable()),
     "TrustStore": (TrustStore.from_jsonable, REVOKED.to_jsonable()),
-    "AttributeMatcher": (
-        AttributeMatcher.from_jsonable,
-        AttributeMatcher("cert:*", SIGNED.doc.attributes[0].category).to_jsonable(),
-    ),
-    "DisclosurePolicy": (
-        DisclosurePolicy.from_jsonable,
-        DisclosurePolicy(
-            rules={party: (AttributeMatcher(),) for party in (PartyClass.AUDITOR, PartyClass.USER)}
-        ).to_jsonable(),
-    ),
     "DisclosedView": (DisclosedView.from_jsonable, VIEW.to_jsonable()),
     "IncidentReport": (IncidentReport.from_jsonable, REPORT.to_jsonable()),
     "IncidentScope": (IncidentScope.from_jsonable, IncidentScope.system("sys-a").to_jsonable()),
     "TimeWindow": (TimeWindow.from_jsonable, TimeWindow(1, 9).to_jsonable()),
-    "PolicyRule": (PolicyRule.from_jsonable, RULE.to_jsonable()),
-    "policy_from_jsonable": (policy_from_jsonable, policy_to_jsonable([RULE, RULE])),
     "event_created": (event_from_jsonable, {"kind": "created", "system_id": "s", "user_ref": "u"}),
     "event_reloaded": (event_from_jsonable, {"kind": "reloaded", "original": "s:i"}),
     "event_regenerated": (
@@ -124,31 +95,12 @@ DECODERS = {
     "event_fine_tuned": (event_from_jsonable, {"base_system_id": "s", "kind": "fine-tuned"}),
 }
 
-# an ID-less caller reaches on_missing; a presented ID reaches the requirement
-# and the incident threshold
-GATE_CONTEXTS = (
-    RequestContext("transfer-funds", 10, "usd", 5, "10.0.0.1"),
-    RequestContext("transfer-funds", 10, "usd", 5, "10.0.0.1", Presented(SIGNED)),
-)
-
-
-def _evaluate(rules: list[PolicyRule], trust: TrustStore) -> None:
-    for ctx in GATE_CONTEXTS:
-        evaluate(rules, ctx, trust, UnavailableClient(), {})
-
-
-# decoded artifacts must verify to a verdict, and decoded policies must decide;
-# the revoked store reaches the comparisons against revoked_at
+# decoded artifacts must verify to a verdict; the revoked store reaches the
+# comparisons against revoked_at
 VERIFIERS = {
     "SignedId": lambda signed, trust: verify_id(signed, trust, 4),
     "DisclosedView": lambda view, trust: verify_view(view, trust, 4),
     "Manifest": lambda manifest, trust: verify_manifest(manifest, b"output", trust, 4),
-    "PolicyRule": lambda rule, trust: _evaluate([rule], trust),
-    "policy_from_jsonable": _evaluate,
-    "AttributeMatcher": lambda matcher, trust: [
-        matcher.matches(attr) for attr in SIGNED.doc.attributes
-    ],
-    "DisclosurePolicy": lambda policy, trust: [redact(SIGNED, policy, party) for party in PartyClass],
 }
 
 # -- generating inputs -----------------------------------------------------------------
@@ -242,19 +194,6 @@ def _view_with_unsalted_revealed():
     return body
 
 
-def _rule_with_rate(requests, window):
-    return {**RULE.to_jsonable(), "on_missing": {
-        "kind": "rate-limit", "rate": {"requests": requests, "window": window}}}
-
-
-def _rule_with_threshold(max_count):
-    return {**RULE.to_jsonable(), "incident_threshold": {"max": max_count, "scope": "system"}}
-
-
-def _rule_with_cert(kind, cert):
-    return {**RULE.to_jsonable(), "requirement": {"cert": cert, "kind": kind}}
-
-
 @pytest.mark.parametrize(
     "name, body",
     [
@@ -266,28 +205,16 @@ def _rule_with_cert(kind, cert):
         ("event_regenerated", {"branch_point": "x", "kind": "regenerated", "parent": "s:i"}),
         ("event_created", {"kind": "created", "system_id": 5, "user_ref": "u"}),
         ("event_fine_tuned", {"base_system_id": "Not A Token", "kind": "fine-tuned"}),
-        ("DisclosurePolicy", {"user": [5]}),
-        ("policy_from_jsonable", {}),
-        ("DisclosurePolicy", {"user": [{"name": 5}]}),
-        ("AttributeMatcher", {"category": None, "name": 5, "specificity": None}),
-        ("PolicyRule", {**RULE.to_jsonable(), "threshold": "10"}),
-        ("PolicyRule", {**RULE.to_jsonable(), "threshold": True}),
-        ("policy_from_jsonable", {"rules": [{**RULE.to_jsonable(), "action": 5}]}),
-        ("PolicyRule", _rule_with_rate(0.5, 60)),
-        ("PolicyRule", _rule_with_rate(5, True)),
-        ("policy_from_jsonable", {"rules": [_rule_with_rate(0.5, True)]}),
-        ("PolicyRule", _rule_with_threshold(0.5)),
-        ("PolicyRule", _rule_with_threshold(True)),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": "bogus"}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": ["minor"]}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": None}),
-        ("policy_from_jsonable", {"rules": [_rule_with_cert("certification", 5)]}),
-        ("PolicyRule", _rule_with_cert("certification", "No Name")),
-        ("PolicyRule", _rule_with_cert("id", "x")),
         ("IncidentScope", {"kind": "instance-class", "value": "x"}),
         ("DisclosedView", {**VIEW.to_jsonable(), "author": None}),
         ("DisclosedView", _view_with_hidden_name(VIEW.revealed[0].attribute.name)),
         ("DisclosedView", _view_with_unsalted_revealed()),
+        ("SignedId", {**SIGNED.to_jsonable(),
+                      "doc": {**doc_to_jsonable(SIGNED.doc), "created_at": True}}),
+        ("DisclosedView", {**VIEW.to_jsonable(), "created_at": False}),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
@@ -568,10 +495,16 @@ def test_service_config_rejects_malformed_files(tmp_path, body):
         ServiceConfig.from_file(path, env={})
 
 
+SEED = b64u(bytes(32)).encode()  # a valid ed25519 seed
+
+
 @pytest.mark.parametrize(
     "body",
     [b"[]", b"{}", b'{"author_id": "acme", "key_id": "k1", "private": "AAAA"}',
-     b'{"author_id": "acme", "key_id": "k1", "private": 5}'],
+     b'{"author_id": "acme", "key_id": "k1", "private": 5}',
+     b'{"author_id": "acme", "key_id": "k1", "private": "AAAA", "suite": "ed25519"}',
+     b'{"author_id": "acme", "key_id": "k1", "private": "%s", "suite": "rsa-pss"}' % SEED,
+     b'{"author_id": "acme", "key_id": "k1", "private": "%s"}' % SEED],
 )
 def test_keypair_file_rejects_malformed_files(tmp_path, body):
     path = tmp_path / "key.json"

@@ -19,7 +19,7 @@ from instanceid import (
 )
 from instanceid.canonical import b64u, b64u_decode, load_canonical
 from instanceid.disclosure import HiddenEntry, RevealedEntry, view_signing_bytes
-from instanceid.errors import InvalidDocument, MalformedRecord, UnverifiedInput
+from instanceid.errors import InvalidDocument, MalformedRecord
 from instanceid.identity import digest_form_bytes
 
 from helpers import fixed_keypair, random_signed, trust_for, view_mutations
@@ -91,17 +91,16 @@ def test_unknown_party_class_defaults_to_deny():
     assert len(view.hidden) == len(signed.doc.attributes)
 
 
-def test_redact_refuses_unverified_input():
+def test_redact_does_not_verify():
     signed = signed_with(3)
     tampered_body = signed.to_jsonable()
     tampered_body["doc"]["created_at"] += 1
     from instanceid import SignedId
 
     tampered = SignedId.from_jsonable(tampered_body)
-    with pytest.raises(UnverifiedInput):
-        redact(tampered, reveal_all_policy(), PartyClass.AUDITOR, trust_store=TRUST)
-    # without a trust store the precondition is the caller's responsibility
-    redact(tampered, reveal_all_policy(), PartyClass.AUDITOR)
+    # verifying is the caller's responsibility; the view of a bad ID fails verify_view
+    view = redact(tampered, reveal_all_policy(), PartyClass.AUDITOR)
+    assert not verify_view(view, TRUST, tampered.doc.created_at).ok
 
 
 # -- verify_view ---------------------------------------------------------------------
@@ -249,14 +248,3 @@ def test_entry_order_matches_document_order():
     assert names == signed.doc.attribute_names()
     round_tripped = DisclosedView.from_bytes(view.to_bytes())
     assert round_tripped == view
-
-
-def test_policy_serialization_round_trip():
-    policy = DisclosurePolicy(
-        rules={
-            PartyClass.AUDITOR: (AttributeMatcher(),),
-            PartyClass.SERVICE_PROVIDER: (AttributeMatcher(name="cert:*"),),
-        }
-    )
-    body = policy.to_jsonable()
-    assert DisclosurePolicy.from_jsonable(body).to_jsonable() == body

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from instanceid import (
     Attribute,
     AttributeCategory,
+    AttributeMatcher,
     AttributeSpecificity,
     Created,
     Decision,
@@ -41,7 +42,7 @@ from instanceid import (
 )
 from instanceid.disclosure import DisclosedView
 from instanceid.errors import MalformedRecord, NoAuthorInfo
-from instanceid.gatekeeper import Bucket, policy_from_jsonable, policy_to_jsonable
+from instanceid.gatekeeper import Bucket
 
 from helpers import fixed_keypair, trust_for
 
@@ -660,15 +661,28 @@ def test_gatekeeper_never_accepts_what_verification_rejects():
         assert decision.verdict == GateVerdict.DENIED
 
 
-def test_policy_file_round_trip():
-    rules = [
-        PolicyRule(
-            "transfer-funds", 1000, Requirement.verified_id(),
-            OnMissing.rate_limit(2, 60), IncidentThreshold("system", 5),
-        ),
-        PolicyRule("place-call", 0, Requirement.certification("no-prompt-injection"),
-                   OnMissing.deny()),
-        PolicyRule("*", 0, Requirement.none(), OnMissing.allow()),
-    ]
-    body = policy_to_jsonable(rules)
-    assert policy_from_jsonable(body) == rules
+# -- policy construction --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (PolicyRule, ("x", "10")),
+        (PolicyRule, ("x", True)),
+        (PolicyRule, (5,)),
+        (RateLimit, (0.5, 60)),
+        (RateLimit, (5, True)),
+        (IncidentThreshold, ("system", 0.5)),
+        (IncidentThreshold, ("system", True)),
+        (Requirement, ("certification", 5)),
+        (Requirement, ("certification", "No Name")),
+        (Requirement, ("id", "x")),
+        (AttributeMatcher, (5,)),
+    ],
+    ids=["threshold-a-string", "threshold-a-bool", "action-not-a-string", "requests-a-float",
+         "window-a-bool", "max-count-a-float", "max-count-a-bool", "cert-not-a-string",
+         "cert-not-an-attribute-name", "cert-on-an-id-requirement", "matcher-name-not-a-string"],
+)
+def test_policy_constructors_refuse_malformed_fields(build, args):
+    with pytest.raises(MalformedRecord):
+        build(*args)
