@@ -3,7 +3,8 @@
 Inputs are valid bodies with one node deleted or replaced by an arbitrary
 JSON value, the replacement of the whole body included. Decoders must return
 a value or raise ``MalformedRecord``; a decoded signed ID, view or manifest
-must verify to a verdict, never raise. ``Registry.replay`` may also raise a
+must verify to a verdict, never raise. The policy types, which have no JSON
+form, raise ``MalformedRecord`` from their constructors. ``Registry.replay`` may also raise a
 domain error such as ``UnknownParent``, but nothing outside ``ProtocolError``.
 ``RegistryServer.handle`` must answer every request; a refused one leaves the
 registry log as it was, and a TCP connection keeps answering after any of
@@ -29,10 +30,14 @@ from instanceid import (
     IncidentScope,
     Manifest,
     Merged,
+    OnMissing,
     PartyClass,
+    PolicyRule,
     PublicKey,
     Registry,
     RegistryServer,
+    RateLimit,
+    Requirement,
     Severity,
     SignedId,
     SimClock,
@@ -48,6 +53,7 @@ from instanceid import (
 )
 from instanceid.canonical import b64u, canonical_json_line, load_canonical
 from instanceid.errors import DuplicateConstituents, MalformedRecord, ProtocolError
+from instanceid.gatekeeper import IncidentThreshold
 from instanceid.identity import Link, doc_from_jsonable, doc_to_jsonable
 from instanceid.lineage import event_from_jsonable
 from instanceid.service import ServiceConfig, load_keypair_file
@@ -194,6 +200,24 @@ def _view_with_unsalted_revealed():
     return body
 
 
+def _rule(action="transfer-*", threshold=10, requirement=("certification", "cert:safety"),
+          on_missing=("rate-limit", (5, 60)), incident_threshold=("system", 3)):
+    """A gate rule built from its parts, each given as its constructor's arguments."""
+    kind, rate = on_missing
+    return PolicyRule(
+        action, threshold, Requirement(*requirement),
+        OnMissing(kind, None if rate is None else RateLimit(*rate)),
+        IncidentThreshold(*incident_threshold),
+    )
+
+
+# rows for these name one constructor argument instead of a JSON body
+BUILDERS = {
+    "AttributeMatcher": lambda fields: AttributeMatcher(**fields),
+    "PolicyRule": lambda fields: _rule(**fields),
+}
+
+
 @pytest.mark.parametrize(
     "name, body",
     [
@@ -205,9 +229,24 @@ def _view_with_unsalted_revealed():
         ("event_regenerated", {"branch_point": "x", "kind": "regenerated", "parent": "s:i"}),
         ("event_created", {"kind": "created", "system_id": 5, "user_ref": "u"}),
         ("event_fine_tuned", {"base_system_id": "Not A Token", "kind": "fine-tuned"}),
+        ("PolicyRule", {"on_missing": ("throttle", None)}),
+        ("PolicyRule", {"on_missing": ("rate-limit", None)}),
+        ("PolicyRule", {"incident_threshold": ("instance-class", 3)}),
+        ("AttributeMatcher", {"category": None, "name": 5, "specificity": None}),
+        ("PolicyRule", {"threshold": "10"}),
+        ("PolicyRule", {"threshold": True}),
+        ("PolicyRule", {"action": 5}),
+        ("PolicyRule", {"on_missing": ("rate-limit", (0.5, 60))}),
+        ("PolicyRule", {"on_missing": ("rate-limit", (5, True))}),
+        ("PolicyRule", {"on_missing": ("rate-limit", (0.5, True))}),
+        ("PolicyRule", {"incident_threshold": ("system", 0.5)}),
+        ("PolicyRule", {"incident_threshold": ("system", True)}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": "bogus"}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": ["minor"]}),
         ("IncidentReport", {**REPORT.to_jsonable(), "severity": None}),
+        ("PolicyRule", {"requirement": ("certification", 5)}),
+        ("PolicyRule", {"requirement": ("certification", "No Name")}),
+        ("PolicyRule", {"requirement": ("id", "x")}),
         ("IncidentScope", {"kind": "instance-class", "value": "x"}),
         ("DisclosedView", {**VIEW.to_jsonable(), "author": None}),
         ("DisclosedView", _view_with_hidden_name(VIEW.revealed[0].attribute.name)),
@@ -218,8 +257,11 @@ def _view_with_unsalted_revealed():
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):
+    if name in BUILDERS:
+        BUILDERS[name]({})  # the parts a row leaves alone build
+    build = BUILDERS[name] if name in BUILDERS else DECODERS[name][0]
     with pytest.raises(MalformedRecord):
-        DECODERS[name][0](body)
+        build(body)
 
 
 # -- registry log ----------------------------------------------------------------------

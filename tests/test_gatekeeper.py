@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from instanceid import (
     Attribute,
     AttributeCategory,
-    AttributeMatcher,
     AttributeSpecificity,
     Created,
     Decision,
@@ -660,29 +659,3 @@ def test_gatekeeper_never_accepts_what_verification_rejects():
         decision, _ = evaluate(RULES_RATELIMIT, ctx_for(presented), TRUST, client, {})
         assert decision.verdict == GateVerdict.DENIED
 
-
-# -- policy construction --------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "build, args",
-    [
-        (PolicyRule, ("x", "10")),
-        (PolicyRule, ("x", True)),
-        (PolicyRule, (5,)),
-        (RateLimit, (0.5, 60)),
-        (RateLimit, (5, True)),
-        (IncidentThreshold, ("system", 0.5)),
-        (IncidentThreshold, ("system", True)),
-        (Requirement, ("certification", 5)),
-        (Requirement, ("certification", "No Name")),
-        (Requirement, ("id", "x")),
-        (AttributeMatcher, (5,)),
-    ],
-    ids=["threshold-a-string", "threshold-a-bool", "action-not-a-string", "requests-a-float",
-         "window-a-bool", "max-count-a-float", "max-count-a-bool", "cert-not-a-string",
-         "cert-not-an-attribute-name", "cert-on-an-id-requirement", "matcher-name-not-a-string"],
-)
-def test_policy_constructors_refuse_malformed_fields(build, args):
-    with pytest.raises(MalformedRecord):
-        build(*args)
