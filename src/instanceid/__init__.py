@@ -77,7 +77,6 @@ from .service import (
     ServiceConfig,
     TcpClient,
     TcpRegistryServer,
-    UnavailableClient,
 )
 from .verifiability import (
     KeyPair,
@@ -90,7 +89,6 @@ from .verifiability import (
     create_manifest,
     manifest_hash,
     sign_id,
-    verify_chain,
     verify_id,
     verify_manifest,
 )

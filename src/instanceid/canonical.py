@@ -27,6 +27,14 @@ HASH_SUITE = "sha-256"
 SIGNATURE_SUITE = "ed25519"
 
 
+def _check_suite(found: Any, suite: str) -> None:
+    """Refuse an artifact that names any suite but ``suite``, the one this
+    package uses: the verifier fixes the algorithm, the presenter does not
+    choose it (RFC 8725 section 3.1)."""
+    if found != suite:
+        raise MalformedRecord(f"unsupported suite {found!r}, expected {suite!r}")
+
+
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Optional, Union
 
-from .canonical import HASH_SUITE, b64u, b64u_decode, canonical_json_bytes, load_canonical
+from .canonical import (
+    HASH_SUITE, _check_suite, b64u, b64u_decode, canonical_json_bytes, load_canonical,
+)
 from .errors import InvalidDocument, MalformedRecord, decoding
 from .identity import (
     Attribute,
@@ -109,9 +111,9 @@ class DisclosedView:
     signing bytes can be reconstructed.
 
     Construction raises :class:`InvalidDocument` unless ``created_at`` is a
-    non-negative integer, the hash suite is supported, the author is an
-    :class:`AuthorRef`, entry names are unique, and every revealed attribute
-    has a salt."""
+    non-negative integer, the author is an :class:`AuthorRef`, entry names
+    are unique, and every revealed attribute has a salt. As for documents,
+    the JSON form writes ``HASH_SUITE`` and decoding refuses any other."""
 
     identifier: InstanceIdentifier
     author: AuthorRef
@@ -119,12 +121,10 @@ class DisclosedView:
     entries: tuple[ViewEntry, ...]
     links: tuple[Link, ...]
     signature: Signature
-    hash_suite: str = HASH_SUITE
 
     def __post_init__(self):
-        valid = type(self.created_at) is int and self.created_at >= 0
-        if not valid or self.hash_suite != HASH_SUITE:
-            raise InvalidDocument(f"bad view: {self.created_at!r}, {self.hash_suite!r}")
+        if type(self.created_at) is not int or self.created_at < 0:
+            raise InvalidDocument(f"bad view created_at: {self.created_at!r}")
         if not isinstance(self.author, AuthorRef):
             raise InvalidDocument(f"view author must be an AuthorRef, not {self.author!r}")
         names = [e.attribute.name if isinstance(e, RevealedEntry) else e.name
@@ -172,7 +172,7 @@ class DisclosedView:
             "author": self.author.to_jsonable(),
             "created_at": self.created_at,
             "entries": entries,
-            "hash_suite": self.hash_suite,
+            "hash_suite": HASH_SUITE,
             "identifier": str(self.identifier),
             "links": [link.to_jsonable() for link in self.links],
             "signature": self.signature.to_jsonable(),
@@ -181,6 +181,7 @@ class DisclosedView:
     @classmethod
     @decoding("disclosed view")
     def from_jsonable(cls, body: Any) -> "DisclosedView":
+        _check_suite(body["hash_suite"], HASH_SUITE)
         entries: list[ViewEntry] = []
         for item in body["entries"]:
             if item["kind"] == "revealed":
@@ -197,7 +198,6 @@ class DisclosedView:
             entries=tuple(entries),
             links=tuple(Link.from_jsonable(l) for l in body["links"]),
             signature=Signature.from_jsonable(body["signature"]),
-            hash_suite=body["hash_suite"],
         )
 
     def to_bytes(self) -> bytes:
@@ -228,7 +228,6 @@ def redact(signed: SignedId, policy: DisclosurePolicy, party: PartyClass) -> Dis
         entries=tuple(entries),
         links=signed.doc.links,
         signature=signed.signature,
-        hash_suite=signed.doc.hash_suite,
     )
 
 
@@ -248,7 +247,6 @@ def view_signing_bytes(view: DisclosedView) -> bytes:
             for entry in view.entries
         ],
         view.links,
-        view.hash_suite,
     )
 
 

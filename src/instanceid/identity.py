@@ -18,6 +18,7 @@ from typing import Any, Iterable, Optional
 
 from .canonical import (
     HASH_SUITE,
+    _check_suite,
     b64u,
     b64u_decode,
     canonical_json_bytes,
@@ -270,22 +271,20 @@ class IdDocument:
     """Container for an identifier plus attributes and relation links.
 
     Construction raises :class:`InvalidDocument` unless ``created_at`` is a
-    non-negative integer, the hash suite is supported, attribute names are
-    unique, every attribute has a salt, no two salts are equal, and no link
-    targets the document's own identifier."""
+    non-negative integer, attribute names are unique, every attribute has a
+    salt, no two salts are equal, and no link targets the document's own
+    identifier. The hash suite is always ``HASH_SUITE``: the JSON form writes
+    it, and decoding refuses any other."""
 
     identifier: InstanceIdentifier
     created_at: int
     author: AuthorRef
     attributes: tuple[Attribute, ...] = ()
     links: tuple[Link, ...] = ()
-    hash_suite: str = HASH_SUITE
 
     def __post_init__(self):
         if type(self.created_at) is not int or self.created_at < 0:
             raise InvalidDocument("created_at must be a non-negative integer")
-        if self.hash_suite != HASH_SUITE:
-            raise InvalidDocument(f"unsupported hash suite: {self.hash_suite!r}")
         names = self.attribute_names()
         if len(set(names)) != len(names):
             raise InvalidDocument("duplicate attribute names")
@@ -322,7 +321,7 @@ def doc_to_jsonable(doc: IdDocument) -> dict:
         "attributes": [attr.to_jsonable() for attr in doc.attributes],
         "author": doc.author.to_jsonable(),
         "created_at": doc.created_at,
-        "hash_suite": doc.hash_suite,
+        "hash_suite": HASH_SUITE,
         "identifier": str(doc.identifier),
         "links": [link.to_jsonable() for link in doc.links],
     }
@@ -339,7 +338,6 @@ def digest_form(
     created_at: int,
     digests: Iterable[tuple[str, bytes]],
     links: Iterable[Link],
-    hash_suite: str,
 ) -> bytes:
     """Canonical bytes of the digest form: the one builder of signing input.
 
@@ -352,7 +350,7 @@ def digest_form(
             "attributes": [{"digest": b64u(digest), "name": name} for name, digest in digests],
             "author": author.to_jsonable(),
             "created_at": created_at,
-            "hash_suite": hash_suite,
+            "hash_suite": HASH_SUITE,
             "identifier": str(identifier),
             "links": [link.to_jsonable() for link in links],
         }
@@ -371,17 +369,16 @@ def digest_form_bytes(doc: IdDocument) -> bytes:
         doc.created_at,
         [(attr.name, attribute_digest(attr)) for attr in doc.attributes],
         doc.links,
-        doc.hash_suite,
     )
 
 
 @decoding("document")
 def doc_from_jsonable(body: Any) -> IdDocument:
+    _check_suite(body["hash_suite"], HASH_SUITE)
     return IdDocument(
         identifier=parse_identifier(body["identifier"]),
         created_at=body["created_at"],
         author=AuthorRef.from_jsonable(body["author"]),
         attributes=tuple(Attribute.from_jsonable(a) for a in body["attributes"]),
         links=tuple(Link.from_jsonable(l) for l in body["links"]),
-        hash_suite=body["hash_suite"],
     )

@@ -88,7 +88,6 @@ from .lineage import (
     event_from_jsonable,
 )
 from .verifiability import (
-    KEY_REVOKED,
     KeyPair,
     PublicKey,
     SignedId,
@@ -456,16 +455,17 @@ class Registry:
     def _register_key(self, author_id: str, key: PublicKey) -> None:
         self._apply(_key_record(self.clock.now(), author_id, key))
 
-    def revoke_key(self, author_id: str, key_id: str, at: Optional[int] = None) -> None:
+    def revoke_key(self, author_id: str, key_id: str) -> None:
+        """Revoke a key at the registry clock's time, which stamps every
+        record; the key verifies nothing checked at or after that time."""
         with self._lock:
-            stamp = self.clock.now() if at is None else at
-            self._apply(_revoke_record(stamp, author_id, key_id))
+            self._apply(_revoke_record(self.clock.now(), author_id, key_id))
 
     def active_keypair(self) -> KeyPair:
         if self._signing is None:
             raise NoActiveKey(self.author_id)
         record = self.trust.lookup(self._signing.author_id, self._signing.key_id)
-        if record is None or record.status == KEY_REVOKED:
+        if record is None or record.revoked_at is not None:
             raise NoActiveKey(f"{self.author_id}: signing key revoked")
         return self._signing
 

@@ -34,7 +34,8 @@ from typing import Any, Optional
 
 from . import errors
 from .canonical import (
-    SIGNATURE_SUITE, b64u, b64u_decode, canonical_json_bytes, canonical_json_line, load_canonical,
+    SIGNATURE_SUITE, _check_suite, b64u, b64u_decode, canonical_json_bytes, canonical_json_line,
+    load_canonical,
 )
 from .disclosure import DisclosedView, PartyClass
 from .errors import MalformedRecord, ProtocolError, RegistryUnavailable, decoding
@@ -443,13 +444,6 @@ def _read_line(conn: socket.socket, deadline: float) -> bytes:
             return b"".join(chunks)
 
 
-class UnavailableClient(BaseClient):
-    """Stands in for a registry that cannot be reached (fail-mode testing)."""
-
-    def request(self, endpoint: str, body: dict) -> dict:
-        raise RegistryUnavailable("registry configured as unavailable")
-
-
 @dataclass
 class ServiceConfig:
     """Registry service configuration; env vars override file values."""
@@ -510,8 +504,7 @@ def load_keypair_file(path: str | Path):
     """Key file: canonical JSON {author_id, key_id, suite, private(b64u)};
     the suite must be ``ed25519``, the only one this package signs with."""
     body = load_canonical(Path(path).read_bytes())
-    if body["suite"] != SIGNATURE_SUITE:
-        raise MalformedRecord(f"unsupported key suite: {body['suite']!r}")
+    _check_suite(body["suite"], SIGNATURE_SUITE)
     return KeyPair.generate(body["author_id"], body["key_id"], seed=b64u_decode(body["private"]))
 
 

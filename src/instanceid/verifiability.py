@@ -3,8 +3,10 @@
 Three defenses: author signatures catch forged authorship, signature
 integrity over canonical bytes catches in-transit modification, and
 output-hash manifests catch a genuine ID replayed next to someone else's
-output. Manifests chain via previous-manifest hashes to cover an extended
-interaction.
+output. Each manifest records its place in an extended interaction (``seq``
+and ``prev_manifest_hash``, which ``create_manifest`` links and checks), but
+nothing in this package reads those links yet: they await a reader once the
+registry log records manifest heads (ROADMAP item 3).
 
 Verification failures are verdicts in a :class:`VerificationReport`, never
 exceptions: an attacker-supplied artifact is an expected input. Decoding
@@ -18,7 +20,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -31,6 +33,7 @@ from .canonical import (
     DIGEST_SIZE,
     SIGNATURE_SUITE,
     ZERO_DIGEST,
+    _check_suite,
     b64u,
     b64u_decode,
     canonical_json_bytes,
@@ -61,25 +64,23 @@ from .identity import (
 
 @dataclass(frozen=True)
 class PublicKey:
-    suite: str
     key_id: str
     public: bytes
 
     def __post_init__(self):
-        if self.suite != SIGNATURE_SUITE:
-            raise MalformedRecord(f"unsupported signature suite: {self.suite!r}")
         if not is_token(self.key_id):
             raise MalformedRecord(f"bad key_id token: {self.key_id!r}")
         if len(self.public) != 32:
             raise MalformedRecord("ed25519 public key must be 32 bytes")
 
     def to_jsonable(self) -> dict:
-        return {"key_id": self.key_id, "public": b64u(self.public), "suite": self.suite}
+        return {"key_id": self.key_id, "public": b64u(self.public), "suite": SIGNATURE_SUITE}
 
     @classmethod
     @decoding("public key")
     def from_jsonable(cls, body: Any) -> "PublicKey":
-        return cls(body["suite"], body["key_id"], b64u_decode(body["public"]))
+        _check_suite(body["suite"], SIGNATURE_SUITE)
+        return cls(body["key_id"], b64u_decode(body["public"]))
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class KeyPair:
 
     def public_key(self) -> PublicKey:
         raw = self.private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return PublicKey(suite=SIGNATURE_SUITE, key_id=self.key_id, public=raw)
+        return PublicKey(key_id=self.key_id, public=raw)
 
     def author_ref(self) -> AuthorRef:
         return AuthorRef(self.author_id, self.key_id)
@@ -114,27 +115,19 @@ class KeyPair:
         return self.private.sign(message)
 
 
-KEY_ACTIVE = "active"
-KEY_REVOKED = "revoked"
-
-
 @dataclass(frozen=True)
 class KeyRecord:
-    """A public key and its status: active, or revoked at an integer time."""
+    """A public key, revoked at an integer time or (``None``) active.
+
+    The JSON form also writes the ``status`` derived from ``revoked_at``;
+    decoding refuses a status that disagrees with it."""
 
     key: PublicKey
-    status: str = KEY_ACTIVE
     revoked_at: Optional[int] = None
 
-    def __post_init__(self):
-        if self.status == KEY_ACTIVE:
-            valid = self.revoked_at is None
-        else:
-            valid = self.status == KEY_REVOKED and type(self.revoked_at) is int
-        if not valid:
-            raise MalformedRecord(
-                f"bad key status {self.status!r} with revoked_at {self.revoked_at!r}"
-            )
+    @property
+    def status(self) -> str:
+        return "active" if self.revoked_at is None else "revoked"
 
     def to_jsonable(self) -> dict:
         return {**self.key.to_jsonable(), "revoked_at": self.revoked_at, "status": self.status}
@@ -142,12 +135,16 @@ class KeyRecord:
     @classmethod
     @decoding("key record")
     def from_jsonable(cls, body: Any) -> "KeyRecord":
-        return cls(PublicKey.from_jsonable(body), body["status"], body["revoked_at"])
+        record = cls(PublicKey.from_jsonable(body), body["revoked_at"])
+        valid = record.revoked_at is None or type(record.revoked_at) is int
+        if not valid or body["status"] != record.status:
+            raise MalformedRecord(
+                f"bad key status {body['status']!r} with revoked_at {record.revoked_at!r}"
+            )
+        return record
 
     def active_at(self, at: int) -> bool:
-        return self.status == KEY_ACTIVE or (
-            self.revoked_at is not None and at < self.revoked_at
-        )
+        return self.revoked_at is None or at < self.revoked_at
 
 
 class TrustStore:
@@ -176,11 +173,9 @@ class TrustStore:
             record = self._authors.get(author_id, {}).get(key_id)
             if record is None:
                 raise UnknownKey(f"{author_id}/{key_id}")
-            if record.status == KEY_REVOKED:
+            if record.revoked_at is not None:
                 raise AlreadyRevoked(f"{author_id}/{key_id}")
-            self._authors[author_id][key_id] = KeyRecord(
-                key=record.key, status=KEY_REVOKED, revoked_at=at
-            )
+            self._authors[author_id][key_id] = KeyRecord(record.key, at)
 
     def has_author(self, author_id: str) -> bool:
         return author_id in self._authors
@@ -223,21 +218,24 @@ class TrustStore:
 
 @dataclass(frozen=True)
 class Signature:
-    suite: str
+    """An ed25519 signature by the key ``key_id``; the JSON form names the
+    suite, and decoding refuses any other."""
+
     key_id: str
     value: bytes
 
     def __post_init__(self):
-        if not isinstance(self.suite, str) or not is_token(self.key_id):
-            raise MalformedRecord(f"bad signature: {self.suite!r}, {self.key_id!r}")
+        if not is_token(self.key_id):
+            raise MalformedRecord(f"bad signature key_id: {self.key_id!r}")
 
     def to_jsonable(self) -> dict:
-        return {"key_id": self.key_id, "sig": b64u(self.value), "suite": self.suite}
+        return {"key_id": self.key_id, "sig": b64u(self.value), "suite": SIGNATURE_SUITE}
 
     @classmethod
     @decoding("signature")
     def from_jsonable(cls, body: Any) -> "Signature":
-        return cls(body["suite"], body["key_id"], b64u_decode(body["sig"]))
+        _check_suite(body["suite"], SIGNATURE_SUITE)
+        return cls(body["key_id"], b64u_decode(body["sig"]))
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,6 @@ class Verdict(enum.Enum):
     UNKNOWN_KEY = "unknown-key"
     REVOKED_KEY = "revoked-key"
     OUTPUT_MISMATCH = "output-mismatch"
-    BROKEN_CHAIN = "broken-chain"
     DIGEST_MISMATCH = "digest-mismatch"
 
 
@@ -304,8 +301,6 @@ def _verify_signature(
         return VerificationReport(
             Verdict.REVOKED_KEY, f"revoked at {record.revoked_at}"
         )
-    if signature.suite != record.key.suite:
-        return VerificationReport(Verdict.BAD_SIGNATURE, "suite mismatch")
     try:
         Ed25519PublicKey.from_public_bytes(record.key.public).verify(
             signature.value, message
@@ -324,12 +319,12 @@ def sign_id(
     """
     if trust_store is not None:
         record = trust_store.lookup(keypair.author_id, keypair.key_id)
-        if record is not None and record.status == KEY_REVOKED:
+        if record is not None and record.revoked_at is not None:
             raise RevokedKey(f"{keypair.author_id}/{keypair.key_id}")
     message = digest_form_bytes(doc)
     return SignedId(
         doc=doc,
-        signature=Signature(SIGNATURE_SUITE, keypair.key_id, keypair.sign(message)),
+        signature=Signature(keypair.key_id, keypair.sign(message)),
     )
 
 
@@ -438,11 +433,9 @@ def create_manifest(
         seq=seq,
         prev_manifest_hash=prev_hash,
         issued_at=at,
-        signature=Signature(SIGNATURE_SUITE, keypair.key_id, b""),
+        signature=Signature(keypair.key_id, b""),
     )
-    signature = Signature(
-        SIGNATURE_SUITE, keypair.key_id, keypair.sign(unsigned.signing_bytes())
-    )
+    signature = Signature(keypair.key_id, keypair.sign(unsigned.signing_bytes()))
     return replace(unsigned, signature=signature)
 
 
@@ -468,45 +461,4 @@ def verify_manifest(
         return VerificationReport(
             Verdict.OUTPUT_MISMATCH, "output does not match the bound hash"
         )
-    return VerificationReport(Verdict.VERIFIED)
-
-
-def verify_chain(
-    manifests: Sequence[Manifest], trust_store: TrustStore, at: int
-) -> VerificationReport:
-    """A chain verifies iff it is exactly a run of iterated create_manifest
-    and each signature verifies under a key active at ``at``, the caller's time."""
-    if not manifests:
-        return VerificationReport(Verdict.BROKEN_CHAIN, "empty chain")
-    head = manifests[0]
-    for position, manifest in enumerate(manifests):
-        if manifest.identifier != head.identifier:
-            return VerificationReport(
-                Verdict.BROKEN_CHAIN, f"identifier mismatch at seq {position}"
-            )
-        if manifest.author != head.author:
-            return VerificationReport(
-                Verdict.BROKEN_CHAIN, f"author mismatch at seq {position}"
-            )
-        if manifest.seq != position:
-            return VerificationReport(
-                Verdict.BROKEN_CHAIN,
-                f"expected seq {position}, found {manifest.seq}",
-            )
-        expected_prev = (
-            ZERO_DIGEST if position == 0 else manifest_hash(manifests[position - 1])
-        )
-        if manifest.prev_manifest_hash != expected_prev:
-            return VerificationReport(
-                Verdict.BROKEN_CHAIN, f"previous-hash link broken at seq {position}"
-            )
-        report = _verify_signature(
-            manifest.author,
-            manifest.signature,
-            manifest.signing_bytes(),
-            trust_store,
-            at,
-        )
-        if not report.ok:
-            return report
     return VerificationReport(Verdict.VERIFIED)

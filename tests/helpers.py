@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: deterministic keys, random documents."""
+"""Shared builders for the test suite: deterministic keys, random documents,
+and a client for a registry that cannot be reached."""
 
 from __future__ import annotations
 
@@ -20,9 +21,18 @@ from instanceid import (
     add_link,
     sign_id,
 )
+from instanceid.errors import RegistryUnavailable
+from instanceid.service import BaseClient
 
 TOKEN_ALPHABET = string.ascii_lowercase + string.digits
 TOKEN_TAIL = TOKEN_ALPHABET + "._-"
+
+
+class UnavailableClient(BaseClient):
+    """Stands in for a registry that cannot be reached (fail-mode testing)."""
+
+    def request(self, endpoint: str, body: dict) -> dict:
+        raise RegistryUnavailable("registry configured as unavailable")
 
 
 def fixed_keypair(author_id: str = "acme", key_id: str = "k1") -> KeyPair:

@@ -254,6 +254,12 @@ BUILDERS = {
         ("SignedId", {**SIGNED.to_jsonable(),
                       "doc": {**doc_to_jsonable(SIGNED.doc), "created_at": True}}),
         ("DisclosedView", {**VIEW.to_jsonable(), "created_at": False}),
+        ("doc_from_jsonable", {**doc_to_jsonable(SIGNED.doc), "hash_suite": "md5"}),
+        ("DisclosedView", {**VIEW.to_jsonable(), "hash_suite": "md5"}),
+        ("PublicKey", {**KEYPAIR.public_key().to_jsonable(), "suite": "rsa"}),
+        ("Signature", {**SIGNED.signature.to_jsonable(), "suite": "rsa"}),
+        ("SignedId", {**SIGNED.to_jsonable(),
+                      "signature": {**SIGNED.signature.to_jsonable(), "suite": "rsa"}}),
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):

@@ -32,7 +32,6 @@ from instanceid import (
     Requirement,
     Severity,
     SimClock,
-    UnavailableClient,
     create_manifest,
     evaluate,
     flag_and_notify,
@@ -43,7 +42,7 @@ from instanceid.disclosure import DisclosedView
 from instanceid.errors import MalformedRecord, NoAuthorInfo
 from instanceid.gatekeeper import Bucket
 
-from helpers import fixed_keypair, trust_for
+from helpers import UnavailableClient, fixed_keypair, trust_for
 
 KEYPAIR = fixed_keypair("acme", "k1")
 TRUST = trust_for(KEYPAIR)

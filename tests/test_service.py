@@ -29,7 +29,7 @@ from instanceid import (
     parse_identifier,
     verify_view,
 )
-from instanceid.canonical import b64u, canonical_json_line, load_canonical
+from instanceid.canonical import canonical_json_line, load_canonical
 from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable
 from instanceid.service import ServiceConfig, load_keypair_file, save_keypair_file
 
@@ -336,7 +336,7 @@ def test_keys_endpoint_register_and_revoke(served, clients):
     assert registry.trust.to_jsonable() == listing
     # the registry's own calls still rotate keys
     registry.register_foreign_key("beta", BETA_KEY)
-    registry.revoke_key("beta", "b1", at=50)
+    registry.revoke_key("beta", "b1")
     assert clients[1].list_keys()["authors"]["beta"][0]["status"] == "revoked"
 
 
@@ -526,7 +526,7 @@ def test_stopped_server_releases_its_registry_and_handler_threads():
 IDENT = "sys-a:missing00"
 CREATED = {"kind": "created", "system_id": "sys-a", "user_ref": "u"}
 BETA_KEY = fixed_keypair("beta", "b1").public_key()
-VALID_KEY = {"key_id": "b1", "public": b64u(BETA_KEY.public), "suite": BETA_KEY.suite}
+VALID_KEY = BETA_KEY.to_jsonable()
 
 MALFORMED_REQUESTS = [[], 5, "x", None]
 MALFORMED_BODIES = [

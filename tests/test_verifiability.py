@@ -1,4 +1,4 @@
-"""Signature verdicts, key lifecycle, manifest chains, fixture vectors."""
+"""Signature verdicts, key lifecycle, manifests, fixture vectors."""
 
 import json
 import random
@@ -17,7 +17,6 @@ from instanceid import (
     manifest_hash,
     parse_identifier,
     sign_id,
-    verify_chain,
     verify_id,
     verify_manifest,
 )
@@ -74,7 +73,7 @@ def test_signature_bytes_alteration_detected(keypair, trust):
     sig[0] ^= 0xFF
     altered = SignedId(
         doc=signed.doc,
-        signature=Signature(signed.signature.suite, signed.signature.key_id, bytes(sig)),
+        signature=Signature(signed.signature.key_id, bytes(sig)),
     )
     assert verify_id(altered, trust, 0).verdict is Verdict.BAD_SIGNATURE
 
@@ -212,7 +211,7 @@ def test_forged_manifest_signature(keypair, trust):
     manifest = create_manifest(ident, b"out", None, keypair, 100)
     forged = replace(
         manifest,
-        signature=Signature("ed25519", "k1", bytes(64)),
+        signature=Signature("k1", bytes(64)),
     )
     assert verify_manifest(forged, b"out", trust, 100).verdict is Verdict.BAD_SIGNATURE
 
@@ -227,25 +226,9 @@ def _chain(keypair, n=3, ident="s:i1", start=100):
     return chain
 
 
-def test_chain_verifies(keypair, trust):
-    assert verify_chain(_chain(keypair, 3), trust, 102).ok
-
-
-def test_chain_breaks_detected(keypair, trust):
-    chain = _chain(keypair, 4)
-    assert verify_chain([chain[0], chain[2], chain[3]], trust, 600).verdict is Verdict.BROKEN_CHAIN
-    reordered = [chain[1], chain[0], chain[2], chain[3]]
-    assert verify_chain(reordered, trust, 600).verdict is Verdict.BROKEN_CHAIN
-    assert verify_chain([], trust, 600).verdict is Verdict.BROKEN_CHAIN
-    spliced = _chain(keypair, 4, ident="s:i1", start=500)
-    mixed = chain[:2] + spliced[2:]
-    assert verify_chain(mixed, trust, 600).verdict is Verdict.BROKEN_CHAIN
-
-
-def test_backdated_chain_is_checked_at_the_callers_time(keypair, trust):
+def test_backdated_manifest_is_checked_at_the_callers_time(keypair, trust):
     trust.revoke_key(keypair.author_id, keypair.key_id, 1000)
     chain = _chain(keypair, 2, start=10)  # signed after the revocation, dated before it
-    assert verify_chain(chain, trust, 5000).verdict is Verdict.REVOKED_KEY
     assert verify_manifest(chain[0], b"out-0", trust, 5000).verdict is Verdict.REVOKED_KEY
 
 
@@ -289,7 +272,6 @@ def test_fixture_manifest_chain():
     trust = TrustStore.from_bytes((FIXTURES / "trust_store.json").read_bytes())
     chain_body = json.loads((FIXTURES / "manifest_chain.json").read_text())
     chain = [Manifest.from_jsonable(item) for item in chain_body]
-    assert verify_chain(chain, trust, vectors["at"]).ok
     for manifest, output in zip(chain, vectors["manifest_outputs"]):
         assert verify_manifest(manifest, output.encode(), trust, vectors["at"]).ok
 
