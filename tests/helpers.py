@@ -27,6 +27,18 @@ from instanceid.service import BaseClient
 TOKEN_ALPHABET = string.ascii_lowercase + string.digits
 TOKEN_TAIL = TOKEN_ALPHABET + "._-"
 
+# (field, value): one value per row that an incident report must refuse,
+# whether it arrives in a JSON body or as a constructor argument
+MALFORMED_REPORT_FIELDS = [
+    ("occurred_at", "x"),
+    ("occurred_at", True),
+    ("occurred_at", None),
+    ("report_id", 7),
+    ("reporter", ["service", "x"]),
+    ("description", None),
+    ("user_ref", 3),
+]
+
 
 class UnavailableClient(BaseClient):
     """Stands in for a registry that cannot be reached (fail-mode testing)."""

@@ -4,7 +4,8 @@ Inputs are valid bodies with one node deleted or replaced by an arbitrary
 JSON value, the replacement of the whole body included. Decoders must return
 a value or raise ``MalformedRecord``; a decoded signed ID, view or manifest
 must verify to a verdict, never raise. The policy types, which have no JSON
-form, raise ``MalformedRecord`` from their constructors. ``Registry.replay`` may also raise a
+form, raise ``MalformedRecord`` from their constructors, and so do an
+incident report's constructor and ``_replace``. ``Registry.replay`` may also raise a
 domain error such as ``UnknownParent``, but nothing outside ``ProtocolError``.
 ``RegistryServer.handle`` must answer every request; a refused one leaves the
 registry log as it was, and a TCP connection keeps answering after any of
@@ -59,7 +60,7 @@ from instanceid.lineage import event_from_jsonable
 from instanceid.service import ServiceConfig, load_keypair_file
 from instanceid.verifiability import KeyRecord, Signature
 
-from helpers import fixed_keypair, random_signed, trust_for
+from helpers import MALFORMED_REPORT_FIELDS, fixed_keypair, random_signed, trust_for
 from test_pins import every_record_kind_registry
 
 KEYPAIR = fixed_keypair("acme", "k1")
@@ -215,7 +216,11 @@ def _rule(action="transfer-*", threshold=10, requirement=("certification", "cert
 BUILDERS = {
     "AttributeMatcher": lambda fields: AttributeMatcher(**fields),
     "PolicyRule": lambda fields: _rule(**fields),
+    "IncidentReport.__new__": lambda fields: IncidentReport(**{**REPORT._asdict(), **fields}),
+    "IncidentReport._replace": lambda fields: REPORT._replace(**fields),
 }
+# a field in its JSON form where the report holds a typed value
+MISTYPED_REPORT_FIELDS = [("identifier", str(REPORT.identifier)), ("severity", "major")]
 
 
 @pytest.mark.parametrize(
@@ -260,6 +265,11 @@ BUILDERS = {
         ("Signature", {**SIGNED.signature.to_jsonable(), "suite": "rsa"}),
         ("SignedId", {**SIGNED.to_jsonable(),
                       "signature": {**SIGNED.signature.to_jsonable(), "suite": "rsa"}}),
+        *[
+            (builder, {field: value})
+            for builder in ("IncidentReport.__new__", "IncidentReport._replace")
+            for field, value in MALFORMED_REPORT_FIELDS + MISTYPED_REPORT_FIELDS
+        ],
     ],
 )
 def test_named_malformed_inputs_raise_malformed_record(name, body):

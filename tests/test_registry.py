@@ -17,6 +17,7 @@ from instanceid import (
     FineTuned,
     IncidentReport,
     IncidentScope,
+    InstanceIdentifier,
     KeyPair,
     Merged,
     PartyClass,
@@ -30,7 +31,7 @@ from instanceid import (
     parse_identifier,
     verify_id,
 )
-from instanceid.canonical import canonical_json_line, load_canonical
+from instanceid.canonical import canonical_json_bytes, canonical_json_line, load_canonical
 from instanceid.errors import (
     DuplicateAttributeName,
     DuplicateReportId,
@@ -44,6 +45,7 @@ from instanceid.errors import (
 from instanceid.registry import INCIDENT_DB_ATTRIBUTE, USER_REF_ATTRIBUTE
 
 from helpers import brute_force_incident_filter, fixed_keypair, seed_incident_corpus
+from test_service import AWKWARD_TEXT
 
 
 def make_registry(seed=0, start=1_000_000, retention=None):
@@ -193,6 +195,59 @@ def test_report_incident_errors():
             IncidentReport("r2", parse_identifier("sys-a:ghost00"), "service.x",
                            Severity.INFO, "text", clock.now())
         )
+
+
+@pytest.mark.parametrize("field", ["identifier", "severity"])
+def test_a_report_with_a_mistyped_field_is_refused_and_the_log_stays_writable(field):
+    registry, clock = make_registry()
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    fields = {"report_id": "r1", "identifier": identifier, "reporter": "user.x",
+              "severity": Severity.MINOR, "description": "d", "occurred_at": clock.now()}
+    # the field's JSON form in place of its typed value
+    mistyped = {**fields, field: {"identifier": str(identifier), "severity": "minor"}[field]}
+    with pytest.raises(MalformedRecord):
+        registry.report_incident(IncidentReport(**mistyped))
+    registry.report_incident(IncidentReport(**fields))
+    replayed = Registry.replay(registry.log_lines(), "acme", clock=clock)
+    assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
+    assert [report.report_id for report in replayed.incidents] == ["r1"]
+
+
+# tokens and awkward text as in test_service: non-ASCII, quotes, backslashes,
+# control characters; no surrogates, which canonical bytes cannot hold
+report_tokens = st.from_regex(r"[a-z0-9][a-z0-9._-]{0,11}", fullmatch=True)
+report_text = st.text(
+    st.sampled_from(AWKWARD_TEXT) | st.characters(blacklist_categories=("Cs",)), max_size=16
+)
+valid_reports = st.builds(
+    IncidentReport,
+    report_id=report_text,
+    identifier=st.builds(InstanceIdentifier, report_tokens, report_tokens | st.just("_system")),
+    reporter=report_text,
+    severity=st.sampled_from(Severity),
+    description=report_text,
+    occurred_at=st.integers(-(2**70), 2**70),
+    user_ref=st.none() | report_text,
+)
+
+
+REPORT_ATTRIBUTES = ("report_id", "identifier", "reporter", "severity", "description",
+                     "occurred_at", "user_ref", "canonical_bytes", "extra")
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=valid_reports, name=st.sampled_from(REPORT_ATTRIBUTES))
+def test_report_record_round_trips_and_refuses_assignment(report, name):
+    decoded = IncidentReport.from_jsonable(report.to_jsonable())
+    assert type(decoded) is IncidentReport
+    assert decoded == report and hash(decoded) == hash(report)
+    assert report.canonical_bytes == canonical_json_bytes(report.to_jsonable())
+    assert IncidentReport.from_jsonable(load_canonical(report.canonical_bytes)) == report
+    with pytest.raises(AttributeError):
+        setattr(report, name, "x")
+    with pytest.raises(AttributeError):
+        delattr(report, name)
+    assert report == decoded
 
 
 def test_query_scopes_match_brute_force_oracle():

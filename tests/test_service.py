@@ -33,7 +33,7 @@ from instanceid.canonical import canonical_json_line, load_canonical
 from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable
 from instanceid.service import ServiceConfig, load_keypair_file, save_keypair_file
 
-from helpers import fixed_keypair, trust_for
+from helpers import MALFORMED_REPORT_FIELDS, fixed_keypair, trust_for
 
 
 def _registry(author="acme", key_id="k1"):
@@ -87,8 +87,8 @@ def test_incident_endpoints(served, clients):
     assert [r.report_id for r in got] == ["r1"]
 
 
-def test_tcp_query_incidents_decodes_the_reports_the_registry_holds(served):
-    registry, _, tcp, _ = served
+def test_tcp_query_incidents_decodes_the_reports_the_registry_holds(served, clients):
+    registry = served[0]
     identifiers = [registry.issue(Created("sys-a", f"u{n}")).doc.identifier for n in range(5)]
     severities = list(Severity)
     for n in range(60):
@@ -97,10 +97,13 @@ def test_tcp_query_incidents_decodes_the_reports_the_registry_holds(served):
             9_000 + n % 17, None if n % 2 else f"user-{n % 7}",
         ))
     scope = IncidentScope.system("sys-a")
-    with TcpClient(*tcp.address) as remote:
-        got = remote.query_incidents(scope)
-    assert len(got) == 60
-    assert got == registry.query_incidents(scope)
+    held = registry.query_incidents(scope)
+    assert len(held) == 60
+    for client in clients:
+        got = client.query_incidents(scope)
+        assert got == held
+        assert all(type(item) is IncidentReport for item in got)
+        assert [item.canonical_bytes for item in got] == [report.canonical_bytes for report in held]
 
 
 class _Recording(RegistryServer):
@@ -184,18 +187,7 @@ def test_replayed_reports_are_served_without_encoding_them_again(monkeypatch):
     assert encoded["calls"] == 0
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("occurred_at", "x"),
-        ("occurred_at", True),
-        ("occurred_at", None),
-        ("report_id", 7),
-        ("reporter", ["service", "x"]),
-        ("description", None),
-        ("user_ref", 3),
-    ],
-)
+@pytest.mark.parametrize("field, value", MALFORMED_REPORT_FIELDS)
 def test_report_incident_rejects_malformed_fields(served, clients, field, value):
     registry, server, tcp, clock = served
     signed = registry.issue(Created("sys-a", "u"))
