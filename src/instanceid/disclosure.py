@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Any, Optional, Union
+from types import MappingProxyType
+from typing import Any, Mapping, Optional, Union
 
 from .canonical import (
     HASH_SUITE, _check_suite, b64u, b64u_decode, canonical_json_bytes, load_canonical,
@@ -75,9 +76,17 @@ class AttributeMatcher:
 
 @dataclass(frozen=True)
 class DisclosurePolicy:
-    """party class -> matchers revealing an attribute; default-deny otherwise."""
+    """party class -> matchers revealing an attribute; default-deny otherwise.
 
-    rules: dict[PartyClass, tuple[AttributeMatcher, ...]]
+    ``rules`` is a read-only copy of the mapping given, with each party's
+    matchers in a tuple, so a policy never changes once built: a view
+    redacted under it stays the view it gives."""
+
+    rules: Mapping[PartyClass, tuple[AttributeMatcher, ...]]
+
+    def __post_init__(self):
+        rules = {party: tuple(matchers) for party, matchers in self.rules.items()}
+        object.__setattr__(self, "rules", MappingProxyType(rules))
 
     def allows(self, party: PartyClass, attr: Attribute) -> bool:
         matchers = self.rules.get(party)

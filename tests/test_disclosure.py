@@ -91,6 +91,21 @@ def test_unknown_party_class_defaults_to_deny():
     assert len(view.hidden) == len(signed.doc.attributes)
 
 
+def test_policy_rules_are_a_read_only_copy():
+    given_rules = {PartyClass.AUDITOR: [AttributeMatcher()]}
+    policy = DisclosurePolicy(rules=given_rules)
+    with pytest.raises(TypeError):
+        policy.rules[PartyClass.PUBLIC] = (AttributeMatcher(),)
+    with pytest.raises(TypeError):
+        del policy.rules[PartyClass.AUDITOR]
+    given_rules[PartyClass.PUBLIC] = [AttributeMatcher()]
+    given_rules[PartyClass.AUDITOR].clear()
+    assert dict(policy.rules) == {PartyClass.AUDITOR: (AttributeMatcher(),)}
+    signed = signed_with(4)
+    assert redact(signed, policy, PartyClass.PUBLIC).revealed == ()
+    assert len(redact(signed, policy, PartyClass.AUDITOR).revealed) == len(signed.doc.attributes)
+
+
 def test_redact_does_not_verify():
     signed = signed_with(3)
     tampered_body = signed.to_jsonable()

@@ -12,8 +12,14 @@ from collections import Counter
 import pytest
 
 import instanceid.registry
+import instanceid.service
 from instanceid import (
+    Attribute,
+    AttributeCategory,
+    AttributeMatcher,
+    AttributeSpecificity,
     Created,
+    DisclosurePolicy,
     IncidentReport,
     IncidentScope,
     InProcessClient,
@@ -22,11 +28,13 @@ from instanceid import (
     Registry,
     RegistryServer,
     Severity,
+    SignedId,
     SimClock,
     TcpClient,
     TcpRegistryServer,
     TimeWindow,
     parse_identifier,
+    redact,
     verify_view,
 )
 from instanceid.canonical import canonical_json_line, load_canonical
@@ -313,6 +321,190 @@ def test_get_view_endpoint_redacts(served, clients):
     assert verify_view(view, trust, clock.now()).ok
 
 
+# -- the view memo ---------------------------------------------------------------------
+
+
+# under the default policy operational parties see the card and the
+# certificate, auditors and regulators everything, the public nothing
+CARD_ATTRIBUTES = (
+    Attribute.linked("system-card", "https://x/card", AttributeCategory.PROPERTY,
+                     AttributeSpecificity.SYSTEM),
+    Attribute.inline_bytes("cert:eval", b"passed", AttributeCategory.PROPERTY,
+                           AttributeSpecificity.SYSTEM),
+    Attribute.inline_bytes("system-prompt", b"secret sauce", AttributeCategory.CONTEXT,
+                           AttributeSpecificity.INSTANCE),
+)
+
+
+def _view_request(identifier, party) -> dict:
+    return {"body": {"identifier": str(identifier), "party": party.value}, "endpoint": "get-id"}
+
+
+def _fresh_view_line(registry, identifier, party) -> bytes:
+    """The ``get-id`` reply line a redaction made now gives."""
+    view = redact(registry.get_id(identifier), registry.disclosure_policy, party)
+    return canonical_json_line({"body": {"view": view.to_jsonable()}, "ok": True})
+
+
+def _counting_redactions(monkeypatch) -> Counter:
+    redactions = Counter()
+    original = instanceid.service.redact
+
+    def counting(signed, policy, party):
+        redactions[party] += 1
+        return original(signed, policy, party)
+
+    monkeypatch.setattr(instanceid.service, "redact", counting)
+    return redactions
+
+
+def test_memoised_view_bytes_equal_a_fresh_redaction_for_every_party(monkeypatch):
+    registry = _registry()
+    identifier = registry.issue(Created("sys-a", "secret-user"), CARD_ATTRIBUTES).doc.identifier
+    server = RegistryServer(registry)
+    redactions = _counting_redactions(monkeypatch)
+    lines = {party: _fresh_view_line(registry, identifier, party) for party in PartyClass}
+    assert len(set(lines.values())) == 3  # all, operational, nothing
+    for _ in range(3):
+        for party in PartyClass:
+            assert server.handle(_view_request(identifier, party)) == lines[party]
+    assert redactions == Counter(dict.fromkeys(PartyClass, 1))
+
+
+def test_a_memoised_view_past_retention_is_not_found_expired(served, clients):
+    registry, _, _, clock = served
+    identifier = registry.issue(Created("sys-a", "u")).doc.identifier
+    for client in clients:
+        client.get_view(identifier, PartyClass.AUDITOR)
+    clock.advance(registry.retention.documents + 1)
+    for client in clients:
+        with pytest.raises(NotFound) as caught:
+            client.get_view(identifier, PartyClass.AUDITOR)
+        assert caught.value.detail == "expired"
+
+
+def test_a_new_disclosure_policy_changes_the_next_view(served, clients):
+    registry = served[0]
+    identifier = registry.issue(Created("sys-a", "secret-user")).doc.identifier
+    reveal_all = DisclosurePolicy(rules={PartyClass.AUDITOR: (AttributeMatcher(),)})
+    for client in clients:
+        registry.disclosure_policy = reveal_all
+        assert "user-ref" in [e.attribute.name for e in
+                              client.get_view(identifier, PartyClass.AUDITOR).revealed]
+        registry.disclosure_policy = DisclosurePolicy(rules={})
+        assert client.get_view(identifier, PartyClass.AUDITOR).revealed == ()
+
+
+def test_a_memoised_view_is_served_only_for_the_document_it_was_made_from():
+    first, second = _registry(), _registry()  # same seed: same identifier
+    identifier = first.issue(Created("sys-a", "first-user")).doc.identifier
+    assert second.issue(Created("sys-a", "second-user")).doc.identifier == identifier
+    second.disclosure_policy = first.disclosure_policy
+    server = RegistryServer(first)
+    server.handle(_view_request(identifier, PartyClass.AUDITOR))
+    server.registry = second
+    line = server.handle(_view_request(identifier, PartyClass.AUDITOR))
+    assert line == _fresh_view_line(second, identifier, PartyClass.AUDITOR)
+
+
+def test_the_view_memo_never_holds_more_than_its_bound():
+    registry = _registry()
+    server = RegistryServer(registry)
+    bound = instanceid.service._VIEW_MEMO_SIZE
+    documents = -(-(bound + 100) // len(PartyClass))
+    identifiers = [registry.issue(Created("sys-a", "u")).doc.identifier for _ in range(documents)]
+    for identifier in identifiers:
+        for party in PartyClass:
+            assert load_canonical(server.handle(_view_request(identifier, party)))["ok"]
+            assert len(server._views) <= bound
+    assert len(server._views) == bound
+    assert next(reversed(server._views)) == (str(identifiers[-1]), list(PartyClass)[-1])
+
+
+def test_a_view_longer_than_the_memo_takes_is_served_but_not_kept(monkeypatch):
+    registry = _registry()
+    large = Attribute.inline_bytes("notes", b"x" * instanceid.service._VIEW_MEMO_MAX_BYTES,
+                                   AttributeCategory.CONTEXT, AttributeSpecificity.INSTANCE)
+    identifier = registry.issue(Created("sys-a", "u"), [large]).doc.identifier
+    server = RegistryServer(registry)
+    redactions = _counting_redactions(monkeypatch)
+    for _ in range(2):
+        for party in (PartyClass.AUDITOR, PartyClass.PUBLIC):
+            line = server.handle(_view_request(identifier, party))
+            assert line == _fresh_view_line(registry, identifier, party)
+    assert list(server._views) == [(str(identifier), PartyClass.PUBLIC)]
+    assert redactions == Counter({PartyClass.AUDITOR: 2, PartyClass.PUBLIC: 1})
+
+
+def test_threads_evicting_each_others_views_each_get_the_right_bytes(monkeypatch):
+    bound = 6
+    monkeypatch.setattr(instanceid.service, "_VIEW_MEMO_SIZE", bound)
+    registry = _registry()
+    identifiers = [
+        registry.issue(Created("sys-a", f"u{n}"), CARD_ATTRIBUTES).doc.identifier
+        for n in range(8)
+    ]
+    expected = {
+        (str(identifier), party): _fresh_view_line(registry, identifier, party)
+        for identifier in identifiers
+        for party in PartyClass
+    }
+    keys = sorted(expected, key=lambda key: (key[0], key[1].value))
+    server = RegistryServer(registry)
+    tcp = TcpRegistryServer(server).start()
+    problems = []
+    sizes = []
+
+    def fetch(seed):
+        rng = random.Random(seed)
+        try:
+            with TcpClient(*tcp.address) as client:
+                for _ in range(150):
+                    text, party = key = rng.choice(keys)
+                    body = client._roundtrip("get-id", {"identifier": text, "party": party.value})
+                    if canonical_json_line({"body": body, "ok": True}) != expected[key]:
+                        problems.append(f"wrong view of {key}")
+                    sizes.append(len(server._views))
+        except Exception as exc:  # recorded for the main thread to report
+            problems.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=fetch, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert len(sizes) == 600 and max(sizes) <= bound
+    finally:
+        sys.setswitchinterval(interval)
+        tcp.stop()
+
+
+@pytest.mark.parametrize("value", ["", 0, False])
+def test_a_falsy_party_is_refused_not_answered_with_the_full_document(served, clients, value):
+    registry = served[0]
+    identifier = str(registry.issue(Created("sys-a", "secret-user")).doc.identifier)
+    for client in clients:
+        with pytest.raises(MalformedRecord):
+            client._roundtrip("get-id", {"identifier": identifier, "party": value})
+
+
+def test_a_null_party_or_upstream_counts_as_absent(served, clients):
+    registry = served[0]
+    signed = registry.issue(Created("sys-a", "secret-user"))
+    for client in clients:
+        reply = client._roundtrip("get-id", {"identifier": str(signed.doc.identifier),
+                                             "party": None})
+        assert SignedId.from_jsonable(reply["signed"]) == signed
+        reply = client._roundtrip("issue", {"event": CREATED, "upstream": None})
+        issued = SignedId.from_jsonable(reply["signed"]).doc
+        assert [link.relation for link in issued.links] == []  # no upstream links
+
+
 def test_keys_endpoint_register_and_revoke(served, clients):
     """The endpoint is list-only: remote register and revoke are refused."""
     registry, _, _, _ = served
@@ -545,6 +737,13 @@ MALFORMED_BODIES = [
     ("notify", {"payload": 5}),
     ("notify", {"payload": {}}),
     ("get-id", {"identifier": "nocolon"}),
+    # a present party or upstream must decode: a falsy one is not read as absent
+    ("get-id", {"identifier": IDENT, "party": ""}),
+    ("get-id", {"identifier": IDENT, "party": 0}),
+    ("get-id", {"identifier": IDENT, "party": False}),
+    ("issue", {"event": CREATED, "upstream": ""}),
+    ("issue", {"event": CREATED, "upstream": 0}),
+    ("issue", {"event": CREATED, "upstream": False}),
 ]
 
 
