@@ -20,7 +20,6 @@ from .disclosure import (
 from .errors import ProtocolError
 from .gatekeeper import (
     Decision,
-    GatekeeperConfig,
     GateVerdict,
     IncidentThreshold,
     OnMissing,

@@ -103,10 +103,6 @@ class AlreadyRevoked(ProtocolError):
     """Revocation is permanent; a key cannot be revoked twice."""
 
 
-class RevokedKey(ProtocolError):
-    """Operation requires an active key but the key is revoked."""
-
-
 class NoActiveKey(ProtocolError):
     """The registry has no active signing key installed."""
 

@@ -21,7 +21,7 @@ A presented ID is checked in this order; the first check that fails denies:
    attribute, else ``no-certification``;
 3. the incident threshold's scope must hold at most ``max_count`` reports,
    else ``incident-threshold``; an unreachable registry gives
-   ``registry-unavailable``, allowed only when the config fails open.
+   ``registry-unavailable``, allowed only when ``evaluate`` has ``fail_open``.
 """
 
 from __future__ import annotations
@@ -191,11 +191,6 @@ class Decision:
             raise MalformedRecord("denied/throttled decisions must carry a reason")
 
 
-@dataclass(frozen=True)
-class GatekeeperConfig:
-    fail_open: bool = False  # registry unreachable: deny (default) or allow
-
-
 # -- token-bucket rate limiter -------------------------------------------------
 
 
@@ -323,7 +318,7 @@ def _judge_presented(
     ctx: RequestContext,
     trust_store: TrustStore,
     registry_client,
-    config: GatekeeperConfig,
+    fail_open: bool,
 ) -> Decision:
     """Decide on a presented ID by the checks of the module docstring, in order."""
     presented, at = ctx.presented, ctx.timestamp
@@ -358,7 +353,7 @@ def _judge_presented(
         try:
             reports = registry_client.query_incidents(scope, TimeWindow())
         except RegistryUnavailable:
-            if config.fail_open:
+            if fail_open:
                 return Decision(GateVerdict.ALLOW, reasons=("registry-unavailable",))
             return _denied("registry-unavailable")
         if len(reports) > threshold.max_count:
@@ -372,7 +367,8 @@ def evaluate(
     trust_store: TrustStore,
     registry_client,
     limiter: LimiterState,
-    config: GatekeeperConfig = GatekeeperConfig(),
+    *,
+    fail_open: bool = False,
 ) -> tuple[Decision, LimiterState]:
     """Apply the first matching rule; pure in (policy, ctx, verification
     results, registry responses, limiter state).
@@ -384,7 +380,7 @@ def evaluate(
     if rule is None or rule.requirement.kind == "none":
         decision = Decision(GateVerdict.ALLOW)
     elif ctx.presented is not None:
-        decision = _judge_presented(rule, ctx, trust_store, registry_client, config)
+        decision = _judge_presented(rule, ctx, trust_store, registry_client, fail_open)
     elif rule.on_missing.kind == "allow":
         decision = Decision(GateVerdict.ALLOW, reasons=("no-id",))
     elif rule.on_missing.kind == "deny":

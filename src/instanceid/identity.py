@@ -256,6 +256,8 @@ class Link:
     def __post_init__(self):
         if self.relation not in LINK_RELATIONS:
             raise InvalidDocument(f"unknown link relation: {self.relation!r}")
+        if not isinstance(self.target, InstanceIdentifier):
+            raise InvalidDocument(f"link target must be an InstanceIdentifier, not {self.target!r}")
 
     def to_jsonable(self) -> dict:
         return {"relation": self.relation, "target": str(self.target)}

@@ -1,13 +1,16 @@
 """Deployer registry: signed ID issuance, lineage serving, incident database.
 
 Every state mutation is one record in an append-only log, the only log in
-the package. ``Registry._apply`` alone checks a record against the state,
-applies it and logs it: a live mutator does only what replay cannot redo
-(nonce lookup, signing key, ``LineageStore.build``, signing the document)
-and hands it its record. ``replay`` builds each line's record again the
-live way, accepts it only if ``_log_line`` writes it back as the same bytes
-and hands it to ``_apply``; so a replayed registry is byte-identical and
-refuses what the live one refuses.
+the package. A record is built by one helper per kind (``_issue_record`` and
+the like), which refuses fields of the wrong kind, and ``Registry._apply``
+alone checks its time and the record against the state, applies it and logs
+it: a live mutator does only what replay cannot redo (nonce lookup, signing
+key, ``LineageStore.build``, signing the document) and hands the helper's
+record to ``_apply``. ``replay`` builds each line's record again with the
+same helpers, accepts it only if ``_log_line`` writes it back as the same
+bytes and hands it to ``_apply``; so a replayed registry is byte-identical
+and refuses what the live one refuses, and no other module checks a
+mutation's fields.
 Writes and incident queries serialize through the registry lock, and
 lineage reads through the lineage store's lock, so no read observes a
 partially applied mutation.
@@ -354,11 +357,20 @@ def _key_record(at: int, author_id: str, key: PublicKey) -> dict:
 
 
 def _revoke_record(at: int, author_id: str, key_id: str) -> dict:
+    if not (is_token(author_id) and is_token(key_id)):
+        raise MalformedRecord(f"revoke-key ids must be tokens, not {author_id!r}, {key_id!r}")
     return {"at": at, "author_id": author_id, "key_id": key_id, "kind": "revoke-key"}
 
 
 def _shutdown_record(at: int, identifier: str, reason: str) -> dict:
+    if not isinstance(reason, str):
+        raise MalformedRecord(f"shutdown reason must be a string, not {reason!r}")
     return {"at": at, "identifier": identifier, "kind": "shutdown", "reason": reason}
+
+
+def _check_nonce(nonce: Optional[str]) -> None:
+    if nonce is not None and not isinstance(nonce, str):
+        raise MalformedRecord(f"nonce must be a string or null, not {nonce!r}")
 
 
 def _issue_record(
@@ -369,10 +381,18 @@ def _issue_record(
     signed: Optional[SignedId],
     upstream: Optional[InstanceIdentifier],
 ) -> dict:
-    """The log record of an ``issue``; a reload's has no ``external`` field."""
+    """The log record of an ``issue``; a reload's has no ``external`` field.
+    Only a reload has no document of its own, and any other document must
+    name the lineage identifier, under which ``_apply`` files it."""
+    _check_nonce(nonce)
+    reload = lineage["kind"] == "reloaded"
+    if (signed is None) != reload:
+        raise MalformedRecord("an issue record has a document unless it is a reload")
+    if signed is not None and str(signed.doc.identifier) != lineage["identifier"]:
+        raise MalformedRecord(f"document of {signed.doc.identifier} logged for another instance")
     record = {"at": at, "kind": "issue", "lineage": lineage, "nonce": nonce, "signed": signed}
     record["upstream"] = None if upstream is None else str(upstream)
-    if lineage["kind"] != "reloaded":
+    if not reload:
         record["external"] = external
     return record
 
@@ -381,48 +401,37 @@ def _issue_record(
 def _log_record_from_line(line: bytes, lineage: LineageStore) -> dict:
     """The record whose log line is ``line``, with its key, document or
     report decoded. A key, revocation, shutdown or ``issue`` record is built
-    again from its decoded fields by the helper its live mutator uses, an
-    ``issue``'s lineage records by ``lineage.build`` (which reads the store
-    and changes nothing) from the logged event and identifier. Only the
-    fields that feed the state are checked one by one; the line must then
-    be the one ``_log_line`` writes for the record, byte for byte, so a
-    field the live registry never writes is refused."""
+    again from its decoded fields by the helper its live mutator uses, which
+    checks them as it does live, an ``issue``'s lineage records by
+    ``lineage.build`` (which reads the store and changes nothing) from the
+    logged event and identifier. The line must then be the one ``_log_line``
+    writes for the record, byte for byte, so a field the live registry never
+    writes is refused."""
     record = load_canonical(line)
     kind, at = record["kind"], record["at"]
-    valid = type(at) is int
     if kind == "register-key":
         # TrustStore.add_record checks the author id
         record = _key_record(at, record["author_id"], PublicKey.from_jsonable(record["key"]))
     elif kind == "revoke-key":
-        author_id, key_id = record["author_id"], record["key_id"]
-        valid = valid and is_token(author_id) and is_token(key_id)
-        record = _revoke_record(at, author_id, key_id)
+        record = _revoke_record(at, record["author_id"], record["key_id"])
     elif kind == "issue":
-        logged, nonce, signed = record["lineage"], record["nonce"], record["signed"]
+        logged, signed = record["lineage"], record["signed"]
         event = event_from_jsonable(logged)
         identifier = parse_identifier(logged["identifier"])
         reload, upstream = isinstance(event, Reloaded), record["upstream"]
-        # a reload names no upstream; only a reload has no document of its
-        # own, and _apply files any other under the lineage identifier
+        # a reload names no upstream
         upstream = None if reload or upstream is None else parse_identifier(upstream)
-        valid = valid and (signed is None) == reload and (nonce is None or isinstance(nonce, str))
         if signed is not None:
             signed = SignedId.from_jsonable(signed)
-            valid = valid and signed.doc.identifier == identifier
+        built = lineage.build(event, at, upstream, identifier)
+        record = _issue_record(at, *built, record["nonce"], signed, upstream)
     elif kind == "incident":
         record["report"] = IncidentReport.from_jsonable(record["report"])
     elif kind == "shutdown":
-        identifier, reason = record["identifier"], record["reason"]
-        parse_identifier(identifier)
-        valid = valid and isinstance(reason, str)
-        record = _shutdown_record(at, identifier, reason)
+        parse_identifier(record["identifier"])
+        record = _shutdown_record(at, record["identifier"], record["reason"])
     else:
         raise MalformedRecord(f"unknown log record kind {kind!r}")
-    if not valid:
-        raise MalformedRecord(f"bad {kind} record fields")
-    if kind == "issue":
-        built = lineage.build(event, at, upstream, identifier)
-        record = _issue_record(at, *built, nonce, signed, upstream)
     if _log_line(record) != line:
         raise MalformedRecord(f"not a line the registry writes: {line[:200]!r}")
     return record
@@ -518,6 +527,7 @@ class Registry:
         cross-deployer parent (stub lineage node, ancestor and
         upstream-deployer links). Idempotent per client-supplied nonce.
         """
+        _check_nonce(nonce)  # before the lookup, so an unhashable nonce is malformed too
         with self._lock:
             if nonce is not None and nonce in self._nonces:
                 return self.documents[self._nonces[nonce]]
@@ -538,7 +548,7 @@ class Registry:
             doc = self._attach_auto_attributes(doc, event)
             for attr in attributes:
                 doc = add_attribute(doc, attr, rng=self._rng)
-            signed = sign_id(doc, keypair, trust_store=self.trust)
+            signed = sign_id(doc, keypair)
             self._apply(
                 _issue_record(at, lineage_record, external_record, nonce, signed, upstream)
             )
@@ -746,7 +756,9 @@ class Registry:
         """The one change to the state: check the record against it, apply
         it and log it. Live mutators call this under the registry lock once
         they have done what replay cannot redo; ``replay`` calls it on each
-        decoded line."""
+        decoded line. The record's builder has checked its fields but ``at``."""
+        if type(record["at"]) is not int:
+            raise MalformedRecord(f"record time must be an integer, not {record['at']!r}")
         kind = record["kind"]
         if kind == "register-key":
             self.trust.register_key(record["author_id"], record["key"])

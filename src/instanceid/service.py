@@ -124,10 +124,7 @@ class RegistryServer:
             upstream = body.get("upstream")
             if upstream is not None:
                 upstream = parse_identifier(upstream)
-            nonce = body.get("nonce")
-            if nonce is not None and not isinstance(nonce, str):
-                raise MalformedRecord(f"nonce must be a string, not {nonce!r}")
-        signed = self.registry.issue(event, attributes, nonce=nonce, upstream=upstream)
+        signed = self.registry.issue(event, attributes, nonce=body.get("nonce"), upstream=upstream)
         return canonical_json_bytes({"signed": signed.to_jsonable()})
 
     def _do_report_incident(self, body: dict) -> bytes:

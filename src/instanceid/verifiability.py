@@ -46,7 +46,6 @@ from .errors import (
     ChainIdentifierMismatch,
     DuplicateKeyId,
     MalformedRecord,
-    RevokedKey,
     UnknownKey,
     decoding,
 )
@@ -310,17 +309,10 @@ def _verify_signature(
     return VerificationReport(Verdict.VERIFIED)
 
 
-def sign_id(
-    doc: IdDocument, keypair: KeyPair, trust_store: Optional[TrustStore] = None
-) -> SignedId:
+def sign_id(doc: IdDocument, keypair: KeyPair) -> SignedId:
     """Detached signature over the digest-form canonical bytes.
 
-    When a trust store is supplied the key must still be active in it.
-    """
-    if trust_store is not None:
-        record = trust_store.lookup(keypair.author_id, keypair.key_id)
-        if record is not None and record.revoked_at is not None:
-            raise RevokedKey(f"{keypair.author_id}/{keypair.key_id}")
+    Any key given signs; ``Registry.active_keypair`` decides which may."""
     message = digest_form_bytes(doc)
     return SignedId(
         doc=doc,

@@ -378,6 +378,19 @@ def test_replay_rejects_malformed_lines(line):
         Registry.replay(line, "acme")
 
 
+@pytest.mark.parametrize("index", range(len(RECORDS)))
+def test_replay_refuses_a_time_or_nonce_of_the_wrong_type(index):
+    """Lines the registry writes but for a non-integer ``at`` or, on an
+    issue, a nonce that is neither a string nor null."""
+    fields = [("at", True), ("at", "1")]
+    if RECORDS[index]["kind"] == "issue":
+        fields += [("nonce", 5), ("nonce", True), ("nonce", ["n"])]
+    for field, value in fields:
+        line = canonical_json_line({**RECORDS[index], field: value})
+        with pytest.raises(MalformedRecord):
+            Registry.replay(b"".join(LOG_LINES[:index]) + line, "acme")
+
+
 def test_replay_raises_what_the_live_issue_raises_on_a_repeated_constituent():
     merged = RECORDS[6]["lineage"]
     constituent = parse_identifier(merged["constituents"][0])

@@ -16,7 +16,6 @@ from instanceid import (
     Created,
     Decision,
     DisclosurePolicy,
-    GatekeeperConfig,
     GateVerdict,
     IncidentReport,
     IncidentThreshold,
@@ -425,7 +424,7 @@ def test_registry_unavailable_fails_closed_by_default():
 
     decision, _ = evaluate(
         rules, ctx_for(presented), TRUST, UnavailableClient(), {},
-        config=GatekeeperConfig(fail_open=True),
+        fail_open=True,
     )
     assert decision.verdict == GateVerdict.ALLOW
 
@@ -549,7 +548,7 @@ def test_decision_matrix():
                             on_missing, incident_threshold)]
         decision, returned = evaluate(
             rules, ctx_for(shown[show]), TRUST, client if reachable else UnavailableClient(),
-            limiter, config=GatekeeperConfig(fail_open=fail_open),
+            limiter, fail_open=fail_open,
         )
         case = (requirement, show, missing, threshold, fail_open)
         want = expected_decision(*case)

@@ -639,6 +639,37 @@ def test_replay_refuses_a_record_for_an_instance_the_registry_lacks(record, erro
 _UPSTREAM = parse_identifier("other:ffff0000aaaa1111")
 _OPERATIONS = ["created", "reloaded", "regenerated", "merged", "fine-tuned", "incident",
                "shutdown", "revoke"]
+# each list ends in values the registry must refuse without logging anything
+_NONCES = st.sampled_from([None, "", "n0", "n1", 5, b"x", ["n"]])
+_UPSTREAMS = st.sampled_from([None, _UPSTREAM, str(_UPSTREAM)])
+_REASONS = st.sampled_from(["tested", 5, b"x", None])
+_REVOKED = st.sampled_from([("beta", "b1"), ("acme", "k1"), ("beta", "B1"), (["beta"], "b1")])
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (lambda r, i: r.issue(Created("sys-a", "u"), nonce=b"x"), MalformedRecord),
+        (lambda r, i: r.issue(Created("sys-a", "u"), nonce=5), MalformedRecord),
+        (lambda r, i: r.issue(Created("sys-a", "u"), nonce=["n"]), MalformedRecord),
+        (lambda r, i: r.mark_shutdown(i, b"x"), MalformedRecord),
+        (lambda r, i: r.mark_shutdown(i, 5), MalformedRecord),
+        (lambda r, i: r.mark_shutdown(i, None), MalformedRecord),
+        (lambda r, i: r.revoke_key("acme", "K1"), MalformedRecord),
+        (lambda r, i: r.revoke_key(["acme"], "k1"), MalformedRecord),
+        (lambda r, i: r.issue(Created("sys-b", "u"), upstream="other:abc"), InvalidDocument),
+    ],
+    ids=["nonce-bytes", "nonce-int", "nonce-list", "reason-bytes", "reason-int", "reason-none",
+         "revoke-key-id-not-a-token", "revoke-author-id-unhashable", "upstream-a-str"],
+)
+def test_a_mutation_with_a_field_of_the_wrong_kind_is_refused_and_not_logged(mutate, error):
+    registry, _ = make_registry()
+    root = registry.issue(Created("sys-a", "u")).doc.identifier
+    log = registry.log_lines()
+    with pytest.raises(error):
+        mutate(registry, root)
+    assert registry.log_lines() == log
+    assert Registry.replay(log, "acme").log_lines() == log
 
 
 @settings(max_examples=60, deadline=None)
@@ -662,9 +693,9 @@ def test_replay_reproduces_the_live_registry(data):
                 registry.report_incident(IncidentReport(
                     report_id, instance(), "service.x", Severity.MINOR, "x", clock.now(), "u"))
             elif operation == "shutdown":
-                registry.mark_shutdown(instance(), "tested")
+                registry.mark_shutdown(instance(), data.draw(_REASONS))
             elif operation == "revoke":
-                registry.revoke_key(*data.draw(st.sampled_from([("beta", "b1"), ("acme", "k1")])))
+                registry.revoke_key(*data.draw(_REVOKED))
             else:
                 event = {
                     "created": lambda: Created("sys-a", data.draw(st.sampled_from(["", "u"]))),
@@ -675,8 +706,8 @@ def test_replay_reproduces_the_live_registry(data):
                 }[operation]()
                 signed = registry.issue(
                     event,
-                    nonce=data.draw(st.sampled_from([None, "", "n0", "n1"])),
-                    upstream=data.draw(st.sampled_from([None, _UPSTREAM])),
+                    nonce=data.draw(_NONCES),
+                    upstream=data.draw(_UPSTREAMS),
                 )
                 instances.append(signed.doc.identifier)
         except ProtocolError:

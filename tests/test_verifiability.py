@@ -28,7 +28,6 @@ from instanceid.errors import (
     ChainIdentifierMismatch,
     DuplicateKeyId,
     MalformedRecord,
-    RevokedKey,
     UnknownKey,
 )
 from instanceid.identity import digest_form_bytes
@@ -123,13 +122,6 @@ def test_key_registry_errors(keypair):
     trust.revoke_key("acme", "k1", 10)
     with pytest.raises(AlreadyRevoked):
         trust.revoke_key("acme", "k1", 20)
-
-
-def test_sign_with_revoked_key_raises(keypair, trust):
-    trust.revoke_key("acme", "k1", 5)
-    doc = random_document(random.Random(8), keypair.author_ref())
-    with pytest.raises(RevokedKey):
-        sign_id(doc, keypair, trust_store=trust)
 
 
 def test_trust_store_file_round_trip(keypair):
