@@ -227,15 +227,15 @@ def registry_serve(config_path):
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
 def scenario(name, seed, config_path, transport, out_path, fmt):
     """Replay a simulated-ecosystem scenario deterministically."""
-    config = SimConfig()
-    if config_path:
-        try:
+    try:
+        config = SimConfig()
+        if config_path:
             config = SimConfig.from_jsonable(load_canonical(Path(config_path).read_bytes()))
-        except (ProtocolError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-    if seed is not None:
-        config = replace(config, seed=seed)
+        if seed is not None:
+            config = replace(config, seed=seed)
+    except (ProtocolError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     try:
         trace = SCENARIOS[name](config, transport=transport)
     except ProtocolError as exc:

@@ -17,9 +17,7 @@ from fnmatch import fnmatchcase
 from types import MappingProxyType
 from typing import Any, Mapping, Optional, Union
 
-from .canonical import (
-    HASH_SUITE, _check_suite, b64u, b64u_decode, canonical_json_bytes, load_canonical,
-)
+from .canonical import b64u, b64u_decode, canonical_json_bytes, load_canonical
 from .errors import InvalidDocument, MalformedRecord, decoding
 from .identity import (
     Attribute,
@@ -30,8 +28,9 @@ from .identity import (
     Link,
     attribute_digest,
     digest_form,
+    header_from_jsonable,
+    header_jsonable,
     is_attribute_name,
-    parse_identifier,
 )
 from .verifiability import (
     Signature,
@@ -177,20 +176,15 @@ class DisclosedView:
                         "name": entry.name,
                     }
                 )
-        return {
-            "author": self.author.to_jsonable(),
-            "created_at": self.created_at,
-            "entries": entries,
-            "hash_suite": HASH_SUITE,
-            "identifier": str(self.identifier),
-            "links": [link.to_jsonable() for link in self.links],
-            "signature": self.signature.to_jsonable(),
-        }
+        body = header_jsonable(self)
+        body["entries"] = entries
+        body["signature"] = self.signature.to_jsonable()
+        return body
 
     @classmethod
     @decoding("disclosed view")
     def from_jsonable(cls, body: Any) -> "DisclosedView":
-        _check_suite(body["hash_suite"], HASH_SUITE)
+        header = header_from_jsonable(body)
         entries: list[ViewEntry] = []
         for item in body["entries"]:
             if item["kind"] == "revealed":
@@ -201,11 +195,8 @@ class DisclosedView:
             else:
                 raise MalformedRecord(f"unknown entry kind {item['kind']!r}")
         return cls(
-            identifier=parse_identifier(body["identifier"]),
-            author=AuthorRef.from_jsonable(body["author"]),
-            created_at=body["created_at"],
+            **header,
             entries=tuple(entries),
-            links=tuple(Link.from_jsonable(l) for l in body["links"]),
             signature=Signature.from_jsonable(body["signature"]),
         )
 
@@ -247,16 +238,10 @@ def view_signing_bytes(view: DisclosedView) -> bytes:
     the builder of the signing input. So these bytes trust the carried
     digests; :func:`verify_view` binds revealed content to them first.
     """
-    return digest_form(
-        view.identifier,
-        view.author,
-        view.created_at,
-        [
-            (entry.attribute.name if isinstance(entry, RevealedEntry) else entry.name, entry.digest)
-            for entry in view.entries
-        ],
-        view.links,
-    )
+    return digest_form(view, [
+        (entry.attribute.name if isinstance(entry, RevealedEntry) else entry.name, entry.digest)
+        for entry in view.entries
+    ])
 
 
 def verify_view(

@@ -58,6 +58,10 @@ CLOCK_EPOCH = 100_000
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A scenario's knobs. Construction raises :class:`ConfigInvalid` unless
+    each field is an ``int`` (``malfunction_rate`` an ``int`` or a
+    ``float``), never a ``bool``, within its range."""
+
     seed: int = 0
     deployers: int = 2
     agents: int = 4
@@ -65,7 +69,12 @@ class SimConfig:
     malfunction_rate: float = 0.9
     steps: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            allowed = (int, float) if name == "malfunction_rate" else (int,)
+            if type(value) not in allowed:
+                raise ConfigInvalid(f"{name} must be {allowed[-1].__name__}, not {value!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigInvalid("seed must fit in 64 bits")
         if self.deployers < 1 or self.agents < 1:
@@ -84,12 +93,7 @@ class SimConfig:
         and fields the config does not have are ignored."""
         if not isinstance(body, dict):
             raise MalformedRecord(f"scenario config must be an object, not {body!r}")
-        known = {f: body[f] for f in body if f in cls.__dataclass_fields__}
-        for name, value in known.items():
-            expected = float if name == "malfunction_rate" else int
-            if type(value) not in (int, expected):
-                raise MalformedRecord(f"{name} must be {expected.__name__}, not {value!r}")
-        return cls(**known)
+        return cls(**{f: body[f] for f in body if f in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,7 @@ class Ecosystem:
         # assemble the shared trust directory from each registry's keys
         # endpoint, revocations included
         for deployer in self.deployers:
-            listing = TrustStore.from_jsonable(self.clients[deployer.name].list_keys())
-            for author_id, keys in listing.records().items():
-                for record in keys.values():
-                    self.trust.add_record(author_id, record)
+            self.trust.add_listing(self.clients[deployer.name].list_keys())
 
     def client_for(self, identifier: InstanceIdentifier) -> BaseClient:
         return self.directory[identifier.system_id]
@@ -267,7 +268,6 @@ def _assert_healthy(eco: Ecosystem) -> None:
 def run_shutdown_scenario(config: SimConfig, transport: str = "inproc") -> SimEventTrace:
     """A seeded agent misbehaves across services; flags and notifications
     accumulate at its deployer until the instance is marked shut down."""
-    config.validate()
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
     trace = SimEventTrace("shutdown")
@@ -373,7 +373,6 @@ def _tamper_view(view: DisclosedView) -> DisclosedView:
 def run_certification_scenario(config: SimConfig, transport: str = "inproc") -> SimEventTrace:
     """One agent carries a prompt-injection-free certification, one does not,
     and one presents a tampered ID; the gate admits exactly the first."""
-    config.validate()
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
     trace = SimEventTrace("certification")
@@ -445,7 +444,6 @@ def run_investigation_scenario(config: SimConfig, transport: str = "inproc") -> 
     places calls; the investigator walks ancestor links back from call
     records to the root and its opaque user reference, marking ID-stripped
     branches untraceable."""
-    config.validate()
     if config.lineage_depth < 2:
         raise ConfigInvalid("investigation needs lineage_depth >= 2")
     rng = random.Random(config.seed)

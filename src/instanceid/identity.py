@@ -3,7 +3,10 @@
 An identifier is the two-part string ``system_id:instance_id``. A document
 wraps an identifier with typed attributes and relation links; its canonical
 byte form (and the digest form used as the signing input) are defined here.
-All types are immutable values; "mutation" returns a new value.
+A document, its digest form and a disclosed view share one header,
+``{author, created_at, hash_suite, identifier, links}``, which has one
+codec: :func:`header_jsonable` writes it and :func:`header_from_jsonable`
+reads it. All types are immutable values; "mutation" returns a new value.
 """
 
 from __future__ import annotations
@@ -318,15 +321,33 @@ def add_link(doc: IdDocument, relation: str, target: InstanceIdentifier) -> IdDo
     return replace(doc, links=doc.links + (Link(relation, target),))
 
 
-def doc_to_jsonable(doc: IdDocument) -> dict:
+def header_jsonable(carrier: Any) -> dict:
+    """The header of ``carrier``, an ``IdDocument`` or a ``DisclosedView``."""
     return {
-        "attributes": [attr.to_jsonable() for attr in doc.attributes],
-        "author": doc.author.to_jsonable(),
-        "created_at": doc.created_at,
+        "author": carrier.author.to_jsonable(),
+        "created_at": carrier.created_at,
         "hash_suite": HASH_SUITE,
-        "identifier": str(doc.identifier),
-        "links": [link.to_jsonable() for link in doc.links],
+        "identifier": str(carrier.identifier),
+        "links": [link.to_jsonable() for link in carrier.links],
     }
+
+
+def header_from_jsonable(body: Any) -> dict:
+    """The header of ``body`` as its carrier's keyword arguments, under the
+    caller's :class:`decoding` guard; a suite but ``HASH_SUITE`` fails first."""
+    _check_suite(body["hash_suite"], HASH_SUITE)
+    return {
+        "identifier": parse_identifier(body["identifier"]),
+        "author": AuthorRef.from_jsonable(body["author"]),
+        "created_at": body["created_at"],
+        "links": tuple(Link.from_jsonable(l) for l in body["links"]),
+    }
+
+
+def doc_to_jsonable(doc: IdDocument) -> dict:
+    body = header_jsonable(doc)
+    body["attributes"] = [attr.to_jsonable() for attr in doc.attributes]
+    return body
 
 
 def canonical_bytes(doc: IdDocument) -> bytes:
@@ -334,29 +355,17 @@ def canonical_bytes(doc: IdDocument) -> bytes:
     return canonical_json_bytes(doc_to_jsonable(doc))
 
 
-def digest_form(
-    identifier: InstanceIdentifier,
-    author: AuthorRef,
-    created_at: int,
-    digests: Iterable[tuple[str, bytes]],
-    links: Iterable[Link],
-) -> bytes:
-    """Canonical bytes of the digest form: the one builder of signing input.
+def digest_form(carrier: Any, digests: Iterable[tuple[str, bytes]]) -> bytes:
+    """Canonical bytes of the digest form of ``carrier``'s header and
+    ``digests``: the one builder of signing input.
 
     Only (name, digest) per attribute: category, specificity, and payload
     are all inside the salted commitment, so a redacted view rebuilds these
     bytes from its hidden (name, digest) pairs alone, with this function.
     """
-    return canonical_json_bytes(
-        {
-            "attributes": [{"digest": b64u(digest), "name": name} for name, digest in digests],
-            "author": author.to_jsonable(),
-            "created_at": created_at,
-            "hash_suite": HASH_SUITE,
-            "identifier": str(identifier),
-            "links": [link.to_jsonable() for link in links],
-        }
-    )
+    body = header_jsonable(carrier)
+    body["attributes"] = [{"digest": b64u(digest), "name": name} for name, digest in digests]
+    return canonical_json_bytes(body)
 
 
 def digest_form_bytes(doc: IdDocument) -> bytes:
@@ -365,22 +374,12 @@ def digest_form_bytes(doc: IdDocument) -> bytes:
     Redacting a payload later does not disturb these bytes, which is what
     lets disclosure-redacted views keep the original signature.
     """
-    return digest_form(
-        doc.identifier,
-        doc.author,
-        doc.created_at,
-        [(attr.name, attribute_digest(attr)) for attr in doc.attributes],
-        doc.links,
-    )
+    return digest_form(doc, [(attr.name, attribute_digest(attr)) for attr in doc.attributes])
 
 
 @decoding("document")
 def doc_from_jsonable(body: Any) -> IdDocument:
-    _check_suite(body["hash_suite"], HASH_SUITE)
     return IdDocument(
-        identifier=parse_identifier(body["identifier"]),
-        created_at=body["created_at"],
-        author=AuthorRef.from_jsonable(body["author"]),
+        **header_from_jsonable(body),
         attributes=tuple(Attribute.from_jsonable(a) for a in body["attributes"]),
-        links=tuple(Link.from_jsonable(l) for l in body["links"]),
     )

@@ -16,6 +16,7 @@ record.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from dataclasses import dataclass
@@ -230,8 +231,6 @@ class LineageStore:
 
     def _fresh_system_token(self) -> str:
         if self._rng is None:
-            import os
-
             return "ft-" + os.urandom(8).hex()
         return "ft-" + f"{self._rng.getrandbits(64):016x}"
 
@@ -259,7 +258,7 @@ class LineageStore:
             system = composite_system_id(c.system_id for c in event.constituents)
             record["identifier"] = self._fresh_id(system, logged)
         elif isinstance(event, FineTuned):
-            record["base"] = f"{event.base_system_id}:{SYSTEM_SENTINEL}"
+            record["base"] = str(InstanceIdentifier(event.base_system_id, SYSTEM_SENTINEL))
             if logged is None:
                 logged = InstanceIdentifier(self._fresh_system_token(), SYSTEM_SENTINEL)
             elif not logged.is_system_node or logged in self or str(logged) == record["base"]:

@@ -74,6 +74,7 @@ from .errors import (
     decoding,
 )
 from .identity import (
+    SYSTEM_SENTINEL,
     Attribute,
     AttributeCategory,
     AttributeSpecificity,
@@ -567,7 +568,7 @@ class Registry:
                 doc = add_link(doc, "constituent", constituent)
         elif isinstance(event, FineTuned):
             doc = add_link(
-                doc, "base-system", InstanceIdentifier(event.base_system_id, "_system")
+                doc, "base-system", InstanceIdentifier(event.base_system_id, SYSTEM_SENTINEL)
             )
         if upstream is not None:
             doc = add_link(doc, "ancestor", upstream)

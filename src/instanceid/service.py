@@ -1,11 +1,13 @@
 """Wire surface of the registry: endpoint dispatch, TCP transport, config.
 
 One route per verb, canonical JSON bodies, newline-delimited over the byte
-stream. The in-process client and the TCP client run requests through the
-same handler, which returns the reply line as bytes, so a simulation
-produces identical traces on either transport. A ``query-incidents`` reply
-splices each report's cached canonical bytes (``IncidentReport.
-canonical_bytes``) instead of encoding the reports again for every reply.
+stream. The in-process client and the TCP client hand the same handler the
+same canonical request line; it decodes the line with ``load_canonical``
+and returns the reply line as bytes, which both clients decode with
+``load_canonical``. So one path runs from request bytes to reply bytes on
+either transport, and a simulation produces identical traces on both. A
+``query-incidents`` reply splices each report's cached canonical bytes
+(``IncidentReport.canonical_bytes``) instead of encoding them again.
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -37,7 +39,6 @@ the registry.
 
 from __future__ import annotations
 
-import json
 import os
 import select
 import socket
@@ -100,11 +101,12 @@ class RegistryServer:
         ] = OrderedDict()
         self._views_lock = threading.Lock()
 
-    def handle(self, request: Any) -> bytes:
-        """Answer one decoded request with its reply line: the canonical
-        bytes of ``{"body": ..., "ok": true}`` or of an error reply, ending
-        in a newline. Each ``_do_*`` handler returns its body encoded."""
+    def handle(self, line: bytes) -> bytes:
+        """Answer one request line with its reply line: the canonical bytes
+        of ``{"body": ..., "ok": true}`` or of an error reply, ending in a
+        newline. Each ``_do_*`` handler returns its body encoded."""
         try:
+            request = load_canonical(line)
             with decoding("request"):
                 endpoint = request.get("endpoint")
                 body = request.get("body", {})
@@ -270,14 +272,16 @@ class BaseClient:
 
 
 class InProcessClient(BaseClient):
+    """Client calling a ``RegistryServer`` in this process: it sends the
+    request line a ``TcpClient`` sends and decodes the reply line as that
+    client does, with ``load_canonical``."""
+
     def __init__(self, server: RegistryServer):
         self._server = server
 
     def request(self, endpoint: str, body: dict) -> dict:
-        # serialize through canonical bytes so both transports see identical
-        # shapes; bytes this process just encoded need no decoding checks
-        raw = canonical_json_line({"body": body, "endpoint": endpoint})
-        return json.loads(self._server.handle(json.loads(raw)))
+        line = canonical_json_line({"body": body, "endpoint": endpoint})
+        return load_canonical(self._server.handle(line))
 
 
 _MAX_LINE = 1 << 20  # bytes per request line, its newline included
@@ -295,14 +299,8 @@ class _TcpHandler(socketserver.StreamRequestHandler):
                     return
                 if not line.strip():
                     continue
-                try:
-                    request = load_canonical(line)
-                except MalformedRecord as exc:
-                    reply = _error_line(exc)
-                else:
-                    reply = self.server.registry_server.handle(request)
                 # one sendall per reply: Nagle's algorithm has nothing to hold back
-                self.wfile.write(reply)
+                self.wfile.write(self.server.registry_server.handle(line))
         except OSError:
             # the client dropped the connection (a timed-out request), or
             # stop() shut it down

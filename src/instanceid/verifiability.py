@@ -182,9 +182,6 @@ class TrustStore:
     def lookup(self, author_id: str, key_id: str) -> Optional[KeyRecord]:
         return self._authors.get(author_id, {}).get(key_id)
 
-    def records(self) -> dict[str, dict[str, KeyRecord]]:
-        return {author: dict(keys) for author, keys in self._authors.items()}
-
     def to_jsonable(self) -> dict:
         return {
             "authors": {
@@ -193,18 +190,24 @@ class TrustStore:
             }
         }
 
-    @classmethod
     @decoding("trust store")
-    def from_jsonable(cls, body: Any) -> "TrustStore":
-        store = cls()
+    def add_listing(self, body: Any) -> None:
+        """Add each key record of a listing in the JSON form, with the status
+        it has there; a key this store already holds is refused. Records
+        before a refused one stay added."""
         for author_id, entries in body["authors"].items():
             if not isinstance(entries, list):
                 raise MalformedRecord(f"keys of {author_id!r} must be a list")
             for entry in entries:
                 try:
-                    store.add_record(author_id, KeyRecord.from_jsonable(entry))
+                    self.add_record(author_id, KeyRecord.from_jsonable(entry))
                 except DuplicateKeyId as exc:  # a domain error, which the guard passes
                     raise MalformedRecord(f"repeated key {exc}") from exc
+
+    @classmethod
+    def from_jsonable(cls, body: Any) -> "TrustStore":
+        store = cls()
+        store.add_listing(body)
         return store
 
     def to_bytes(self) -> bytes:

@@ -188,6 +188,13 @@ def test_scenario_rejects_a_malformed_config_file(runner, tmp_path, body):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_scenario_rejects_a_seed_out_of_range(runner):
+    result = runner.invoke(main, ["scenario", "shutdown", "--seed", "-1"])
+    assert result.exit_code == 1
+    assert "error: seed must fit in 64 bits" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_scenario_rejects_unknown_name(runner):
     result = runner.invoke(main, ["scenario", "heist", "--seed", "1"])
     assert result.exit_code == 2

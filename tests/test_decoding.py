@@ -469,9 +469,9 @@ def test_handle_answers_every_request_and_a_refusal_changes_no_log(rng):
     registry, root = _served_registry()
     server = RegistryServer(registry)
     for request in valid_requests(root):
-        assert load_canonical(server.handle(request))["ok"], request
+        assert load_canonical(server.handle(json_line(request)))["ok"], request
     log = registry.log_lines()
-    reply = load_canonical(server.handle(mutated_request(rng, root)))
+    reply = load_canonical(server.handle(json_line(mutated_request(rng, root))))
     canonical_json_line(reply)  # the TCP transport must be able to send it
     if not reply["ok"]:
         assert registry.log_lines() == log
@@ -480,6 +480,8 @@ def test_handle_answers_every_request_and_a_refusal_changes_no_log(rng):
 
 
 def test_tcp_connection_answers_after_a_sample_of_mutated_requests():
+    """The TCP transport answers every line, and its reply bytes and the log
+    they leave equal those of the same lines handed over in process."""
     registry, root = _served_registry()
     rng = random.Random(2024)
     lines = [json_line(mutated_request(rng, root)) for _ in range(150)]
@@ -494,14 +496,20 @@ def test_tcp_connection_answers_after_a_sample_of_mutated_requests():
     try:
         with socket.create_connection(tcp.address, timeout=5) as conn, \
                 conn.makefile("rb") as replies:
-            for line in lines:
+            tcp_replies = []
+            for line in lines + [get_id]:
                 conn.sendall(line)
-                assert "ok" in load_canonical(replies.readline()), line
-            conn.sendall(get_id)
-            reply = load_canonical(replies.readline())
+                tcp_replies.append(replies.readline())
+                assert "ok" in load_canonical(tcp_replies[-1]), line
+            reply = load_canonical(tcp_replies[-1])
             assert reply["ok"] and reply["body"]["signed"]["doc"]["identifier"] == root
     finally:
         tcp.stop()
+    in_process, _ = _served_registry()
+    server = RegistryServer(in_process)
+    for line, tcp_reply in zip(lines + [get_id], tcp_replies, strict=True):
+        assert server.handle(line) == tcp_reply, line
+    assert in_process.log_lines() == registry.log_lines()
 
 
 # -- JSON text -------------------------------------------------------------------------

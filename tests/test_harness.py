@@ -137,12 +137,23 @@ def test_investigation_transport_equivalence():
         {"malfunction_rate": 1.5},
         {"steps": 0},
         {"lineage_depth": 0},
+        {"seed": "x"},
+        {"seed": True},
+        {"deployers": 2.5},
+        {"agents": None},
+        {"steps": 2.0},
+        {"lineage_depth": False},
+        {"malfunction_rate": "a"},
+        {"malfunction_rate": True},
     ],
 )
 def test_config_invalid(bad):
-    config = SimConfig(**bad)
     with pytest.raises(ConfigInvalid):
-        config.validate()
+        SimConfig(**bad)
+
+
+def test_config_takes_an_integer_malfunction_rate():
+    assert SimConfig(malfunction_rate=1).malfunction_rate == 1
 
 
 def test_scenario_registry_names():

@@ -121,10 +121,10 @@ class _Recording(RegistryServer):
         super().__init__(registry)
         self.lines = []
 
-    def handle(self, request):
-        line = super().handle(request)
-        self.lines.append(line)
-        return line
+    def handle(self, line):
+        reply = super().handle(line)
+        self.lines.append(reply)
+        return reply
 
 
 # non-ASCII, a quote, a backslash, a newline and control characters
@@ -189,8 +189,10 @@ def test_replayed_reports_are_served_without_encoding_them_again(monkeypatch):
         return encode(value)
 
     monkeypatch.setattr(instanceid.registry, "canonical_json_bytes", counting)
-    reply = server.handle({"body": {"scope": IncidentScope.instance(identifier).to_jsonable()},
-                           "endpoint": "query-incidents"})
+    reply = server.handle(canonical_json_line(
+        {"body": {"scope": IncidentScope.instance(identifier).to_jsonable()},
+         "endpoint": "query-incidents"}
+    ))
     assert len(load_canonical(reply)["body"]["reports"]) == 5
     assert encoded["calls"] == 0
 
@@ -336,8 +338,10 @@ CARD_ATTRIBUTES = (
 )
 
 
-def _view_request(identifier, party) -> dict:
-    return {"body": {"identifier": str(identifier), "party": party.value}, "endpoint": "get-id"}
+def _view_request(identifier, party) -> bytes:
+    return canonical_json_line(
+        {"body": {"identifier": str(identifier), "party": party.value}, "endpoint": "get-id"}
+    )
 
 
 def _fresh_view_line(registry, identifier, party) -> bytes:
@@ -569,10 +573,10 @@ class _SlowOnce(RegistryServer):
         super().__init__(registry)
         self.delay = delay
 
-    def handle(self, request):
+    def handle(self, line):
         delay, self.delay = self.delay, 0
         time.sleep(delay)
-        return super().handle(request)
+        return super().handle(line)
 
 
 def test_one_connection_carries_every_request_of_a_client():
@@ -755,7 +759,7 @@ def _assert_untouched(registry):
 
 @pytest.mark.parametrize("request_value", MALFORMED_REQUESTS)
 def test_non_object_request_gets_malformed_record_reply(request_value):
-    reply = load_canonical(RegistryServer(_registry()).handle(request_value))
+    reply = load_canonical(RegistryServer(_registry()).handle(canonical_json_line(request_value)))
     assert (reply["ok"], reply["error"]) == (False, "MalformedRecord")
 
 
