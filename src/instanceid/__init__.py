@@ -48,7 +48,6 @@ from .identity import (
     IdDocument,
     InstanceIdentifier,
     add_attribute,
-    add_link,
     attribute_digest,
     canonical_bytes,
     digest_form_bytes,

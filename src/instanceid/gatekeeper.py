@@ -14,9 +14,11 @@ A presented ID is checked in this order; the first check that fails denies:
 
 1. the ID or view, then the manifest if one is shown, must verify at the
    request time (never at a time the presenter wrote, which a revoked key's
-   holder could backdate), and the manifest must name the ID and the shown
-   output, else ``unverified``; a ``verified-id`` rule needs a manifest, the
-   binding of the ID to the output, else ``no-manifest``;
+   holder could backdate), and the manifest must be by the ID's author and
+   name the ID and the shown output, else ``unverified`` (so no other
+   trusted author can bind an output to the ID); a ``verified-id`` rule
+   needs a manifest, the binding of the ID to the output, else
+   ``no-manifest``;
 2. a ``certification`` rule needs a revealed ``cert:<name>`` property
    attribute, else ``no-certification``;
 3. the incident threshold's scope must hold at most ``max_count`` reports,
@@ -34,7 +36,7 @@ from typing import Mapping, Optional, Union
 from .canonical import b64u
 from .disclosure import DisclosedView, verify_view
 from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable
-from .identity import AttributeCategory, InstanceIdentifier, is_attribute_name
+from .identity import AttributeCategory, AuthorRef, InstanceIdentifier, is_attribute_name
 from .registry import IncidentScope, TimeWindow
 from .verifiability import (
     Manifest,
@@ -158,6 +160,12 @@ class Presented:
         if isinstance(self.id_artifact, SignedId):
             return self.id_artifact.doc.identifier
         return self.id_artifact.identifier
+
+    @property
+    def author(self) -> AuthorRef:
+        if isinstance(self.id_artifact, SignedId):
+            return self.id_artifact.doc.author
+        return self.id_artifact.author
 
 
 @dataclass(frozen=True)
@@ -326,6 +334,7 @@ def _judge_presented(
     verify = verify_id if isinstance(artifact, SignedId) else verify_view
     if not verify(artifact, trust_store, at).ok or (manifest is not None and (
         manifest.identifier != presented.identifier
+        or manifest.author.author_id != presented.author.author_id
         or presented.output is None
         or not verify_manifest(manifest, presented.output, trust_store, at=at).ok
     )):
@@ -401,14 +410,12 @@ def flag_and_notify(ctx: RequestContext, reason: str) -> dict:
     """
     if ctx.presented is None:
         raise NoAuthorInfo("no ID presented")
-    artifact = ctx.presented.id_artifact
-    author = artifact.doc.author if isinstance(artifact, SignedId) else artifact.author
     evidence = []
     if ctx.presented.manifest is not None:
         evidence.append(b64u(manifest_hash(ctx.presented.manifest)))
     return {
         "at": ctx.timestamp,
-        "author": author.author_id,
+        "author": ctx.presented.author.author_id,
         "evidence": evidence,
         "identifier": str(ctx.presented.identifier),
         "reason": reason,

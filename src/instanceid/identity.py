@@ -317,10 +317,6 @@ def add_attribute(
     return replace(doc, attributes=doc.attributes + (attr,))
 
 
-def add_link(doc: IdDocument, relation: str, target: InstanceIdentifier) -> IdDocument:
-    return replace(doc, links=doc.links + (Link(relation, target),))
-
-
 def header_jsonable(carrier: Any) -> dict:
     """The header of ``carrier``, an ``IdDocument`` or a ``DisclosedView``."""
     return {

@@ -6,7 +6,9 @@ Every mutation is one record applied through a single path, and ``build``
 and ``commit`` are the only mutators: ``build`` makes the records of an
 event, and of its cross-deployer upstream link if it has one, without
 applying them, ``commit`` applies them, and the registry keeps them in its
-log, the only log there is.
+log, the only log there is. ``parents`` alone says which edges a record
+adds; the registry derives a document's links from it. A reload takes no
+upstream, so an upstream edge always enters a new node and closes no cycle.
 ``build`` alone checks an event against the store: registry replay builds
 each logged record again from its event and logged identifier and commits
 it, which reconstructs the store exactly. One lock covers every write and
@@ -130,6 +132,19 @@ def event_from_jsonable(body: Any) -> LineageEvent:
     raise MalformedRecord(f"unknown event kind: {kind!r}")
 
 
+def parents(record: dict) -> list[tuple[str, str]]:
+    """The ``(parent, edge kind)`` pairs of a lineage record, in its order:
+    the one place that says which edges, and so which links, it adds."""
+    kind = record["kind"]
+    if kind in ("regenerated", "external-link"):
+        return [(record["parent"], EDGE_BRANCH)]
+    if kind == "merged":
+        return [(constituent, EDGE_CONSTITUENT) for constituent in record["constituents"]]
+    if kind == "fine-tuned":
+        return [(record["base"], EDGE_BASE_SYSTEM)]
+    return []
+
+
 class LineageStore:
     """Append-only DAG of instance derivations.
 
@@ -184,17 +199,25 @@ class LineageStore:
 
         With ``upstream``, the new identifier also gets that cross-deployer
         parent, recorded as a second, ``external-link`` record; the second
-        item is ``None`` without it. A logged ``identifier`` replaces the
-        draw of a new node's identifier; one that is a node already or of
-        another system raises ``MalformedRecord``. Nodes and edges are never
-        removed, so these checks still hold at ``commit``; callers that
-        build concurrently must serialize build and commit themselves.
+        item is ``None`` without it. That edge always enters the new node,
+        which no edge leaves yet, so it closes no cycle: a reload, which
+        makes no node, and a node that is its own upstream raise
+        ``MalformedRecord``. A logged ``identifier`` replaces the draw of a
+        new node's identifier; one that is a node already or of another
+        system raises ``MalformedRecord``. Nodes and edges are never removed,
+        so these checks still hold at ``commit``; callers that build
+        concurrently must serialize build and commit themselves.
         """
+        if upstream is not None and isinstance(event, Reloaded):
+            raise MalformedRecord(f"a reload takes no upstream, not {upstream}")
         with self._lock:
             record = self._build_record(event, at, identifier)
-            if upstream is None:
-                return record, None
-            return record, self._external_record(upstream, record["identifier"], at)
+        if upstream is None:
+            return record, None
+        child = record["identifier"]
+        if str(upstream) == child:
+            raise MalformedRecord(f"{child} cannot be its own upstream")
+        return record, {"at": at, "child": child, "kind": "external-link", "parent": str(upstream)}
 
     def commit(self, record: dict, external: Optional[dict] = None) -> InstanceIdentifier:
         """Apply the records ``build`` returned; returns the event's identifier."""
@@ -207,16 +230,6 @@ class LineageStore:
     def register(self, event: LineageEvent, at: int = 0) -> InstanceIdentifier:
         """Apply a lifecycle event; returns the identifier it resolves to."""
         return self.commit(*self.build(event, at))
-
-    def _external_record(self, parent: InstanceIdentifier, child: str, at: int) -> dict:
-        """The record linking ``parent`` to ``child``, a node or one being built."""
-        if (
-            str(parent) in self._nodes
-            and child in self._nodes
-            and parent in self._closure(parse_identifier(child), self._children)
-        ):
-            raise UnknownParent(f"{parent} descends from {child}; edge would cycle")
-        return {"at": at, "child": child, "kind": "external-link", "parent": str(parent)}
 
     def _fresh_id(self, system_id: str, logged: Optional[InstanceIdentifier]) -> str:
         """A new instance of ``system_id``: ``logged``, if it is one, or a draw."""
@@ -266,11 +279,6 @@ class LineageStore:
             record["identifier"] = str(logged)
         return record
 
-    def _add_node(self, identifier: str, external: bool = False) -> None:
-        self._nodes.add(identifier)
-        if external:
-            self._external.add(identifier)
-
     def _add_edge(self, parent: str, child: str, kind: str) -> None:
         self._parents.setdefault(child, set()).add((parent, kind))
         self._children.setdefault(parent, set()).add((child, kind))
@@ -278,28 +286,15 @@ class LineageStore:
     def _apply(self, record: dict) -> InstanceIdentifier:
         """Add a record's nodes and edges; ``build`` has checked it."""
         kind = record["kind"]
-        ident = parse_identifier(record["identifier"]) if "identifier" in record else None
-        if kind == "created":
-            self._add_node(record["identifier"])
-        elif kind == "reloaded":
-            pass  # identifier retained; no node, no edge
-        elif kind == "regenerated":
-            self._add_node(record["identifier"])
-            self._add_edge(record["parent"], record["identifier"], EDGE_BRANCH)
-        elif kind == "merged":
-            self._add_node(record["identifier"])
-            for constituent in record["constituents"]:
-                self._add_edge(constituent, record["identifier"], EDGE_CONSTITUENT)
-        elif kind == "fine-tuned":
-            self._add_node(record["base"])
-            self._add_node(record["identifier"])
-            self._add_edge(record["base"], record["identifier"], EDGE_BASE_SYSTEM)
-        elif kind == "external-link":
-            if record["parent"] not in self._nodes:
-                self._add_node(record["parent"], external=True)
-            self._add_edge(record["parent"], record["child"], EDGE_BRANCH)
-            ident = parse_identifier(record["child"])
-        return ident
+        child = record["child"] if kind == "external-link" else record["identifier"]
+        for parent, edge in parents(record):
+            if kind == "external-link" and parent not in self._nodes:
+                self._external.add(parent)
+            self._nodes.add(parent)
+            self._add_edge(parent, child, edge)
+        if kind != "reloaded":
+            self._nodes.add(child)
+        return parse_identifier(child)
 
     # -- traversal -----------------------------------------------------------
 

@@ -10,7 +10,8 @@ record to ``_apply``. ``replay`` builds each line's record again with the
 same helpers, accepts it only if ``_log_line`` writes it back as the same
 bytes and hands it to ``_apply``; so a replayed registry is byte-identical
 and refuses what the live one refuses, and no other module checks a
-mutation's fields.
+mutation's fields. A document's links are derived from its lineage records
+by ``_links``, and replay refuses a logged document with any other links.
 Writes and incident queries serialize through the registry lock, and
 lineage reads through the lineage store's lock, so no read observes a
 partially applied mutation.
@@ -74,27 +75,25 @@ from .errors import (
     decoding,
 )
 from .identity import (
-    SYSTEM_SENTINEL,
     Attribute,
     AttributeCategory,
     AttributeSpecificity,
     AuthorRef,
     IdDocument,
     InstanceIdentifier,
+    Link,
     add_attribute,
-    add_link,
     is_token,
     parse_identifier,
 )
 from .lineage import (
+    EDGE_BRANCH,
     Created,
-    FineTuned,
     LineageEvent,
     LineageStore,
-    Merged,
-    Regenerated,
     Reloaded,
     event_from_jsonable,
+    parents,
 )
 from .verifiability import (
     KeyPair,
@@ -374,6 +373,19 @@ def _check_nonce(nonce: Optional[str]) -> None:
         raise MalformedRecord(f"nonce must be a string or null, not {nonce!r}")
 
 
+def _links(lineage: dict, upstream: Optional[InstanceIdentifier]) -> tuple[Link, ...]:
+    """The links of the document a lineage record issues: a branch parent as
+    ``ancestor``, another parent under its edge's name, then ``ancestor``
+    and ``upstream-deployer`` links to the ``upstream``, if there is one."""
+    links = tuple(
+        Link("ancestor" if edge == EDGE_BRANCH else edge, parse_identifier(parent))
+        for parent, edge in parents(lineage)
+    )
+    if upstream is None:
+        return links
+    return links + (Link("ancestor", upstream), Link("upstream-deployer", upstream))
+
+
 def _issue_record(
     at: int,
     lineage: dict,
@@ -384,13 +396,16 @@ def _issue_record(
 ) -> dict:
     """The log record of an ``issue``; a reload's has no ``external`` field.
     Only a reload has no document of its own, and any other document must
-    name the lineage identifier, under which ``_apply`` files it."""
+    name the lineage identifier, under which ``_apply`` files it, and carry
+    exactly the links ``_links`` derives from the lineage records."""
     _check_nonce(nonce)
     reload = lineage["kind"] == "reloaded"
     if (signed is None) != reload:
         raise MalformedRecord("an issue record has a document unless it is a reload")
     if signed is not None and str(signed.doc.identifier) != lineage["identifier"]:
         raise MalformedRecord(f"document of {signed.doc.identifier} logged for another instance")
+    if signed is not None and signed.doc.links != _links(lineage, upstream):
+        raise MalformedRecord(f"document of {signed.doc.identifier} has links its lineage lacks")
     record = {"at": at, "kind": "issue", "lineage": lineage, "nonce": nonce, "signed": signed}
     record["upstream"] = None if upstream is None else str(upstream)
     if not reload:
@@ -419,9 +434,9 @@ def _log_record_from_line(line: bytes, lineage: LineageStore) -> dict:
         logged, signed = record["lineage"], record["signed"]
         event = event_from_jsonable(logged)
         identifier = parse_identifier(logged["identifier"])
-        reload, upstream = isinstance(event, Reloaded), record["upstream"]
-        # a reload names no upstream
-        upstream = None if reload or upstream is None else parse_identifier(upstream)
+        upstream = record["upstream"]
+        if upstream is not None:
+            upstream = parse_identifier(upstream)
         if signed is not None:
             signed = SignedId.from_jsonable(signed)
         built = lineage.build(event, at, upstream, identifier)
@@ -523,10 +538,12 @@ class Registry:
     ) -> SignedId:
         """Register the lifecycle event and return a signed ID document.
 
-        Auto-attaches the links the event prescribes plus a standing link to
-        the incident database scoped to the system. ``upstream`` records a
-        cross-deployer parent (stub lineage node, ancestor and
-        upstream-deployer links). Idempotent per client-supplied nonce.
+        The document carries the links ``_links`` derives from the lineage
+        records and a standing link to the incident database scoped to the
+        system. ``upstream`` records a cross-deployer parent (stub lineage
+        node, ancestor and upstream-deployer links). A reload returns the
+        document issued before and takes no attributes and no upstream.
+        Idempotent per client-supplied nonce.
         """
         _check_nonce(nonce)  # before the lookup, so an unhashable nonce is malformed too
         with self._lock:
@@ -534,46 +551,24 @@ class Registry:
                 return self.documents[self._nonces[nonce]]
             keypair = self.active_keypair()
             at = self.clock.now()
-
-            if isinstance(event, Reloaded):
-                self._apply(_issue_record(at, *self.lineage.build(event, at), nonce, None, None))
-                return self.documents[str(event.original)]
-
             # the lineage changes only once the document is built and signed,
             # so a refused issue leaves no node that the log does not hold
             lineage_record, external_record = self.lineage.build(event, at, upstream)
-            identifier = parse_identifier(lineage_record["identifier"])
-
-            doc = IdDocument(identifier, at, AuthorRef(self.author_id, keypair.key_id))
-            doc = self._attach_auto_links(doc, event, upstream)
-            doc = self._attach_auto_attributes(doc, event)
-            for attr in attributes:
-                doc = add_attribute(doc, attr, rng=self._rng)
-            signed = sign_id(doc, keypair)
+            signed = None
+            if not isinstance(event, Reloaded):
+                identifier = parse_identifier(lineage_record["identifier"])
+                author = AuthorRef(self.author_id, keypair.key_id)
+                doc = IdDocument(identifier, at, author, links=_links(lineage_record, upstream))
+                doc = self._attach_auto_attributes(doc, event)
+                for attr in attributes:
+                    doc = add_attribute(doc, attr, rng=self._rng)
+                signed = sign_id(doc, keypair)
+            elif tuple(attributes):
+                raise MalformedRecord("a reload takes no attributes")
             self._apply(
                 _issue_record(at, lineage_record, external_record, nonce, signed, upstream)
             )
-            return signed
-
-    def _attach_auto_links(
-        self,
-        doc: IdDocument,
-        event: LineageEvent,
-        upstream: Optional[InstanceIdentifier],
-    ) -> IdDocument:
-        if isinstance(event, Regenerated):
-            doc = add_link(doc, "ancestor", event.parent)
-        elif isinstance(event, Merged):
-            for constituent in event.constituents:
-                doc = add_link(doc, "constituent", constituent)
-        elif isinstance(event, FineTuned):
-            doc = add_link(
-                doc, "base-system", InstanceIdentifier(event.base_system_id, SYSTEM_SENTINEL)
-            )
-        if upstream is not None:
-            doc = add_link(doc, "ancestor", upstream)
-            doc = add_link(doc, "upstream-deployer", upstream)
-        return doc
+            return self.documents[lineage_record["identifier"]]
 
     def _attach_auto_attributes(self, doc: IdDocument, event: LineageEvent) -> IdDocument:
         system_id = doc.identifier.system_id
@@ -692,6 +687,10 @@ class Registry:
     # -- notifications (transient) ------------------------------------------------------
 
     def notify(self, payload: dict) -> None:
+        """Queue a notification about an instance this registry issued a
+        document for; any other identifier raises ``UnknownIdentifier``."""
+        if payload["identifier"] not in self.documents:
+            raise UnknownIdentifier(payload["identifier"])
         self.inbox.append(payload)
 
     # -- persistence ---------------------------------------------------------------------

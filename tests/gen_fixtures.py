@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 from instanceid import (
     Attribute,
@@ -22,13 +23,13 @@ from instanceid import (
     KeyPair,
     PartyClass,
     add_attribute,
-    add_link,
     create_manifest,
     parse_identifier,
     redact,
     sign_id,
 )
 from instanceid.canonical import canonical_json_bytes, sha256
+from instanceid.identity import Link
 from instanceid.verifiability import TrustStore
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -81,7 +82,7 @@ def build():
             salt=bytes(range(32, 48)),
         ),
     )
-    doc = add_link(doc, "ancestor", parse_identifier("gpt4-0409:inst-0001"))
+    doc = replace(doc, links=(Link("ancestor", parse_identifier("gpt4-0409:inst-0001")),))
 
     honest = sign_id(doc, author)
     (FIXTURES / "honest_signed_id.json").write_bytes(honest.to_bytes())

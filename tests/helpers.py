@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 import string
+from dataclasses import replace
 
 from instanceid import (
     Attribute,
@@ -18,10 +19,10 @@ from instanceid import (
     SignedId,
     TrustStore,
     add_attribute,
-    add_link,
     sign_id,
 )
 from instanceid.errors import RegistryUnavailable
+from instanceid.identity import Link
 from instanceid.service import BaseClient
 
 TOKEN_ALPHABET = string.ascii_lowercase + string.digits
@@ -90,9 +91,11 @@ def random_document(
     doc = IdDocument(random_identifier(rng), rng.randint(0, 10**9), author)
     for index in range(n_attrs):
         doc = add_attribute(doc, random_attribute(rng, name=f"attr-{index}-{random_token(rng)}"))
-    for _ in range(n_links):
-        doc = add_link(doc, rng.choice(["ancestor", "constituent"]), random_identifier(rng))
-    return doc
+    links = tuple(
+        Link(rng.choice(["ancestor", "constituent"]), random_identifier(rng))
+        for _ in range(n_links)
+    )
+    return replace(doc, links=links)
 
 
 def random_signed(

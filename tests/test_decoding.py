@@ -284,7 +284,7 @@ def test_named_malformed_inputs_raise_malformed_record(name, body):
 
 LOG_LINES = every_record_kind_registry().log_lines().splitlines(keepends=True)
 # 0-1 register-key, 2 revoke-key, 3-4 created issues (3 the reloaded root),
-# 8 the reload, 9 an issue with an upstream link, 12 shutdown
+# 5 a regenerated issue, 8 the reload, 9 an issue with an upstream link, 12 shutdown
 RECORDS = [load_canonical(line) for line in LOG_LINES]
 
 
@@ -357,6 +357,8 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
         canonical_json_line({**RECORDS[0], "x": 1}),
         b"".join(LOG_LINES[:2]) + canonical_json_line({**RECORDS[2], "x": 1}),
         b"".join(LOG_LINES[:12]) + canonical_json_line({**RECORDS[12], "x": 1}),
+        b"".join(LOG_LINES[:5]) + canonical_json_line({**RECORDS[5], "signed": {
+            **RECORDS[5]["signed"], "doc": {**RECORDS[5]["signed"]["doc"], "links": []}}}),
     ],
     ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
          "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
@@ -371,7 +373,7 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
          "reload-names-an-upstream", "report-with-an-unknown-field",
          "document-with-an-unknown-field", "repeated-nonce", "fine-tuned-from-itself",
          "register-key-with-an-unknown-field", "revoke-key-with-an-unknown-field",
-         "shutdown-with-an-unknown-field"],
+         "shutdown-with-an-unknown-field", "document-without-its-lineage-links"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):

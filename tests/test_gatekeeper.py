@@ -45,6 +45,7 @@ from helpers import UnavailableClient, fixed_keypair, trust_for
 
 KEYPAIR = fixed_keypair("acme", "k1")
 TRUST = trust_for(KEYPAIR)
+SECOND_AUTHOR = fixed_keypair("mallory", "m1")
 NOW = 50_000
 
 
@@ -438,7 +439,9 @@ def matrix_presentations():
     Every shown instance runs under sys-a. The three that can pass
     verification hold two incidents each, and an instance under sys-ab holds
     two more, so an instance scope counts 2, a system scope 6 and a systems
-    (prefix) scope 8."""
+    (prefix) scope 8. The matrix trusts a second author, who can sign a
+    manifest that names the shown ID and output but binds nothing to an ID
+    it did not issue."""
     registry, client, clock = make_registry()
     signed, view = agent_presented(registry, clock, cert="no-prompt-injection", output=b"out")
     other, _ = agent_presented(registry, clock, with_manifest=False)
@@ -462,6 +465,7 @@ def matrix_presentations():
     body = view.id_artifact.to_jsonable()
     body["created_at"] += 1
     foreign = create_manifest(other.doc.identifier, b"out", None, KEYPAIR, clock.now())
+    by_another = create_manifest(signed.doc.identifier, b"out", None, SECOND_AUTHOR, clock.now())
     shown = {
         "nothing": None,
         "signed-id": Presented(signed, view.manifest, b"out"),
@@ -469,6 +473,7 @@ def matrix_presentations():
         "tampered-view": Presented(DisclosedView.from_jsonable(body), view.manifest, b"out"),
         "other-output": Presented(view.id_artifact, view.manifest, b"other"),
         "foreign-manifest": Presented(view.id_artifact, foreign, b"out"),
+        "foreign-author": Presented(view.id_artifact, by_another, b"out"),
         "no-output": Presented(view.id_artifact, view.manifest),
         "no-manifest": Presented(view.id_artifact),
         "hidden-cert": hidden,
@@ -521,7 +526,8 @@ def expected_decision(requirement, shown, on_missing, threshold, fail_open):
             "rate-limit": (GateVerdict.THROTTLED, ("no-id", "rate-limit"), True),
             "exhausted": (GateVerdict.THROTTLED, ("no-id", "rate-limit"), False),
         }[on_missing]
-    if shown in ("tampered-view", "other-output", "foreign-manifest", "no-output"):
+    if shown in ("tampered-view", "other-output", "foreign-manifest", "foreign-author",
+                 "no-output"):
         return denied("unverified")
     if shown == "no-manifest" and requirement == "verified-id":
         return denied("no-manifest")
@@ -538,6 +544,7 @@ def expected_decision(requirement, shown, on_missing, threshold, fail_open):
 
 def test_decision_matrix():
     client, shown = matrix_presentations()
+    trust = trust_for(KEYPAIR, SECOND_AUTHOR)
     wrong = []
     for requirement, show, missing, threshold, fail_open in itertools.product(
         MATRIX_REQUIREMENTS, shown, MATRIX_ON_MISSING, MATRIX_THRESHOLDS, (False, True)
@@ -547,7 +554,7 @@ def test_decision_matrix():
         rules = [PolicyRule("transfer-funds", 0, MATRIX_REQUIREMENTS[requirement],
                             on_missing, incident_threshold)]
         decision, returned = evaluate(
-            rules, ctx_for(shown[show]), TRUST, client if reachable else UnavailableClient(),
+            rules, ctx_for(shown[show]), trust, client if reachable else UnavailableClient(),
             limiter, fail_open=fail_open,
         )
         case = (requirement, show, missing, threshold, fail_open)

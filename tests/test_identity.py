@@ -1,6 +1,7 @@
 """Identifier grammar, document invariants, canonical bytes, commitments."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from instanceid import (
     AuthorRef,
     InstanceIdentifier,
     add_attribute,
-    add_link,
     attribute_digest,
     canonical_bytes,
     parse_identifier,
@@ -184,7 +184,7 @@ def test_cert_attribute_name_allows_colon():
 def test_self_link_rejected():
     doc = IdDocument(parse_identifier("a:b"), 0, author())
     with pytest.raises(InvalidDocument):
-        add_link(doc, "ancestor", parse_identifier("a:b"))
+        replace(doc, links=(Link("ancestor", parse_identifier("a:b")),))
 
 
 # -- canonical bytes ------------------------------------------------------------

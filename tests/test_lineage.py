@@ -18,6 +18,7 @@ from instanceid import (
 )
 from instanceid.errors import (
     DuplicateConstituents,
+    MalformedRecord,
     UnknownConstituent,
     UnknownIdentifier,
     UnknownParent,
@@ -138,12 +139,17 @@ def test_external_link_adds_stub():
 
 
 def test_an_upstream_that_descends_from_the_event_instance_is_refused():
+    """A reload takes no upstream at all, and a new node is not its own
+    upstream, so no upstream edge can close a cycle."""
     store = LineageStore(rng=random.Random(7))
     a = store.register(Created("s", "u"))
     b = store.register(Regenerated(a))
     nodes, edges = store.nodes(), store.edges()
-    with pytest.raises(UnknownParent):
+    with pytest.raises(MalformedRecord, match="reload takes no upstream"):
         store.build(Reloaded(a), 0, upstream=b)
+    new = parse_identifier("s:0123")
+    with pytest.raises(MalformedRecord, match="its own upstream"):
+        store.build(Created("s", "u"), 0, upstream=new, identifier=new)
     assert store.nodes() == nodes
     assert store.edges() == edges
 

@@ -658,9 +658,12 @@ _REVOKED = st.sampled_from([("beta", "b1"), ("acme", "k1"), ("beta", "B1"), (["b
         (lambda r, i: r.revoke_key("acme", "K1"), MalformedRecord),
         (lambda r, i: r.revoke_key(["acme"], "k1"), MalformedRecord),
         (lambda r, i: r.issue(Created("sys-b", "u"), upstream="other:abc"), InvalidDocument),
+        (lambda r, i: r.issue(Reloaded(i), upstream=_UPSTREAM), MalformedRecord),
+        (lambda r, i: r.issue(Reloaded(i), [_card("system-card")]), MalformedRecord),
     ],
     ids=["nonce-bytes", "nonce-int", "nonce-list", "reason-bytes", "reason-int", "reason-none",
-         "revoke-key-id-not-a-token", "revoke-author-id-unhashable", "upstream-a-str"],
+         "revoke-key-id-not-a-token", "revoke-author-id-unhashable", "upstream-a-str",
+         "reload-with-an-upstream", "reload-with-attributes"],
 )
 def test_a_mutation_with_a_field_of_the_wrong_kind_is_refused_and_not_logged(mutate, error):
     registry, _ = make_registry()
@@ -717,3 +720,15 @@ def test_replay_reproduces_the_live_registry(data):
     replayed = Registry.replay(log, "acme", clock=clock)
     assert replayed.log_lines() == log
     assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
+
+    # each document's links are its node's parent edges, an external
+    # parent's also as upstream-deployer: the lineage is their one source
+    relation = {"branch": "ancestor", "constituent": "constituent", "base-system": "base-system"}
+    edges = registry.lineage.edges()
+    for key, signed in registry.documents.items():
+        expected = sorted(
+            [(relation[kind], parent) for parent, child, kind in edges if child == key]
+            + [("upstream-deployer", parent) for parent, child, _ in edges
+               if child == key and registry.lineage.is_external(parse_identifier(parent))]
+        )
+        assert sorted((link.relation, str(link.target)) for link in signed.doc.links) == expected

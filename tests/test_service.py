@@ -20,6 +20,7 @@ from instanceid import (
     AttributeSpecificity,
     Created,
     DisclosurePolicy,
+    FineTuned,
     IncidentReport,
     IncidentScope,
     InProcessClient,
@@ -38,7 +39,7 @@ from instanceid import (
     verify_view,
 )
 from instanceid.canonical import canonical_json_line, load_canonical
-from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable
+from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable, UnknownIdentifier
 from instanceid.service import ServiceConfig, load_keypair_file, save_keypair_file
 
 from helpers import MALFORMED_REPORT_FIELDS, fixed_keypair, trust_for
@@ -530,9 +531,23 @@ def test_keys_endpoint_register_and_revoke(served, clients):
 
 def test_notify_endpoint_fills_inbox(served, clients):
     registry, server, tcp, _ = served
+    identifier = str(registry.issue(Created("sys-a", "u")).doc.identifier)
     client = clients[1]
-    client.notify({"identifier": "sys-a:x", "reason": "malfunction"})
-    assert registry.inbox == [{"identifier": "sys-a:x", "reason": "malfunction"}]
+    client.notify({"identifier": identifier, "reason": "malfunction"})
+    assert registry.inbox == [{"identifier": identifier, "reason": "malfunction"}]
+
+
+def test_notify_refuses_an_identifier_the_registry_never_issued(served, clients):
+    """Neither a stranger nor a lineage node without a document of its own,
+    such as the base system node a fine-tune adds."""
+    registry, _, _, _ = served
+    registry.issue(FineTuned("sys-a"))
+    assert parse_identifier("sys-a:_system") in registry.lineage
+    for client in clients:
+        for ghost in ("nobody:ghost", "sys-a:x", "sys-a:_system"):
+            with pytest.raises(UnknownIdentifier, match=ghost):
+                client.notify({"identifier": ghost, "reason": "malfunction"})
+    assert registry.inbox == []
 
 
 def test_error_mapping(clients):
