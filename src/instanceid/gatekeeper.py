@@ -24,6 +24,11 @@ A presented ID is checked in this order; the first check that fails denies:
 3. the incident threshold's scope must hold at most ``max_count`` reports,
    else ``incident-threshold``; an unreachable registry gives
    ``registry-unavailable``, allowed only when ``evaluate`` has ``fail_open``.
+
+An ``id`` or ``certification`` rule asks for no manifest, so it is a bearer
+check: whoever shows a view that verifies passes it, a view replayed by
+someone other than the instance included. Only a ``verified-id`` rule asks
+for a manifest by the ID's author that binds the shown output.
 """
 
 from __future__ import annotations

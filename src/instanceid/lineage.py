@@ -202,14 +202,18 @@ class LineageStore:
         item is ``None`` without it. That edge always enters the new node,
         which no edge leaves yet, so it closes no cycle: a reload, which
         makes no node, and a node that is its own upstream raise
-        ``MalformedRecord``. A logged ``identifier`` replaces the draw of a
-        new node's identifier; one that is a node already or of another
+        ``MalformedRecord``, as does an ``upstream`` that is not an
+        ``InstanceIdentifier``. A logged ``identifier`` replaces the draw of
+        a new node's identifier; one that is a node already or of another
         system raises ``MalformedRecord``. Nodes and edges are never removed,
         so these checks still hold at ``commit``; callers that build
         concurrently must serialize build and commit themselves.
         """
-        if upstream is not None and isinstance(event, Reloaded):
-            raise MalformedRecord(f"a reload takes no upstream, not {upstream}")
+        if upstream is not None:
+            if not isinstance(upstream, InstanceIdentifier):
+                raise MalformedRecord(f"upstream must be an InstanceIdentifier, not {upstream!r}")
+            if isinstance(event, Reloaded):
+                raise MalformedRecord(f"a reload takes no upstream, not {upstream}")
         with self._lock:
             record = self._build_record(event, at, identifier)
         if upstream is None:

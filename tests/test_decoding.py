@@ -5,11 +5,14 @@ JSON value, the replacement of the whole body included. Decoders must return
 a value or raise ``MalformedRecord``; a decoded signed ID, view or manifest
 must verify to a verdict, never raise. The policy types, which have no JSON
 form, raise ``MalformedRecord`` from their constructors, and so do an
-incident report's constructor and ``_replace``. ``Registry.replay`` may also raise a
-domain error such as ``UnknownParent``, but nothing outside ``ProtocolError``.
-``RegistryServer.handle`` must answer every request; a refused one leaves the
-registry log as it was, and a TCP connection keeps answering after any of
-them.
+incident report's constructor and ``_replace``. A batch of report bodies
+decodes to what the constructor builds from their fields or, if any body is
+bad, raises ``MalformedRecord`` for the whole batch; so does a client's
+``query_incidents`` on a reply with one bad report. ``Registry.replay`` may
+also raise a domain error such as ``UnknownParent``, but nothing outside
+``ProtocolError``. ``RegistryServer.handle`` must answer every request; a
+refused one leaves the registry log as it was, and a TCP connection keeps
+answering after any of them.
 """
 
 import json
@@ -53,11 +56,13 @@ from instanceid import (
     verify_view,
 )
 from instanceid.canonical import b64u, canonical_json_line, load_canonical
-from instanceid.errors import DuplicateConstituents, MalformedRecord, ProtocolError
+from instanceid.errors import (
+    DuplicateConstituents, MalformedIdentifier, MalformedRecord, ProtocolError,
+)
 from instanceid.gatekeeper import IncidentThreshold
 from instanceid.identity import Link, doc_from_jsonable, doc_to_jsonable
 from instanceid.lineage import event_from_jsonable
-from instanceid.service import ServiceConfig, load_keypair_file
+from instanceid.service import BaseClient, ServiceConfig, load_keypair_file
 from instanceid.verifiability import KeyRecord, Signature
 
 from helpers import MALFORMED_REPORT_FIELDS, fixed_keypair, random_signed, trust_for
@@ -278,6 +283,130 @@ def test_named_malformed_inputs_raise_malformed_record(name, body):
     build = BUILDERS[name] if name in BUILDERS else DECODERS[name][0]
     with pytest.raises(MalformedRecord):
         build(body)
+
+
+# -- query-incidents replies -----------------------------------------------------------
+
+
+class _Replying(BaseClient):
+    """A client whose registry answers every request with ``reply``; no socket."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def request(self, endpoint: str, body: dict) -> dict:
+        return self.reply
+
+
+def _reports_reply(reports) -> dict:
+    return {"body": {"reports": reports}, "ok": True}
+
+
+REPORT_BODY = REPORT.to_jsonable()
+# each reply holds a good report beside the bad one, so a refusal is of the whole reply
+HOSTILE_REPORT_REPLIES = {
+    **{
+        f"{field}-{type(value).__name__}": _reports_reply(
+            [REPORT_BODY, {**REPORT_BODY, field: value}]
+        )
+        for field, value in MALFORMED_REPORT_FIELDS
+    },
+    **{
+        f"severity-{name}": _reports_reply([REPORT_BODY, {**REPORT_BODY, "severity": value}])
+        for name, value in [("unknown", "bogus"), ("a-list", ["major"]),
+                            ("an-object", {"major": 1}), ("upper-case", "MAJOR")]
+    },
+    **{
+        f"item-{name}": _reports_reply([REPORT_BODY, value])
+        for name, value in [("a-list", list(REPORT_BODY.values())), ("a-string", "major"),
+                            ("a-number", 5), ("null", None)]
+    },
+    **{
+        f"missing-{field}": _reports_reply(
+            [REPORT_BODY, {name: value for name, value in REPORT_BODY.items() if name != field}]
+        )
+        for field in REPORT_BODY
+        if field != "user_ref"
+    },
+    **{
+        f"reports-{name}": _reports_reply(value)
+        for name, value in [("an-object", {"r1": REPORT_BODY}), ("a-string", "r1"),
+                            ("a-number", 5), ("null", None)]
+    },
+    "reports-missing": {"body": {}, "ok": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_REPORT_REPLIES))
+def test_a_hostile_query_incidents_reply_raises_malformed_record(name):
+    client = _Replying(HOSTILE_REPORT_REPLIES[name])
+    with pytest.raises(MalformedRecord):
+        client.query_incidents(IncidentScope.system("sys-a"))
+
+
+class _Text(str):
+    """A str subclass, as a body built by a caller rather than by JSON may hold."""
+
+
+def test_a_reply_decodes_str_subclass_fields_and_an_absent_user_ref():
+    subclassed = {
+        name: _Text(value) if isinstance(value, str) else value
+        for name, value in REPORT_BODY.items()
+    }
+    without_user = {name: value for name, value in REPORT_BODY.items() if name != "user_ref"}
+    reports = _Replying(_reports_reply([subclassed, without_user])).query_incidents(
+        IncidentScope.system("sys-a")
+    )
+    assert reports == [REPORT, REPORT._replace(user_ref=None)]
+    assert [type(report) for report in reports] == [IncidentReport, IncidentReport]
+    first = reports[0]
+    texts = (first.report_id, first.reporter, first.description, first.user_ref)
+    assert {type(text) for text in texts} == {_Text}
+
+
+# a few report bodies the registry could send, one of them without user_ref
+VALID_REPORT_BODIES = [
+    REPORT_BODY,
+    REPORT._replace(report_id="r2", severity=Severity.INFO, user_ref=None).to_jsonable(),
+    {name: value for name, value in REPORT._replace(report_id="r3").to_jsonable().items()
+     if name != "user_ref"},
+]
+
+
+def _reference_report(body) -> IncidentReport:
+    """The checked constructor's report from a body's fields."""
+    severities = [member for member in Severity if member.value == body["severity"]]
+    if not severities:
+        raise MalformedRecord(f"unknown severity {body['severity']!r}")
+    return IncidentReport(
+        body["report_id"], parse_identifier(body["identifier"]), body["reporter"],
+        severities[0], body["description"], body["occurred_at"], body.get("user_ref"),
+    )
+
+
+def _typed(reports):
+    """The reports with the type of each report and field, or None."""
+    if reports is None:
+        return None
+    return [(type(report), [(type(field), field) for field in report]) for report in reports]
+
+
+@given(rng=randoms, mutated=st.lists(st.booleans(), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_a_report_batch_decodes_as_the_constructor_builds_or_is_refused_whole(rng, mutated):
+    bodies = []
+    for bad in mutated:
+        body = rng.choice(VALID_REPORT_BODIES)
+        bodies.append(mutate(rng, body) if bad else body)
+    try:
+        expected = [_reference_report(body) for body in bodies]
+    except (KeyError, TypeError, MalformedIdentifier, MalformedRecord):
+        expected = None
+    try:
+        decoded = IncidentReport.batch_from_jsonable(bodies)
+    except MalformedRecord:
+        decoded = None
+    assert _typed(decoded) == _typed(expected)
 
 
 # -- registry log ----------------------------------------------------------------------

@@ -154,6 +154,19 @@ def test_an_upstream_that_descends_from_the_event_instance_is_refused():
     assert store.edges() == edges
 
 
+@pytest.mark.parametrize("upstream", ["not an id", "othersys:deadbeef", 5, ["othersys:x"]])
+def test_an_upstream_that_is_not_an_identifier_is_refused(upstream):
+    """Only an ``InstanceIdentifier`` becomes an external node, so every
+    node parses and a walk never meets one that does not."""
+    store = LineageStore(rng=random.Random(7))
+    store.register(Created("s", "u"))
+    nodes, edges = store.nodes(), store.edges()
+    with pytest.raises(MalformedRecord, match="upstream must be an InstanceIdentifier"):
+        store.build(Created("s", "u"), 0, upstream=upstream)
+    assert store.nodes() == nodes
+    assert store.edges() == edges
+
+
 # -- traversal ---------------------------------------------------------------------
 
 

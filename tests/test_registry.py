@@ -657,7 +657,7 @@ _REVOKED = st.sampled_from([("beta", "b1"), ("acme", "k1"), ("beta", "B1"), (["b
         (lambda r, i: r.mark_shutdown(i, None), MalformedRecord),
         (lambda r, i: r.revoke_key("acme", "K1"), MalformedRecord),
         (lambda r, i: r.revoke_key(["acme"], "k1"), MalformedRecord),
-        (lambda r, i: r.issue(Created("sys-b", "u"), upstream="other:abc"), InvalidDocument),
+        (lambda r, i: r.issue(Created("sys-b", "u"), upstream="other:abc"), MalformedRecord),
         (lambda r, i: r.issue(Reloaded(i), upstream=_UPSTREAM), MalformedRecord),
         (lambda r, i: r.issue(Reloaded(i), [_card("system-card")]), MalformedRecord),
     ],
