@@ -1,19 +1,19 @@
 """Instance lifecycle events and the ancestor/descendant DAG.
 
 Identifiers are assigned on lifecycle events (create, reload, regenerate,
-merge, fine-tune) and derivation edges accumulate in an append-only store.
-Every mutation is one record applied through a single path, and ``build``
-and ``commit`` are the only mutators: ``build`` makes the records of an
-event, and of its cross-deployer upstream link if it has one, without
-applying them, ``commit`` applies them, and the registry keeps them in its
-log, the only log there is. ``parents`` alone says which edges a record
-adds; the registry derives a document's links from it. A reload takes no
-upstream, so an upstream edge always enters a new node and closes no cycle.
-``build`` alone checks an event against the store: registry replay builds
-each logged record again from its event and logged identifier and commits
-it, which reconstructs the store exactly. One lock covers every write and
-every read that walks the DAG, so a traversal never meets a half-applied
-record.
+merge, fine-tune) and derivation edges accumulate in an append-only store
+that knows nothing of time or of any log. ``build`` and ``commit`` are the
+only mutators: ``build`` makes the one record of an event without applying
+it, and ``commit`` applies it, with the ``branch`` edge from the event's
+cross-deployer upstream if it has one. The registry logs each record with
+its time and upstream, in the only log there is. ``parents`` alone says
+which edges a record adds; the registry derives a document's links from it.
+A reload takes no upstream, so an upstream edge always enters a new node and
+closes no cycle. ``build`` alone checks an event against the store: registry
+replay builds each logged record again from its event and logged identifier
+and commits it with its logged upstream, which reconstructs the store
+exactly. One lock covers every write and every read that walks the DAG, so a
+traversal never meets a half-applied record.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def parents(record: dict) -> list[tuple[str, str]]:
     """The ``(parent, edge kind)`` pairs of a lineage record, in its order:
     the one place that says which edges, and so which links, it adds."""
     kind = record["kind"]
-    if kind in ("regenerated", "external-link"):
+    if kind == "regenerated":
         return [(record["parent"], EDGE_BRANCH)]
     if kind == "merged":
         return [(constituent, EDGE_CONSTITUENT) for constituent in record["constituents"]]
@@ -150,7 +150,7 @@ class LineageStore:
 
     Writes and traversals serialize through one lock. Nodes and edges are
     never removed. The store keeps no log of its own: ``build`` hands its
-    records to the caller.
+    record to the caller.
     """
 
     def __init__(self, rng: Optional[random.Random] = None):
@@ -189,25 +189,23 @@ class LineageStore:
     def build(
         self,
         event: LineageEvent,
-        at: int,
         upstream: Optional[InstanceIdentifier] = None,
         identifier: Optional[InstanceIdentifier] = None,
-    ) -> tuple[dict, Optional[dict]]:
-        """The records a lifecycle event adds, built but not applied, so that
+    ) -> dict:
+        """The record a lifecycle event adds, built but not applied, so that
         a caller can finish the work that depends on the new identifier
-        before the store changes, and ``commit`` them only if it succeeds.
+        before the store changes, and ``commit`` it only if it succeeds.
 
-        With ``upstream``, the new identifier also gets that cross-deployer
-        parent, recorded as a second, ``external-link`` record; the second
-        item is ``None`` without it. That edge always enters the new node,
-        which no edge leaves yet, so it closes no cycle: a reload, which
-        makes no node, and a node that is its own upstream raise
-        ``MalformedRecord``, as does an ``upstream`` that is not an
-        ``InstanceIdentifier``. A logged ``identifier`` replaces the draw of
-        a new node's identifier; one that is a node already or of another
-        system raises ``MalformedRecord``. Nodes and edges are never removed,
-        so these checks still hold at ``commit``; callers that build
-        concurrently must serialize build and commit themselves.
+        ``upstream`` is checked here and applied by ``commit``: the edge
+        from it always enters the new node, which no edge leaves yet, so it
+        closes no cycle. A reload, which makes no node, and a node that is
+        its own upstream raise ``MalformedRecord``, as does an ``upstream``
+        that is not an ``InstanceIdentifier``. A logged ``identifier``
+        replaces the draw of a new node's identifier; one that is a node
+        already or of another system raises ``MalformedRecord``. Nodes and
+        edges are never removed, so these checks still hold at ``commit``;
+        callers that build concurrently must serialize build and commit
+        themselves.
         """
         if upstream is not None:
             if not isinstance(upstream, InstanceIdentifier):
@@ -215,25 +213,33 @@ class LineageStore:
             if isinstance(event, Reloaded):
                 raise MalformedRecord(f"a reload takes no upstream, not {upstream}")
         with self._lock:
-            record = self._build_record(event, at, identifier)
-        if upstream is None:
-            return record, None
+            record = self._build_record(event, identifier)
+        if upstream is not None and str(upstream) == record["identifier"]:
+            raise MalformedRecord(f"{upstream} cannot be its own upstream")
+        return record
+
+    def commit(self, record: dict, upstream: Optional[str] = None) -> InstanceIdentifier:
+        """Apply a record ``build`` returned and the ``branch`` edge from the
+        text of the ``upstream`` it was built with, if any; returns the
+        event's identifier. An upstream the store does not hold becomes an
+        external node."""
         child = record["identifier"]
-        if str(upstream) == child:
-            raise MalformedRecord(f"{child} cannot be its own upstream")
-        return record, {"at": at, "child": child, "kind": "external-link", "parent": str(upstream)}
-
-    def commit(self, record: dict, external: Optional[dict] = None) -> InstanceIdentifier:
-        """Apply the records ``build`` returned; returns the event's identifier."""
         with self._lock:
-            identifier = self._apply(record)
-            if external is not None:
-                self._apply(external)
-            return identifier
+            for parent, edge in parents(record):
+                self._nodes.add(parent)
+                self._add_edge(parent, child, edge)
+            if record["kind"] != "reloaded":
+                self._nodes.add(child)
+            if upstream is not None:
+                if upstream not in self._nodes:
+                    self._external.add(upstream)
+                    self._nodes.add(upstream)
+                self._add_edge(upstream, child, EDGE_BRANCH)
+        return parse_identifier(child)
 
-    def register(self, event: LineageEvent, at: int = 0) -> InstanceIdentifier:
+    def register(self, event: LineageEvent) -> InstanceIdentifier:
         """Apply a lifecycle event; returns the identifier it resolves to."""
-        return self.commit(*self.build(event, at))
+        return self.commit(self.build(event))
 
     def _fresh_id(self, system_id: str, logged: Optional[InstanceIdentifier]) -> str:
         """A new instance of ``system_id``: ``logged``, if it is one, or a draw."""
@@ -251,11 +257,8 @@ class LineageStore:
             return "ft-" + os.urandom(8).hex()
         return "ft-" + f"{self._rng.getrandbits(64):016x}"
 
-    def _build_record(
-        self, event: LineageEvent, at: int, logged: Optional[InstanceIdentifier]
-    ) -> dict:
+    def _build_record(self, event: LineageEvent, logged: Optional[InstanceIdentifier]) -> dict:
         record = event_to_jsonable(event)
-        record["at"] = at
         if isinstance(event, Created):
             record["identifier"] = self._fresh_id(event.system_id, logged)
         elif isinstance(event, Reloaded):
@@ -286,19 +289,6 @@ class LineageStore:
     def _add_edge(self, parent: str, child: str, kind: str) -> None:
         self._parents.setdefault(child, set()).add((parent, kind))
         self._children.setdefault(parent, set()).add((child, kind))
-
-    def _apply(self, record: dict) -> InstanceIdentifier:
-        """Add a record's nodes and edges; ``build`` has checked it."""
-        kind = record["kind"]
-        child = record["child"] if kind == "external-link" else record["identifier"]
-        for parent, edge in parents(record):
-            if kind == "external-link" and parent not in self._nodes:
-                self._external.add(parent)
-            self._nodes.add(parent)
-            self._add_edge(parent, child, edge)
-        if kind != "reloaded":
-            self._nodes.add(child)
-        return parse_identifier(child)
 
     # -- traversal -----------------------------------------------------------
 

@@ -10,8 +10,10 @@ record to ``_apply``. ``replay`` builds each line's record again with the
 same helpers, accepts it only if ``_log_line`` writes it back as the same
 bytes and hands it to ``_apply``; so a replayed registry is byte-identical
 and refuses what the live one refuses, and no other module checks a
-mutation's fields. A document's links are derived from its lineage records
-by ``_links``, and replay refuses a logged document with any other links.
+mutation's fields. ``_log_line`` alone knows a line's shape, and writes an
+``issue`` line's lineage time and ``external`` link from the record's time,
+lineage identifier and upstream; ``_links`` derives a document's links from
+the last two, and replay refuses a logged document with any other links.
 Writes and incident queries serialize through the registry lock, and
 lineage reads through the lineage store's lock, so no read observes a
 partially applied mutation.
@@ -22,8 +24,9 @@ when set, its user), each list sorted by ``(occurred_at, report_id)``; a set
 of report ids and a sorted list of system ids sit beside them. With n
 reports:
 
-* ``report_incident`` costs O(log n) comparisons plus one list insertion per
-  index (duplicate id and identifier checks are set lookups);
+* ``report_incident`` costs O(log n) comparisons and an O(n) ``insort`` per
+  index (~9 us at 10k reports, ~239 us at 800k, with a random ``occurred_at``,
+  which the reporter chooses); duplicate id and identifier checks are sets;
 * ``query_incidents`` on the ``instance``, ``user``, ``system`` and
   ``party-class`` scopes costs two bisects plus the results it copies out;
   ``systems`` merges the lists of the systems whose id has the prefix.
@@ -207,10 +210,13 @@ class IncidentReport(_IncidentFields):
     @classmethod
     @decoding("incident report")
     def batch_from_jsonable(cls, bodies: Any) -> list["IncidentReport"]:
-        """The reports of a list of bodies, decoded in one pass: a missing
-        field, a body that is not an object, an unknown severity or a bad
-        identifier raises ``MalformedRecord`` for the whole list, as does a
-        field that ``_from_rows`` refuses. An absent ``user_ref`` is null."""
+        """The reports of a list of bodies, decoded in one pass: a ``bodies``
+        that is not a list, a missing field, a body that is not an object, an
+        unknown severity or a bad identifier raises ``MalformedRecord`` for
+        the whole list, as does a field that ``_from_rows`` refuses. An
+        absent ``user_ref`` is null."""
+        if not isinstance(bodies, list):
+            raise MalformedRecord(f"reports must be a list, not {type(bodies).__name__}")
         return cls._from_rows(
             (
                 body["report_id"],
@@ -226,7 +232,7 @@ class IncidentReport(_IncidentFields):
 
     @classmethod
     def from_jsonable(cls, body: Any) -> "IncidentReport":
-        return cls.batch_from_jsonable((body,))[0]
+        return cls.batch_from_jsonable([body])[0]
 
 
 SCOPE_KINDS = (
@@ -367,7 +373,8 @@ def _cut(reports: list[IncidentReport], start: int, end: Optional[int]) -> list[
 
 
 def _log_line(record: dict) -> bytes:
-    """The canonical log line of a record that may hold the registry's objects."""
+    """The canonical log line of a record that may hold the registry's
+    objects; it derives an ``issue`` line's lineage time and ``external`` link."""
     kind = record["kind"]
     if kind == "incident":
         # the canonical form of {"at", "kind", "report"}: keys in that order
@@ -375,8 +382,15 @@ def _log_line(record: dict) -> bytes:
             record["at"],
             record["report"].canonical_bytes,
         )
-    if kind == "issue" and record["signed"] is not None:
-        record = {**record, "signed": record["signed"].to_jsonable()}
+    if kind == "issue":
+        lineage, at, upstream = record["lineage"], record["at"], record["upstream"]
+        record = {**record, "lineage": {**lineage, "at": at}}
+        if record["signed"] is not None:
+            record["signed"] = record["signed"].to_jsonable()
+        if lineage["kind"] != "reloaded":
+            child = lineage["identifier"]
+            record["external"] = None if upstream is None else {
+                "at": at, "child": child, "kind": "external-link", "parent": upstream}
     elif kind == "register-key":
         record = {**record, "key": record["key"].to_jsonable()}
     return canonical_json_line(record)
@@ -419,18 +433,16 @@ def _links(lineage: dict, upstream: Optional[InstanceIdentifier]) -> tuple[Link,
 def _issue_record(
     at: int,
     lineage: dict,
-    external: Optional[dict],
     nonce: Optional[str],
     signed: Optional[SignedId],
     upstream: Optional[InstanceIdentifier],
 ) -> dict:
-    """The log record of an ``issue``; a reload's has no ``external`` field.
+    """The log record of an ``issue``, whose lineage record holds no time.
     Only a reload has no document of its own, and any other document must
     name the lineage identifier, under which ``_apply`` files it, and carry
-    exactly the links ``_links`` derives from the lineage records."""
+    exactly the links ``_links`` derives from the lineage and upstream."""
     _check_nonce(nonce)
-    reload = lineage["kind"] == "reloaded"
-    if (signed is None) != reload:
+    if (signed is None) != (lineage["kind"] == "reloaded"):
         raise MalformedRecord("an issue record has a document unless it is a reload")
     if signed is not None and str(signed.doc.identifier) != lineage["identifier"]:
         raise MalformedRecord(f"document of {signed.doc.identifier} logged for another instance")
@@ -438,8 +450,6 @@ def _issue_record(
         raise MalformedRecord(f"document of {signed.doc.identifier} has links its lineage lacks")
     record = {"at": at, "kind": "issue", "lineage": lineage, "nonce": nonce, "signed": signed}
     record["upstream"] = None if upstream is None else str(upstream)
-    if not reload:
-        record["external"] = external
     return record
 
 
@@ -448,7 +458,7 @@ def _log_record_from_line(line: bytes, lineage: LineageStore) -> dict:
     """The record whose log line is ``line``, with its key, document or
     report decoded. A key, revocation, shutdown or ``issue`` record is built
     again from its decoded fields by the helper its live mutator uses, which
-    checks them as it does live, an ``issue``'s lineage records by
+    checks them as it does live, an ``issue``'s lineage record by
     ``lineage.build`` (which reads the store and changes nothing) from the
     logged event and identifier. The line must then be the one ``_log_line``
     writes for the record, byte for byte, so a field the live registry never
@@ -469,8 +479,8 @@ def _log_record_from_line(line: bytes, lineage: LineageStore) -> dict:
             upstream = parse_identifier(upstream)
         if signed is not None:
             signed = SignedId.from_jsonable(signed)
-        built = lineage.build(event, at, upstream, identifier)
-        record = _issue_record(at, *built, record["nonce"], signed, upstream)
+        built = lineage.build(event, upstream, identifier)
+        record = _issue_record(at, built, record["nonce"], signed, upstream)
     elif kind == "incident":
         record["report"] = IncidentReport.from_jsonable(record["report"])
     elif kind == "shutdown":
@@ -569,7 +579,7 @@ class Registry:
         """Register the lifecycle event and return a signed ID document.
 
         The document carries the links ``_links`` derives from the lineage
-        records and a standing link to the incident database scoped to the
+        record and a standing link to the incident database scoped to the
         system. ``upstream`` records a cross-deployer parent (stub lineage
         node, ancestor and upstream-deployer links). A reload returns the
         document issued before and takes no attributes and no upstream.
@@ -583,7 +593,7 @@ class Registry:
             at = self.clock.now()
             # the lineage changes only once the document is built and signed,
             # so a refused issue leaves no node that the log does not hold
-            lineage_record, external_record = self.lineage.build(event, at, upstream)
+            lineage_record = self.lineage.build(event, upstream)
             signed = None
             if not isinstance(event, Reloaded):
                 identifier = parse_identifier(lineage_record["identifier"])
@@ -595,9 +605,7 @@ class Registry:
                 signed = sign_id(doc, keypair)
             elif tuple(attributes):
                 raise MalformedRecord("a reload takes no attributes")
-            self._apply(
-                _issue_record(at, lineage_record, external_record, nonce, signed, upstream)
-            )
+            self._apply(_issue_record(at, lineage_record, nonce, signed, upstream))
             return self.documents[lineage_record["identifier"]]
 
     def _attach_auto_attributes(self, doc: IdDocument, event: LineageEvent) -> IdDocument:
@@ -760,7 +768,7 @@ class Registry:
         """Reconstruct a registry from its newline-delimited event log.
 
         Each line's record is made again the live way (an ``issue``'s
-        lineage records by ``LineageStore.build``), must be written back by
+        lineage record by ``LineageStore.build``), must be written back by
         ``_log_line`` as the same bytes, and is then applied by ``_apply``,
         the path of every live mutation. So replay refuses what the live
         registry refuses, and ``log_lines`` of a replayed log is that log. A
@@ -768,12 +776,7 @@ class Registry:
         nonce, raises ``MalformedRecord``; a record the state cannot take
         raises what the live path raises, such as ``UnknownParent``.
         """
-        registry = cls(
-            author_id,
-            clock=clock,
-            rng=rng,
-            retention=retention,
-        )
+        registry = cls(author_id, clock=clock, rng=rng, retention=retention)
         for line in log_data.splitlines(keepends=True):
             record = _log_record_from_line(line, registry.lineage)
             try:
@@ -800,7 +803,7 @@ class Registry:
                 raise NotFound(f"no document for reloaded instance {lineage['identifier']}")
             if record["nonce"] in self._nonces:  # the live issue returns its document
                 raise MalformedRecord(f"log repeats nonce {record['nonce']!r}")
-            key = str(self.lineage.commit(lineage, record.get("external")))
+            key = str(self.lineage.commit(lineage, record["upstream"]))
             if signed is not None:
                 self.documents[key] = signed
             if record["nonce"] is not None:

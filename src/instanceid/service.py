@@ -262,10 +262,13 @@ class BaseClient:
             "get-lineage", {"direction": direction, "identifier": str(identifier)}
         )
         with decoding("get-lineage reply"):
-            return [
-                (parse_identifier(item["identifier"]), item["external"])
-                for item in reply["items"]
-            ]
+            items = reply["items"]
+            if not isinstance(items, list):
+                raise MalformedRecord(f"items must be a list, not {type(items).__name__}")
+            related = [(parse_identifier(item["identifier"]), item["external"]) for item in items]
+            if any(type(external) is not bool for _, external in related):
+                raise MalformedRecord("every external marker must be a boolean")
+            return related
 
     def list_keys(self) -> dict:
         return self._roundtrip("keys", {"op": "list"})

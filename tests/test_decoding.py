@@ -8,7 +8,8 @@ form, raise ``MalformedRecord`` from their constructors, and so do an
 incident report's constructor and ``_replace``. A batch of report bodies
 decodes to what the constructor builds from their fields or, if any body is
 bad, raises ``MalformedRecord`` for the whole batch; so does a client's
-``query_incidents`` on a reply with one bad report. ``Registry.replay`` may
+``query_incidents`` on a reply with one bad report, and its ``get_lineage``
+on a reply whose items are not a list or hold a marker that is not a bool. ``Registry.replay`` may
 also raise a domain error such as ``UnknownParent``, but nothing outside
 ``ProtocolError``. ``RegistryServer.handle`` must answer every request; a
 refused one leaves the registry log as it was, and a TCP connection keeps
@@ -331,7 +332,8 @@ HOSTILE_REPORT_REPLIES = {
     **{
         f"reports-{name}": _reports_reply(value)
         for name, value in [("an-object", {"r1": REPORT_BODY}), ("a-string", "r1"),
-                            ("a-number", 5), ("null", None)]
+                            ("a-number", 5), ("null", None), ("an-empty-object", {}),
+                            ("an-empty-string", "")]
     },
     "reports-missing": {"body": {}, "ok": True},
 }
@@ -342,6 +344,31 @@ def test_a_hostile_query_incidents_reply_raises_malformed_record(name):
     client = _Replying(HOSTILE_REPORT_REPLIES[name])
     with pytest.raises(MalformedRecord):
         client.query_incidents(IncidentScope.system("sys-a"))
+
+
+LINEAGE_ITEM = {"external": False, "identifier": "sys-a:0001"}
+
+
+def _lineage_reply(items) -> dict:
+    return {"body": {"items": items}, "ok": True}
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        _lineage_reply({}),
+        _lineage_reply(""),
+        *[
+            _lineage_reply([LINEAGE_ITEM, {**LINEAGE_ITEM, "external": value}])
+            for value in ("yes", 1, None)
+        ],
+    ],
+    ids=["items-an-empty-object", "items-an-empty-string", "external-a-string",
+         "external-a-number", "external-null"],
+)
+def test_a_hostile_get_lineage_reply_raises_malformed_record(reply):
+    with pytest.raises(MalformedRecord):
+        _Replying(reply).get_lineage(parse_identifier("sys-a:0002"), "ancestors")
 
 
 class _Text(str):
@@ -488,6 +515,21 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
         b"".join(LOG_LINES[:12]) + canonical_json_line({**RECORDS[12], "x": 1}),
         b"".join(LOG_LINES[:5]) + canonical_json_line({**RECORDS[5], "signed": {
             **RECORDS[5]["signed"], "doc": {**RECORDS[5]["signed"]["doc"], "links": []}}}),
+        *[
+            b"".join(LOG_LINES[:9])
+            + canonical_json_line({**RECORDS[9], "external": {**RECORDS[9]["external"], **field}})
+            for field in [{"child": RECORDS[3]["lineage"]["identifier"]},
+                          {"parent": "other:ffff0000aaaa2222"},
+                          {"at": RECORDS[9]["at"] + 1}]
+        ],
+        b"".join(LOG_LINES[:3]) + canonical_json_line(
+            {**RECORDS[3], "lineage": {**RECORDS[3]["lineage"], "at": RECORDS[3]["at"] + 1}}),
+        b"".join(LOG_LINES[:4]) + canonical_json_line({**RECORDS[4], "external": {
+            **RECORDS[9]["external"], "at": RECORDS[4]["at"],
+            "child": RECORDS[4]["lineage"]["identifier"]}}),
+        b"".join(LOG_LINES[:4]) + canonical_json_line(
+            {field: value for field, value in RECORDS[4].items() if field != "external"}),
+        b"".join(LOG_LINES[:8]) + canonical_json_line({**RECORDS[8], "external": None}),
     ],
     ids=["shutdown-without-fields", "list", "number", "author-id-not-a-token", "deep-nesting",
          "shutdown-identifier-not-a-string", "lineage-node-not-a-string",
@@ -502,7 +544,11 @@ def test_replay_of_a_mutated_line_succeeds_or_raises_a_protocol_error(rng):
          "reload-names-an-upstream", "report-with-an-unknown-field",
          "document-with-an-unknown-field", "repeated-nonce", "fine-tuned-from-itself",
          "register-key-with-an-unknown-field", "revoke-key-with-an-unknown-field",
-         "shutdown-with-an-unknown-field", "document-without-its-lineage-links"],
+         "shutdown-with-an-unknown-field", "document-without-its-lineage-links",
+         "external-names-another-child", "external-names-another-parent",
+         "external-at-another-time", "lineage-at-another-time",
+         "external-link-without-an-upstream", "issue-without-its-external-key",
+         "reload-with-an-external-field"],
 )
 def test_replay_rejects_malformed_lines(line):
     with pytest.raises(MalformedRecord):
@@ -535,7 +581,7 @@ def test_replay_raises_what_the_live_issue_raises_on_a_repeated_constituent():
 
 
 @pytest.mark.parametrize(
-    "target", ["instanceid.registry.Registry._add_incident", "instanceid.lineage.LineageStore._apply"]
+    "target", ["instanceid.registry.Registry._add_incident", "instanceid.lineage.LineageStore.commit"]
 )
 def test_replay_reports_a_fault_in_the_state_as_itself(monkeypatch, target):
     """Only the decoding of a log line is guarded; an error the state raises

@@ -47,19 +47,19 @@ def grow_random_dag(rng, n_events=60):
     for step in range(n_events):
         roll = rng.random()
         if roll < 0.35 or len(identifiers) < 2:
-            ident = store.register(Created(f"sys-{rng.randint(0, 3)}", f"u{step}"), at=step)
+            ident = store.register(Created(f"sys-{rng.randint(0, 3)}", f"u{step}"))
         elif roll < 0.6:
             parent = rng.choice(identifiers)
-            ident = store.register(Regenerated(parent, branch_point=step), at=step)
+            ident = store.register(Regenerated(parent, branch_point=step))
         elif roll < 0.75:
             count = min(len(identifiers), rng.randint(2, 3))
             constituents = tuple(rng.sample(identifiers, count))
-            ident = store.register(Merged(constituents), at=step)
+            ident = store.register(Merged(constituents))
         elif roll < 0.9:
-            ident = store.register(Reloaded(rng.choice(identifiers)), at=step)
+            ident = store.register(Reloaded(rng.choice(identifiers)))
             continue  # nothing new to track
         else:
-            ident = store.register(FineTuned(f"sys-{rng.randint(0, 3)}"), at=step)
+            ident = store.register(FineTuned(f"sys-{rng.randint(0, 3)}"))
         identifiers.append(ident)
     return store, identifiers
 
@@ -132,10 +132,15 @@ def test_register_errors():
 def test_external_link_adds_stub():
     store = LineageStore(rng=random.Random(7))
     upstream = parse_identifier("othersys:deadbeef00000000")
-    record, external = store.build(Created("s", "u"), 0, upstream=upstream)
-    child = store.commit(record, external)
+    record = store.build(Created("s", "u"), upstream=upstream)
+    child = store.commit(record, str(upstream))
     assert store.is_external(upstream)
     assert (str(upstream), str(child), "branch") in store.edges()
+    # an upstream the store already holds gets the edge but is not external
+    record = store.build(Created("s", "u"), upstream=child)
+    grandchild = store.commit(record, str(child))
+    assert not store.is_external(child)
+    assert (str(child), str(grandchild), "branch") in store.edges()
 
 
 def test_an_upstream_that_descends_from_the_event_instance_is_refused():
@@ -146,10 +151,10 @@ def test_an_upstream_that_descends_from_the_event_instance_is_refused():
     b = store.register(Regenerated(a))
     nodes, edges = store.nodes(), store.edges()
     with pytest.raises(MalformedRecord, match="reload takes no upstream"):
-        store.build(Reloaded(a), 0, upstream=b)
+        store.build(Reloaded(a), upstream=b)
     new = parse_identifier("s:0123")
     with pytest.raises(MalformedRecord, match="its own upstream"):
-        store.build(Created("s", "u"), 0, upstream=new, identifier=new)
+        store.build(Created("s", "u"), upstream=new, identifier=new)
     assert store.nodes() == nodes
     assert store.edges() == edges
 
@@ -162,7 +167,7 @@ def test_an_upstream_that_is_not_an_identifier_is_refused(upstream):
     store.register(Created("s", "u"))
     nodes, edges = store.nodes(), store.edges()
     with pytest.raises(MalformedRecord, match="upstream must be an InstanceIdentifier"):
-        store.build(Created("s", "u"), 0, upstream=upstream)
+        store.build(Created("s", "u"), upstream=upstream)
     assert store.nodes() == nodes
     assert store.edges() == edges
 
@@ -251,15 +256,15 @@ def test_every_event_preserves_acyclicity_and_freshness():
             before_edges = store.edges()
             roll = rng.random()
             if roll < 0.4 or len(identifiers) < 2:
-                ident = store.register(Created("s", f"u{step}"), at=step)
+                ident = store.register(Created("s", f"u{step}"))
             elif roll < 0.7:
-                ident = store.register(Regenerated(rng.choice(identifiers)), at=step)
+                ident = store.register(Regenerated(rng.choice(identifiers)))
             elif roll < 0.85:
                 ident = store.register(
-                    Merged(tuple(rng.sample(identifiers, 2))), at=step
+                    Merged(tuple(rng.sample(identifiers, 2)))
                 )
             else:
-                ident = store.register(Reloaded(rng.choice(identifiers)), at=step)
+                ident = store.register(Reloaded(rng.choice(identifiers)))
                 assert str(ident) in seen  # reload is the one non-fresh case
                 continue
             assert str(ident) not in seen, "freshness violated"
