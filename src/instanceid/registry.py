@@ -34,28 +34,39 @@ reports:
 Key, issue and incident log records hold references to the registry's own
 immutable ``PublicKey``, ``SignedId`` and ``IncidentReport`` objects, so the
 log keeps no second copy of any key, document or report. A report encodes
-its canonical bytes once, on first use, and keeps them
-(``IncidentReport.canonical_bytes``): ``log_lines`` splices them into each
-``incident`` line, and the service splices them into ``query-incidents``
-replies, so a report is encoded once however often it is logged or served.
+itself once in each of its two wire forms and keeps the bytes:
+``IncidentReport.canonical_bytes``, its object, which ``log_lines`` splices
+into each ``incident`` line, and ``IncidentReport.row_bytes``, its seven
+fields as array items, which ``_add_incident`` encodes as the report enters
+the database and the service splices into ``query-incidents`` replies. So a
+report is encoded once however often it is logged or served, and a replayed
+registry serves without encoding.
 
-Reports are decoded a batch at a time (``IncidentReport.batch_from_jsonable``:
-the reports of a ``query-incidents`` reply on the client; ``from_jsonable``,
-a batch of one, for a ``report-incident`` request and each ``incident`` line
-in replay). One pass inside one ``decoding`` guard takes each body's fields
-out, looks its severity up in a table built from ``Severity`` and takes its
-identifier from ``parse_identifier``, whose bounded memo returns an
-identifier seen recently without checking its tokens again; ``_from_rows``
-checks each row and builds it with one ``tuple.__new__``. The constructor
-hands ``_from_rows`` one row, so the field rules live there alone, and one
-bad body refuses the whole batch. A report is the only artifact decoded by
-the thousands per reply, so it alone is a checked, immutable tuple record
-rather than a frozen dataclass, whose ``__init__`` spent most of a report's
-decode in one ``object.__setattr__`` per field. In-process, a 2,569-report
-reply over 1,000 identifiers decodes in ~4.4 ms: ~2.5 ms ``load_canonical``,
-then ~0.75 us per report (~1.1 us, ~5.6 ms in all, when each report was
-decoded by its own guarded call; median of 60 runs; Python 3.11, one core
-of a 2-vCPU VM).
+A ``query-incidents`` reply is one flat table, ``{"reports": [f1, ..., f7,
+f1, ..., f7, ...]}``, each report's fields in ``_IncidentFields`` order: it
+spends no key text on a report, and ``json.loads`` builds one list per reply
+rather than one dict per report. (Not one list per report either: unlike a
+dict of strings and numbers, each list is tracked by the garbage collector,
+so thousands per reply would bring on more full collections.)
+``IncidentReport.from_table`` is the only decoder of reports: it decodes a
+reply's table in one pass inside one ``decoding`` guard, and ``from_jsonable``
+(a ``report-incident`` request, an ``incident`` line in replay) hands it one
+object's seven fields. The pass refuses a table that is not a list or whose
+length is not a multiple of seven, groups the fields seven at a time with
+``zip`` over one iterator, looks each severity up in a table built from
+``Severity`` and takes each identifier from ``parse_identifier``, whose
+bounded memo returns an identifier seen recently without checking its tokens
+again; ``_from_rows`` checks each row and builds it with one
+``tuple.__new__``. The constructor hands ``_from_rows`` one row, so the field
+rules live there alone, and one bad row refuses the whole table. A report is
+the only artifact decoded by the thousands per reply, so it alone is a
+checked, immutable tuple record rather than a frozen dataclass, whose
+``__init__`` spent most of a report's decode in one ``object.__setattr__`` per
+field. A 2,569-report reply over 1,000 identifiers is 369 KB as a table
+against 595 KB as a list of report objects; in-process, its
+``load_canonical`` takes ~1.0-1.2 ms against ~3.1-3.4 ms, and the pass after
+it ~0.65 us per report (fastest of 200 runs; Python 3.11, one core of a
+2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -136,15 +147,18 @@ class _IncidentFields(NamedTuple):
     user_ref: Optional[str] = None
 
 
+_ROW_WIDTH = len(_IncidentFields._fields)  # values per report in a query-incidents table
+
+
 class IncidentReport(_IncidentFields):
     """One report in the incident database: an immutable tuple record.
 
     Every report is built by ``_from_rows``, which holds the field checks:
     ``__new__`` hands it one row, ``_make`` (so ``_replace`` too) builds
-    through ``__new__`` and ``batch_from_jsonable`` hands it a whole reply's
-    rows, so no report skips the checks. Assigning or deleting any attribute
-    raises ``AttributeError``. A report compares and hashes as the tuple of
-    its fields.
+    through ``__new__`` and ``from_table`` hands it a whole reply's rows, so
+    no report skips the checks. Assigning or deleting any attribute raises
+    ``AttributeError``. A report compares and hashes as the tuple of its
+    fields.
     """
 
     def __new__(
@@ -196,6 +210,16 @@ class IncidentReport(_IncidentFields):
         """``canonical_json_bytes(self.to_jsonable())``, encoded on first use."""
         return canonical_json_bytes(self.to_jsonable())
 
+    @cached_property
+    def row_bytes(self) -> bytes:
+        """The report's seven fields, in field order, as canonical JSON array
+        items without the brackets: its row of a ``query-incidents`` table,
+        encoded on first use."""
+        return canonical_json_bytes([
+            self.report_id, str(self.identifier), self.reporter, self.severity.value,
+            self.description, self.occurred_at, self.user_ref,
+        ])[1:-1]
+
     def to_jsonable(self) -> dict:
         return {
             "description": self.description,
@@ -209,30 +233,35 @@ class IncidentReport(_IncidentFields):
 
     @classmethod
     @decoding("incident report")
-    def batch_from_jsonable(cls, bodies: Any) -> list["IncidentReport"]:
-        """The reports of a list of bodies, decoded in one pass: a ``bodies``
-        that is not a list, a missing field, a body that is not an object, an
-        unknown severity or a bad identifier raises ``MalformedRecord`` for
-        the whole list, as does a field that ``_from_rows`` refuses. An
-        absent ``user_ref`` is null."""
-        if not isinstance(bodies, list):
-            raise MalformedRecord(f"reports must be a list, not {type(bodies).__name__}")
-        return cls._from_rows(
-            (
-                body["report_id"],
-                parse_identifier(body["identifier"]),
-                body["reporter"],
-                _SEVERITIES[body["severity"]],
-                body["description"],
-                body["occurred_at"],
-                body.get("user_ref"),
+    def from_table(cls, table: Any) -> list["IncidentReport"]:
+        """The reports of a flat list holding each report's seven fields in
+        turn, in field order, decoded in one pass. A ``table`` that is not a
+        list or whose length is not a multiple of seven, an unknown severity
+        or a bad identifier raises ``MalformedRecord`` for the whole table,
+        as does a field that ``_from_rows`` refuses."""
+        if not isinstance(table, list):
+            raise MalformedRecord(f"reports must be a list, not {type(table).__name__}")
+        if len(table) % _ROW_WIDTH:
+            raise MalformedRecord(
+                f"reports must hold {_ROW_WIDTH} fields per report, not {len(table)} in all"
             )
-            for body in bodies
+        fields = iter(table)
+        return cls._from_rows(
+            (report_id, parse_identifier(identifier), reporter, _SEVERITIES[severity],
+             description, occurred_at, user_ref)
+            for report_id, identifier, reporter, severity, description, occurred_at, user_ref
+            in zip(*[fields] * _ROW_WIDTH)
         )
 
     @classmethod
+    @decoding("incident report")
     def from_jsonable(cls, body: Any) -> "IncidentReport":
-        return cls.batch_from_jsonable([body])[0]
+        """The report of one object, decoded by ``from_table``; an absent
+        ``user_ref`` is null."""
+        return cls.from_table([
+            body["report_id"], body["identifier"], body["reporter"], body["severity"],
+            body["description"], body["occurred_at"], body.get("user_ref"),
+        ])[0]
 
 
 SCOPE_KINDS = (
@@ -648,6 +677,7 @@ class Registry:
             insort(self._incidents_by_scope.setdefault(key, []), report, key=_INCIDENT_ORDER)
         self._report_ids.add(report.report_id)
         self.incidents.append(report)
+        report.row_bytes  # encoded now, so that serving it, replayed or live, never encodes
 
     def query_incidents(
         self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW

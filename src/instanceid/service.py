@@ -6,11 +6,14 @@ same canonical request line; it decodes the line with ``load_canonical``
 and returns the reply line as bytes, which both clients decode with
 ``load_canonical``. So one path runs from request bytes to reply bytes on
 either transport, and a simulation produces identical traces on both. A
-``query-incidents`` reply splices each report's cached canonical bytes
-(``IncidentReport.canonical_bytes``) instead of encoding them again, and the
-client decodes all its reports in one checked pass
-(``IncidentReport.batch_from_jsonable``, ~0.75 us per report after
-``load_canonical``), so one bad report refuses the whole reply.
+``query-incidents`` reply body is one flat table of report fields,
+``{"reports": [f1, ..., f7, f1, ..., f7, ...]}``, each report's seven fields
+in ``IncidentReport`` field order. The server joins each report's cached
+row (``IncidentReport.row_bytes``) with commas instead of encoding it again,
+and the client decodes the whole table in one checked pass
+(``IncidentReport.from_table``), so one bad field refuses the whole reply. A
+2,569-report reply is 369 KB as a table (595 KB as a list of report
+objects), and its client ``load_canonical`` takes ~1.1 ms (~3.3 ms).
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -37,7 +40,11 @@ TCP connections are persistent, as in HTTP/1.1 (RFC 9112 section 9.3):
 ``TcpClient`` keeps one per calling thread, checks it for staleness before
 reuse and sends each request at most once, never retrying (RFC 9110 section
 9.2.2); ``TcpRegistryServer.stop()`` ends every open connection and releases
-the registry.
+the registry. The server closes a connection that sends no request for
+``_TcpHandler.timeout`` seconds, which a client finds stale before its next
+request and replaces, and closes unserved any connection beyond
+``_MAX_CONNECTIONS`` open at once, whose request gets
+``RegistryUnavailable``.
 """
 
 from __future__ import annotations
@@ -143,7 +150,7 @@ class RegistryServer:
             scope = IncidentScope.from_jsonable(body["scope"])
             window = TimeWindow.from_jsonable(body.get("window"))
         reports = self.registry.query_incidents(scope, window)
-        return b'{"reports":[' + b",".join(report.canonical_bytes for report in reports) + b"]}"
+        return b'{"reports":[' + b",".join(report.row_bytes for report in reports) + b"]}"
 
     def _do_get_id(self, body: dict) -> bytes:
         with decoding("get-id body"):
@@ -243,7 +250,7 @@ class BaseClient:
             {"scope": scope.to_jsonable(), "window": window.to_jsonable()},
         )
         with decoding("query-incidents reply"):
-            return IncidentReport.batch_from_jsonable(reply["reports"])
+            return IncidentReport.from_table(reply["reports"])
 
     def get_id(self, identifier: InstanceIdentifier) -> SignedId:
         reply = self._roundtrip("get-id", {"identifier": str(identifier)})
@@ -291,9 +298,14 @@ class InProcessClient(BaseClient):
 
 
 _MAX_LINE = 1 << 20  # bytes per request line, its newline included
+_MAX_CONNECTIONS = 256  # open at once; each holds a handler thread
 
 
 class _TcpHandler(socketserver.StreamRequestHandler):
+    # seconds a connection may wait for its next line, or for the client to
+    # take a reply; setup() applies it to the connection
+    timeout = 60.0
+
     def handle(self):
         try:
             while True:
@@ -317,10 +329,13 @@ class TcpRegistryServer(socketserver.ThreadingTCPServer):
     """Newline-delimited canonical JSON over TCP; one request per line.
 
     Each connection is served by its own handler thread, which answers its
-    lines in order until the client closes it. ``stop()`` closes the
-    listening socket, shuts down every open connection, joins their handler
-    threads and drops the registry: a stopped server keeps nothing of the
-    registry alive, even while clients still hold their connections.
+    lines in order until the client closes it or leaves it idle for
+    ``_TcpHandler.timeout`` seconds. A connection accepted while
+    ``_MAX_CONNECTIONS`` are open is closed and never served. ``stop()``
+    closes the listening socket, shuts down every open connection, joins
+    their handler threads and drops the registry: a stopped server keeps
+    nothing of the registry alive, even while clients still hold their
+    connections.
     """
 
     allow_reuse_address = True
@@ -350,8 +365,13 @@ class TcpRegistryServer(socketserver.ThreadingTCPServer):
         ``ThreadingMixIn`` joins only non-daemon handler threads in
         ``server_close()``; a non-daemon thread blocked on a connection that
         its client never closes would keep the interpreter from exiting.
-        The threads are daemons, so ``stop()`` joins them itself.
+        The threads are daemons, so ``stop()`` joins them itself. A
+        connection beyond ``_MAX_CONNECTIONS`` gets no thread: it is closed.
         """
+        # only the accept loop adds handlers, so none is added past the cap
+        if len(self._handlers) >= _MAX_CONNECTIONS:
+            self.shutdown_request(request)
+            return
         thread = threading.Thread(
             target=self.process_request_thread, args=(request, client_address), daemon=True
         )

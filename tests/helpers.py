@@ -14,6 +14,7 @@ from instanceid import (
     AttributeSpecificity,
     AuthorRef,
     IdDocument,
+    IncidentReport,
     InstanceIdentifier,
     KeyPair,
     SignedId,
@@ -39,6 +40,17 @@ MALFORMED_REPORT_FIELDS = [
     ("description", None),
     ("user_ref", 3),
 ]
+
+
+class Text(str):
+    """A str subclass, as a report built by a caller rather than by JSON may hold."""
+
+
+def report_row(report: IncidentReport) -> list:
+    """The report's row of a ``query-incidents`` table: the values of its
+    JSON object in field order."""
+    body = report.to_jsonable()
+    return [body[name] for name in IncidentReport._fields]
 
 
 class UnavailableClient(BaseClient):

@@ -5,10 +5,11 @@ JSON value, the replacement of the whole body included. Decoders must return
 a value or raise ``MalformedRecord``; a decoded signed ID, view or manifest
 must verify to a verdict, never raise. The policy types, which have no JSON
 form, raise ``MalformedRecord`` from their constructors, and so do an
-incident report's constructor and ``_replace``. A batch of report bodies
-decodes to what the constructor builds from their fields or, if any body is
-bad, raises ``MalformedRecord`` for the whole batch; so does a client's
-``query_incidents`` on a reply with one bad report, and its ``get_lineage``
+incident report's constructor and ``_replace``. A table of report fields
+decodes to what the constructor builds from them, seven at a time, or, if
+any field is bad or the table is not seven fields per report, raises
+``MalformedRecord`` for the whole table; so does a client's
+``query_incidents`` on a reply with one bad field, and its ``get_lineage``
 on a reply whose items are not a list or hold a marker that is not a bool. ``Registry.replay`` may
 also raise a domain error such as ``UnknownParent``, but nothing outside
 ``ProtocolError``. ``RegistryServer.handle`` must answer every request; a
@@ -66,7 +67,9 @@ from instanceid.lineage import event_from_jsonable
 from instanceid.service import BaseClient, ServiceConfig, load_keypair_file
 from instanceid.verifiability import KeyRecord, Signature
 
-from helpers import MALFORMED_REPORT_FIELDS, fixed_keypair, random_signed, trust_for
+from helpers import (
+    MALFORMED_REPORT_FIELDS, Text, fixed_keypair, random_signed, report_row, trust_for,
+)
 from test_pins import every_record_kind_registry
 
 KEYPAIR = fixed_keypair("acme", "k1")
@@ -97,6 +100,7 @@ DECODERS = {
     "TrustStore": (TrustStore.from_jsonable, REVOKED.to_jsonable()),
     "DisclosedView": (DisclosedView.from_jsonable, VIEW.to_jsonable()),
     "IncidentReport": (IncidentReport.from_jsonable, REPORT.to_jsonable()),
+    "IncidentReport.from_table": (IncidentReport.from_table, report_row(REPORT) * 2),
     "IncidentScope": (IncidentScope.from_jsonable, IncidentScope.system("sys-a").to_jsonable()),
     "TimeWindow": (TimeWindow.from_jsonable, TimeWindow(1, 9).to_jsonable()),
     "event_created": (event_from_jsonable, {"kind": "created", "system_id": "s", "user_ref": "u"}),
@@ -299,39 +303,53 @@ class _Replying(BaseClient):
         return self.reply
 
 
-def _reports_reply(reports) -> dict:
-    return {"body": {"reports": reports}, "ok": True}
+def _reports_reply(table) -> dict:
+    return {"body": {"reports": table}, "ok": True}
 
 
 REPORT_BODY = REPORT.to_jsonable()
-# each reply holds a good report beside the bad one, so a refusal is of the whole reply
+REPORT_ROW = report_row(REPORT)
+
+
+def _with(field: str, value) -> list:
+    """``REPORT_ROW`` with ``field`` set to ``value``."""
+    return [value if name == field else old for name, old in zip(IncidentReport._fields, REPORT_ROW)]
+
+
+def _without(field: str) -> list:
+    """``REPORT_ROW`` without ``field``: six values."""
+    return [old for name, old in zip(IncidentReport._fields, REPORT_ROW) if name != field]
+
+
+# each reply holds a good row beside the bad one, so a refusal is of the whole reply
 HOSTILE_REPORT_REPLIES = {
     **{
-        f"{field}-{type(value).__name__}": _reports_reply(
-            [REPORT_BODY, {**REPORT_BODY, field: value}]
-        )
+        f"{field}-{type(value).__name__}": _reports_reply(REPORT_ROW + _with(field, value))
         for field, value in MALFORMED_REPORT_FIELDS
     },
     **{
-        f"severity-{name}": _reports_reply([REPORT_BODY, {**REPORT_BODY, "severity": value}])
+        f"severity-{name}": _reports_reply(REPORT_ROW + _with("severity", value))
         for name, value in [("unknown", "bogus"), ("a-list", ["major"]),
                             ("an-object", {"major": 1}), ("upper-case", "MAJOR")]
     },
+    # one value where a row belongs: eight values in all
     **{
-        f"item-{name}": _reports_reply([REPORT_BODY, value])
-        for name, value in [("a-list", list(REPORT_BODY.values())), ("a-string", "major"),
-                            ("a-number", 5), ("null", None)]
+        f"item-{name}": _reports_reply(REPORT_ROW + [value])
+        for name, value in [("a-list", REPORT_ROW), ("an-object", REPORT_BODY),
+                            ("a-string", "major"), ("a-number", 5), ("null", None)]
     },
-    **{
-        f"missing-{field}": _reports_reply(
-            [REPORT_BODY, {name: value for name, value in REPORT_BODY.items() if name != field}]
-        )
-        for field in REPORT_BODY
-        if field != "user_ref"
-    },
+    # thirteen values in all
+    **{f"missing-{field}": _reports_reply(REPORT_ROW + _without(field))
+       for field in IncidentReport._fields},
+    # a length that is a multiple of seven, with a row or an object where a field belongs
+    "row-nested": _reports_reply(REPORT_ROW + _with("description", REPORT_ROW)),
+    "row-holding-an-object": _reports_reply(REPORT_ROW + _with("user_ref", REPORT_BODY)),
+    # seven reports in another shape than the table's
+    "rows-as-lists": _reports_reply([REPORT_ROW] * 7),
+    "rows-as-objects": _reports_reply([REPORT_BODY] * 7),
     **{
         f"reports-{name}": _reports_reply(value)
-        for name, value in [("an-object", {"r1": REPORT_BODY}), ("a-string", "r1"),
+        for name, value in [("an-object", {"r1": REPORT_ROW}), ("a-string", "r1"),
                             ("a-number", 5), ("null", None), ("an-empty-object", {}),
                             ("an-empty-string", "")]
     },
@@ -371,44 +389,43 @@ def test_a_hostile_get_lineage_reply_raises_malformed_record(reply):
         _Replying(reply).get_lineage(parse_identifier("sys-a:0002"), "ancestors")
 
 
-class _Text(str):
-    """A str subclass, as a body built by a caller rather than by JSON may hold."""
-
-
 def test_a_reply_decodes_str_subclass_fields_and_an_absent_user_ref():
-    subclassed = {
-        name: _Text(value) if isinstance(value, str) else value
-        for name, value in REPORT_BODY.items()
-    }
-    without_user = {name: value for name, value in REPORT_BODY.items() if name != "user_ref"}
-    reports = _Replying(_reports_reply([subclassed, without_user])).query_incidents(
-        IncidentScope.system("sys-a")
-    )
-    assert reports == [REPORT, REPORT._replace(user_ref=None)]
-    assert [type(report) for report in reports] == [IncidentReport, IncidentReport]
+    subclassed = [Text(value) if isinstance(value, str) else value for value in REPORT_ROW]
+    reports = _Replying(_reports_reply(subclassed)).query_incidents(IncidentScope.system("sys-a"))
+    assert reports == [REPORT] and type(reports[0]) is IncidentReport
     first = reports[0]
     texts = (first.report_id, first.reporter, first.description, first.user_ref)
-    assert {type(text) for text in texts} == {_Text}
+    assert {type(text) for text in texts} == {Text}
+    # a table row has no absent field; a report object may lack user_ref
+    without_user = {name: value for name, value in REPORT_BODY.items() if name != "user_ref"}
+    decoded = IncidentReport.from_jsonable(without_user)
+    assert decoded == REPORT._replace(user_ref=None) and type(decoded) is IncidentReport
 
 
-# a few report bodies the registry could send, one of them without user_ref
-VALID_REPORT_BODIES = [
-    REPORT_BODY,
-    REPORT._replace(report_id="r2", severity=Severity.INFO, user_ref=None).to_jsonable(),
-    {name: value for name, value in REPORT._replace(report_id="r3").to_jsonable().items()
-     if name != "user_ref"},
+# a few rows the registry could send, one with a null user_ref
+VALID_REPORT_ROWS = [
+    REPORT_ROW,
+    report_row(REPORT._replace(report_id="r2", severity=Severity.INFO, user_ref=None)),
+    report_row(REPORT._replace(report_id="r3", description="", user_ref="")),
 ]
 
 
-def _reference_report(body) -> IncidentReport:
-    """The checked constructor's report from a body's fields."""
-    severities = [member for member in Severity if member.value == body["severity"]]
-    if not severities:
-        raise MalformedRecord(f"unknown severity {body['severity']!r}")
-    return IncidentReport(
-        body["report_id"], parse_identifier(body["identifier"]), body["reporter"],
-        severities[0], body["description"], body["occurred_at"], body.get("user_ref"),
-    )
+def _reference_reports(table) -> list[IncidentReport]:
+    """The checked constructor's reports from a table's values, seven at a time."""
+    if len(table) % 7:
+        raise MalformedRecord(f"{len(table)} values")
+    reports = []
+    for start in range(0, len(table), 7):
+        report_id, identifier, reporter, severity, description, occurred_at, user_ref = \
+            table[start:start + 7]
+        severities = [member for member in Severity if member.value == severity]
+        if not severities:
+            raise MalformedRecord(f"unknown severity {severity!r}")
+        reports.append(IncidentReport(
+            report_id, parse_identifier(identifier), reporter, severities[0], description,
+            occurred_at, user_ref,
+        ))
+    return reports
 
 
 def _typed(reports):
@@ -421,16 +438,18 @@ def _typed(reports):
 @given(rng=randoms, mutated=st.lists(st.booleans(), max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_a_report_batch_decodes_as_the_constructor_builds_or_is_refused_whole(rng, mutated):
-    bodies = []
+    table = []
     for bad in mutated:
-        body = rng.choice(VALID_REPORT_BODIES)
-        bodies.append(mutate(rng, body) if bad else body)
+        row = rng.choice(VALID_REPORT_ROWS)
+        if bad:
+            row = mutate(rng, row)
+        table += row if isinstance(row, list) else [row]
     try:
-        expected = [_reference_report(body) for body in bodies]
+        expected = _reference_reports(table)
     except (KeyError, TypeError, MalformedIdentifier, MalformedRecord):
         expected = None
     try:
-        decoded = IncidentReport.batch_from_jsonable(bodies)
+        decoded = IncidentReport.from_table(table)
     except MalformedRecord:
         decoded = None
     assert _typed(decoded) == _typed(expected)
@@ -678,6 +697,7 @@ def test_tcp_connection_answers_after_a_sample_of_mutated_requests():
                 conn.sendall(line)
                 tcp_replies.append(replies.readline())
                 assert "ok" in load_canonical(tcp_replies[-1]), line
+                assert tcp_replies[-1] == canonical_json_line(load_canonical(tcp_replies[-1]))
             reply = load_canonical(tcp_replies[-1])
             assert reply["ok"] and reply["body"]["signed"]["doc"]["identifier"] == root
     finally:

@@ -8,8 +8,12 @@ import threading
 import time
 import weakref
 from collections import Counter
+from contextlib import ExitStack
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instanceid.registry
 import instanceid.service
@@ -38,11 +42,11 @@ from instanceid import (
     redact,
     verify_view,
 )
-from instanceid.canonical import canonical_json_line, load_canonical
+from instanceid.canonical import canonical_json_bytes, canonical_json_line, load_canonical
 from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable, UnknownIdentifier
 from instanceid.service import ServiceConfig, load_keypair_file, save_keypair_file
 
-from helpers import MALFORMED_REPORT_FIELDS, fixed_keypair, trust_for
+from helpers import MALFORMED_REPORT_FIELDS, Text, fixed_keypair, report_row, trust_for
 
 
 def _registry(author="acme", key_id="k1"):
@@ -151,9 +155,8 @@ def test_query_incidents_reply_and_incident_log_lines_are_canonical_bytes():
         for system_id, expected in (("sys-a", reports), ("other", [])):
             body = {"scope": IncidentScope.system(system_id).to_jsonable(),
                     "window": TimeWindow().to_jsonable()}
-            line = canonical_json_line(
-                {"body": {"reports": [report.to_jsonable() for report in expected]}, "ok": True}
-            )
+            table = [field for report in expected for field in report_row(report)]
+            line = canonical_json_line({"body": {"reports": table}, "ok": True})
             inproc.request("query-incidents", body)
             assert server.lines[-1] == line
             with socket.create_connection(tcp.address, timeout=5) as conn, \
@@ -194,8 +197,71 @@ def test_replayed_reports_are_served_without_encoding_them_again(monkeypatch):
         {"body": {"scope": IncidentScope.instance(identifier).to_jsonable()},
          "endpoint": "query-incidents"}
     ))
-    assert len(load_canonical(reply)["body"]["reports"]) == 5
+    table = load_canonical(reply)["body"]["reports"]
+    assert (len(table) // 7, len(table) % 7) == (5, 0)
     assert encoded["calls"] == 0
+
+
+def _as_json_types(reports):
+    """Each report's type and its fields' types, a str subclass read as
+    ``str``, which is all JSON gives back."""
+    return [
+        (type(report), [str if isinstance(field, str) else type(field) for field in report])
+        for report in reports
+    ]
+
+
+_AWKWARD = st.text(max_size=12) | st.just(AWKWARD_TEXT)
+# description, reporter name, severity, time, user_ref, str subclass?, writer
+_WRITTEN_REPORTS = st.lists(
+    st.tuples(_AWKWARD, _AWKWARD, st.sampled_from(Severity), st.integers(0, 10_000),
+              st.none() | _AWKWARD, st.booleans(),
+              st.sampled_from(["registry", "in-process", "tcp"])),
+    max_size=6,
+)
+
+
+def test_written_reports_come_back_from_a_table_as_the_registry_holds_them():
+    """Reports written through the registry or either client come back from
+    ``query_incidents`` on both transports equal to the registry's, field
+    types included, and each report's row is its fields' canonical JSON."""
+    registry = _registry()
+    server = RegistryServer(registry)
+    tcp = TcpRegistryServer(server).start()
+    systems = count()
+    try:
+        with TcpClient(*tcp.address) as remote:
+            clients = {"in-process": InProcessClient(server), "tcp": remote}
+
+            @given(written=_WRITTEN_REPORTS)
+            @settings(max_examples=100, deadline=None)
+            def check(written):
+                system = next(systems)
+                identifier = registry.issue(Created(f"sys-{system}", "u")).doc.identifier
+                for n, (description, name, severity, at, user_ref, subclassed, writer) in \
+                        enumerate(written):
+                    text = Text if subclassed else str
+                    report = IncidentReport(
+                        text(f"r{system}-{n}"), identifier, text(f"service.{name}"), severity,
+                        text(description), at, None if user_ref is None else text(user_ref),
+                    )
+                    if writer == "registry":
+                        registry.report_incident(report)
+                    else:
+                        clients[writer].report_incident(report)
+                scope = IncidentScope.instance(identifier)
+                held = registry.query_incidents(scope)
+                assert len(held) == len(written)
+                for report in held:
+                    assert report.row_bytes == canonical_json_bytes(report_row(report))[1:-1]
+                for client in clients.values():
+                    got = client.query_incidents(scope)
+                    assert got == held
+                    assert _as_json_types(got) == _as_json_types(held)
+
+            check()
+    finally:
+        tcp.stop()
 
 
 @pytest.mark.parametrize("field, value", MALFORMED_REPORT_FIELDS)
@@ -721,6 +787,47 @@ def test_stopped_server_releases_its_registry_and_handler_threads():
         del registry
         gc.collect()
         assert released() is None
+
+
+def test_an_idle_connection_is_closed_and_the_client_opens_another(monkeypatch):
+    assert instanceid.service._TcpHandler.timeout is not None  # idle connections end by default
+    monkeypatch.setattr(instanceid.service._TcpHandler, "timeout", 0.2)
+    tcp = _CountingServer(RegistryServer(_registry())).start()
+    try:
+        with socket.create_connection(tcp.address, timeout=5) as idle:
+            start = time.monotonic()
+            assert idle.recv(1) == b""  # closed by the server, not by this timeout
+            assert 0.15 < time.monotonic() - start < 4
+        assert not tcp._handlers  # its handler thread has ended
+        with TcpClient(*tcp.address) as client:
+            assert "acme" in client.list_keys()["authors"]
+            time.sleep(0.5)
+            assert "acme" in client.list_keys()["authors"]
+        assert tcp.connections == 3
+    finally:
+        tcp.stop()
+
+
+def test_a_connection_beyond_the_cap_is_closed_unserved(monkeypatch):
+    monkeypatch.setattr(instanceid.service, "_MAX_CONNECTIONS", 4)
+    tcp = TcpRegistryServer(RegistryServer(_registry())).start()
+    try:
+        with ExitStack() as stack:
+            held = [stack.enter_context(TcpClient(*tcp.address, timeout=5)) for _ in range(4)]
+            for client in held:
+                assert "acme" in client.list_keys()["authors"]
+            with TcpClient(*tcp.address, timeout=5) as extra:
+                with pytest.raises(RegistryUnavailable):
+                    extra.list_keys()
+                assert len(tcp._handlers) == 4
+                assert all("acme" in client.list_keys()["authors"] for client in held)
+                held[0].close()
+                deadline = time.monotonic() + 5
+                while len(tcp._handlers) == 4 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert "acme" in extra.list_keys()["authors"]
+    finally:
+        tcp.stop()
 
 
 # -- malformed requests ----------------------------------------------------------------
