@@ -8,39 +8,45 @@ it: a live mutator does only what replay cannot redo (nonce lookup, signing
 key, ``LineageStore.build``, signing the document) and hands the helper's
 record to ``_apply``. ``replay`` builds each line's record again with the
 same helpers, accepts it only if ``_log_line`` writes it back as the same
-bytes and hands it to ``_apply``; so a replayed registry is byte-identical
-and refuses what the live one refuses, and no other module checks a
-mutation's fields. ``_log_line`` alone knows a line's shape, and writes an
-``issue`` line's lineage time and ``external`` link from the record's time,
-lineage identifier and upstream; ``_links`` derives a document's links from
-the last two, and replay refuses a logged document with any other links.
+bytes (an ``incident`` line from its report encoded afresh, which the report
+does not keep) and hands it to ``_apply``; so a replayed registry is
+byte-identical and refuses what the live one refuses, and no other module
+checks a mutation's fields. ``_log_line`` alone knows a line's shape (an
+``incident`` line's through ``_incident_line``, which the replay check
+shares), and writes an ``issue`` line's lineage time and ``external`` link
+from the record's time, lineage identifier and upstream; ``_links`` derives
+a document's links from the last two, and replay refuses a logged document
+with any other links.
 Writes and incident queries serialize through the registry lock, and
 lineage reads through the lineage store's lock, so no read observes a
 partially applied mutation.
 
 The incident database is indexed. Each report sits in one list per indexed
 scope it falls in (its instance, its system, its reporter's party class and,
-when set, its user), each list sorted by ``(occurred_at, report_id)``; a set
-of report ids and a sorted list of system ids sit beside them. With n
-reports:
+when set, its user), each list sorted by ``(occurred_at, report_id)``, beside
+a parallel list of the same reports' rows (``_row_bytes``: the seven fields
+as canonical JSON array items, encoded once as the report enters the
+database, live or replayed). A set of report ids and a sorted list of system
+ids sit beside them. With n reports:
 
-* ``report_incident`` costs O(log n) comparisons and an O(n) ``insort`` per
-  index (~9 us at 10k reports, ~239 us at 800k, with a random ``occurred_at``,
-  which the reporter chooses); duplicate id and identifier checks are sets;
-* ``query_incidents`` on the ``instance``, ``user``, ``system`` and
-  ``party-class`` scopes costs two bisects plus the results it copies out;
-  ``systems`` merges the lists of the systems whose id has the prefix.
+* ``report_incident`` costs, per index, one bisect and two list inserts,
+  each O(n) (ROADMAP item 13; ~22-32 us at 10k reports and ~54-72 us at
+  100k on a 2-vCPU VM, with a random ``occurred_at``, which the reporter
+  chooses); duplicate id and identifier checks are sets;
+* ``query_incidents`` and ``incident_rows`` find their lists and bounds with
+  ``Registry._spans``: two bisects on the ``instance``, ``user``, ``system``
+  and ``party-class`` scopes, after which ``incident_rows`` (a
+  ``query-incidents`` reply's table) is one ``b",".join`` of a slice of rows
+  and reads no report. ``systems`` merges the slices of each system whose
+  id has the prefix.
 
 Key, issue and incident log records hold references to the registry's own
 immutable ``PublicKey``, ``SignedId`` and ``IncidentReport`` objects, so the
-log keeps no second copy of any key, document or report. A report encodes
-itself once in each of its two wire forms and keeps the bytes:
-``IncidentReport.canonical_bytes``, its object, which ``log_lines`` splices
-into each ``incident`` line, and ``IncidentReport.row_bytes``, its seven
-fields as array items, which ``_add_incident`` encodes as the report enters
-the database and the service splices into ``query-incidents`` replies. So a
-report is encoded once however often it is logged or served, and a replayed
-registry serves without encoding.
+log keeps no second copy of any key, document or report. A live report
+encodes its object, ``IncidentReport.canonical_bytes``, when ``log_lines``
+first splices it into its ``incident`` line, and keeps it; the index holds
+its row. So a report is encoded once however often it is logged or served,
+and a replayed registry serves without encoding and keeps only the rows.
 
 A ``query-incidents`` reply is one flat table, ``{"reports": [f1, ..., f7,
 f1, ..., f7, ...]}``, each report's fields in ``_IncidentFields`` order: it
@@ -75,7 +81,7 @@ import enum
 import heapq
 import random
 import threading
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -209,16 +215,6 @@ class IncidentReport(_IncidentFields):
     def canonical_bytes(self) -> bytes:
         """``canonical_json_bytes(self.to_jsonable())``, encoded on first use."""
         return canonical_json_bytes(self.to_jsonable())
-
-    @cached_property
-    def row_bytes(self) -> bytes:
-        """The report's seven fields, in field order, as canonical JSON array
-        items without the brackets: its row of a ``query-incidents`` table,
-        encoded on first use."""
-        return canonical_json_bytes([
-            self.report_id, str(self.identifier), self.reporter, self.severity.value,
-            self.description, self.occurred_at, self.user_ref,
-        ])[1:-1]
 
     def to_jsonable(self) -> dict:
         return {
@@ -394,11 +390,24 @@ def _scope_keys(report: IncidentReport) -> list[tuple[str, str]]:
     return keys
 
 
-def _cut(reports: list[IncidentReport], start: int, end: Optional[int]) -> list[IncidentReport]:
-    """Copy of the sorted reports with start <= occurred_at <= end."""
-    lo = bisect_left(reports, (start,), key=_INCIDENT_ORDER)
-    hi = len(reports) if end is None else bisect_left(reports, (end + 1,), key=_INCIDENT_ORDER)
-    return reports[lo:hi]
+def _row_bytes(report: IncidentReport) -> bytes:
+    """The report's seven fields, in field order, as canonical JSON array
+    items without the brackets: its row of a ``query-incidents`` table."""
+    return canonical_json_bytes([
+        report.report_id, str(report.identifier), report.reporter, report.severity.value,
+        report.description, report.occurred_at, report.user_ref,
+    ])[1:-1]
+
+
+# the index of a scope no report falls in; never written
+_NO_INCIDENTS: tuple[list[IncidentReport], list[bytes]] = ([], [])
+
+
+def _incident_line(at: int, report: bytes) -> bytes:
+    """The log line of an ``incident`` record at ``at`` whose report's
+    canonical bytes are ``report``."""
+    # the canonical form of {"at", "kind", "report"}: keys in that order
+    return b'{"at":%d,"kind":"incident","report":%s}\n' % (at, report)
 
 
 def _log_line(record: dict) -> bytes:
@@ -406,11 +415,7 @@ def _log_line(record: dict) -> bytes:
     objects; it derives an ``issue`` line's lineage time and ``external`` link."""
     kind = record["kind"]
     if kind == "incident":
-        # the canonical form of {"at", "kind", "report"}: keys in that order
-        return b'{"at":%d,"kind":"incident","report":%s}\n' % (
-            record["at"],
-            record["report"].canonical_bytes,
-        )
+        return _incident_line(record["at"], record["report"].canonical_bytes)
     if kind == "issue":
         lineage, at, upstream = record["lineage"], record["at"], record["upstream"]
         record = {**record, "lineage": {**lineage, "at": at}}
@@ -511,7 +516,12 @@ def _log_record_from_line(line: bytes, lineage: LineageStore) -> dict:
         built = lineage.build(event, upstream, identifier)
         record = _issue_record(at, built, record["nonce"], signed, upstream)
     elif kind == "incident":
-        record["report"] = IncidentReport.from_jsonable(record["report"])
+        report = record["report"] = IncidentReport.from_jsonable(record["report"])
+        # encoded afresh, not through the cached canonical_bytes, so that a
+        # replayed report keeps no bytes of its own
+        if _incident_line(at, canonical_json_bytes(report.to_jsonable())) != line:
+            raise MalformedRecord(f"not a line the registry writes: {line[:200]!r}")
+        return record
     elif kind == "shutdown":
         parse_identifier(record["identifier"])
         record = _shutdown_record(at, record["identifier"], record["reason"])
@@ -545,8 +555,10 @@ class Registry:
         self.documents: dict[str, SignedId] = {}
         self.incidents: list[IncidentReport] = []  # arrival order
         self._report_ids: set[str] = set()
-        # (scope kind, value) -> reports sorted by _INCIDENT_ORDER
-        self._incidents_by_scope: dict[tuple[str, str], list[IncidentReport]] = {}
+        # (scope kind, value) -> (reports sorted by _INCIDENT_ORDER, their rows)
+        self._incidents_by_scope: dict[
+            tuple[str, str], tuple[list[IncidentReport], list[bytes]]
+        ] = {}
         self._system_ids: list[str] = []  # sorted; systems that have reports
         self.trust = TrustStore()
         self.shutdowns: dict[str, dict] = {}
@@ -673,11 +685,18 @@ class Registry:
         system_id = report.identifier.system_id
         if ("system", system_id) not in self._incidents_by_scope:
             insort(self._system_ids, system_id)
+        # encoded once, as the report enters the database, live or replayed
+        row, order = _row_bytes(report), _INCIDENT_ORDER(report)
         for key in _scope_keys(report):
-            insort(self._incidents_by_scope.setdefault(key, []), report, key=_INCIDENT_ORDER)
+            index = self._incidents_by_scope.get(key)
+            if index is None:
+                index = self._incidents_by_scope[key] = ([], [])
+            reports, rows = index
+            at = bisect_right(reports, order, key=_INCIDENT_ORDER)
+            reports.insert(at, report)
+            rows.insert(at, row)
         self._report_ids.add(report.report_id)
         self.incidents.append(report)
-        report.row_bytes  # encoded now, so that serving it, replayed or live, never encodes
 
     def query_incidents(
         self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW
@@ -685,27 +704,59 @@ class Registry:
         """Reports matching the scope, retention-filtered, ordered by
         (occurred_at, report_id), in a new list the caller may keep.
 
-        ``instance``, ``user``, ``system`` and ``party-class`` bisect one
-        sorted index list at the retention horizon (or the window start, if
-        later) and at the window end, and copy the slice between: O(log n +
-        results) for n reports. ``systems`` does the same on each system
-        whose id has the prefix, found by bisecting the sorted system ids,
-        and merges the slices.
+        ``instance``, ``user``, ``system`` and ``party-class`` copy out one
+        slice of one sorted index list, found by ``_spans``: O(log n +
+        results) for n reports. ``systems`` merges the slices of each system
+        whose id has the prefix.
         """
         with self._lock:
-            horizon = self.clock.now() - self.retention.incidents
-            start = horizon if window.start is None else max(horizon, window.start)
-            if scope.kind != "systems":
-                return _cut(
-                    self._incidents_by_scope.get((scope.kind, scope.value), []),
-                    start,
-                    window.end,
-                )
-            slices = [
-                _cut(self._incidents_by_scope[("system", system_id)], start, window.end)
-                for system_id in self._systems_with_prefix(scope.value)
-            ]
+            slices = [reports[lo:hi] for reports, _, lo, hi in self._spans(scope, window)]
+        if len(slices) == 1:
+            return slices[0]
         return list(heapq.merge(*slices, key=_INCIDENT_ORDER))
+
+    def incident_rows(self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW) -> bytes:
+        """The rows of ``query_incidents(scope, window)``, in its order,
+        joined with commas: the items of a ``query-incidents`` table.
+
+        ``instance``, ``user``, ``system`` and ``party-class`` cost two
+        bisects and one join of a slice of the index's rows, and read no
+        report. ``systems`` merges its systems' (report, row) pairs.
+        """
+        with self._lock:  # every slice is copied under it; the join reads the copies
+            spans = self._spans(scope, window)
+            if len(spans) == 1:
+                _, rows, lo, hi = spans[0]
+                rows = rows[lo:hi]
+            else:
+                pairs = [zip(reports[lo:hi], rows[lo:hi]) for reports, rows, lo, hi in spans]
+                merged = heapq.merge(*pairs, key=lambda pair: _INCIDENT_ORDER(pair[0]))
+                rows = (row for _, row in merged)
+        return b",".join(rows)
+
+    def _spans(
+        self, scope: IncidentScope, window: TimeWindow
+    ) -> list[tuple[list[IncidentReport], list[bytes], int, int]]:
+        """``(reports, rows, lo, hi)`` for each index list the scope reads:
+        one for ``instance``, ``user``, ``system`` and ``party-class``, one
+        per system whose id has the prefix for ``systems``. ``reports[lo:hi]``
+        are those at or after the retention horizon (or the window start, if
+        later) and at or before the window end. The lists are the index's
+        own, so call this, and slice them, under the registry lock."""
+        horizon = self.clock.now() - self.retention.incidents
+        start = horizon if window.start is None else max(horizon, window.start)
+        if scope.kind == "systems":
+            keys = [("system", system_id) for system_id in self._systems_with_prefix(scope.value)]
+        else:
+            keys = [(scope.kind, scope.value)]
+        spans = []
+        for key in keys:
+            reports, rows = self._incidents_by_scope.get(key, _NO_INCIDENTS)
+            lo = bisect_left(reports, (start,), key=_INCIDENT_ORDER)
+            hi = len(reports) if window.end is None else bisect_left(
+                reports, (window.end + 1,), key=_INCIDENT_ORDER)
+            spans.append((reports, rows, lo, hi))
+        return spans
 
     def _systems_with_prefix(self, prefix: str) -> Iterator[str]:
         index = bisect_left(self._system_ids, prefix)

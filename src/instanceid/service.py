@@ -8,12 +8,15 @@ and returns the reply line as bytes, which both clients decode with
 either transport, and a simulation produces identical traces on both. A
 ``query-incidents`` reply body is one flat table of report fields,
 ``{"reports": [f1, ..., f7, f1, ..., f7, ...]}``, each report's seven fields
-in ``IncidentReport`` field order. The server joins each report's cached
-row (``IncidentReport.row_bytes``) with commas instead of encoding it again,
-and the client decodes the whole table in one checked pass
-(``IncidentReport.from_table``), so one bad field refuses the whole reply. A
-2,569-report reply is 369 KB as a table (595 KB as a list of report
-objects), and its client ``load_canonical`` takes ~1.1 ms (~3.3 ms).
+in ``IncidentReport`` field order. The server sends the table
+``Registry.incident_rows`` returns: the rows the incident index keeps beside
+its reports, encoded once each, joined with commas, so it reads no report.
+The client decodes the whole table in one checked pass
+(``IncidentReport.from_table``), so one bad field refuses the whole reply.
+On a replayed 10k-report registry, ``handle`` answers a 2,569-report
+party-class query (276 KB) in ~0.10 ms, against ~0.83-0.94 ms when it
+read each report's cached row (fastest and median of 200; Python 3.11, one
+core of a 2-vCPU VM).
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -149,8 +152,7 @@ class RegistryServer:
         with decoding("query-incidents body"):
             scope = IncidentScope.from_jsonable(body["scope"])
             window = TimeWindow.from_jsonable(body.get("window"))
-        reports = self.registry.query_incidents(scope, window)
-        return b'{"reports":[' + b",".join(report.row_bytes for report in reports) + b"]}"
+        return b'{"reports":[' + self.registry.incident_rows(scope, window) + b"]}"
 
     def _do_get_id(self, body: dict) -> bytes:
         with decoding("get-id body"):

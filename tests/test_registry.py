@@ -4,11 +4,13 @@ retention, replay byte-identity."""
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import instanceid.registry
 from instanceid import (
     Attribute,
     AttributeCategory,
@@ -595,6 +597,29 @@ def test_replay_keeps_log_bytes_and_rejects_repeated_report_id():
     )
     with pytest.raises(MalformedRecord):
         Registry.replay(log + incident_line, "acme", clock=clock)
+
+
+def test_replayed_reports_keep_no_bytes_and_live_reports_are_encoded_once(monkeypatch):
+    registry, clock = make_registry(seed=12)
+    _, reports = seed_incident_corpus(registry, clock, random.Random(13), n_reports=60)
+    encoded = Counter()
+    encode = instanceid.registry.canonical_json_bytes
+
+    def counting(value):
+        encoded["calls"] += 1
+        return encode(value)
+
+    monkeypatch.setattr(instanceid.registry, "canonical_json_bytes", counting)
+    log = registry.log_lines()
+    assert registry.log_lines() == log
+    assert 0 < encoded["calls"] <= len(reports)
+    monkeypatch.undo()
+
+    replayed = Registry.replay(log, "acme", clock=clock)
+    assert len(replayed.incidents) == len(reports)
+    for report in replayed.incidents:
+        assert not [value for value in vars(report).values() if isinstance(value, bytes)]
+    assert replayed.log_lines() == log
 
 
 def test_shutdown_marker():

@@ -32,6 +32,7 @@ from instanceid import (
     Regenerated,
     Registry,
     RegistryServer,
+    RetentionConfig,
     Severity,
     SignedId,
     SimClock,
@@ -252,8 +253,8 @@ def test_written_reports_come_back_from_a_table_as_the_registry_holds_them():
                 scope = IncidentScope.instance(identifier)
                 held = registry.query_incidents(scope)
                 assert len(held) == len(written)
-                for report in held:
-                    assert report.row_bytes == canonical_json_bytes(report_row(report))[1:-1]
+                assert registry.incident_rows(scope) == b",".join(
+                    canonical_json_bytes(report_row(report))[1:-1] for report in held)
                 for client in clients.values():
                     got = client.query_incidents(scope)
                     assert got == held
@@ -262,6 +263,171 @@ def test_written_reports_come_back_from_a_table_as_the_registry_holds_them():
             check()
     finally:
         tcp.stop()
+
+
+# systems a, ab and b: the systems prefixes match every system, several, one
+# and none; few distinct times, so reports tie on occurred_at
+_TABLE_SYSTEMS = ("a", "ab", "b")
+_TABLE_NOW, _TABLE_RETENTION = 10_000, 50
+_TABLE_TIMES = st.sampled_from(range(_TABLE_NOW - 60, _TABLE_NOW + 1, 5))
+_TABLE_REPORTS = st.lists(
+    st.tuples(st.sampled_from(range(4)), _TABLE_TIMES,
+              st.sampled_from(["service.x", "service.y", "auditor.z", "user.w"]),
+              st.sampled_from([None, "u1", "u2"]), _AWKWARD),
+    max_size=12,
+)
+_TABLE_WINDOWS = st.lists(
+    st.builds(TimeWindow, st.none() | _TABLE_TIMES, st.none() | _TABLE_TIMES), max_size=3,
+).map(lambda windows: [TimeWindow()] + windows)
+
+
+def test_a_served_table_is_the_rows_of_query_incidents_in_its_order():
+    """Every scope kind and window, on a live registry and its replay, on
+    both transports: the reply line is ``query_incidents``' reports' rows,
+    joined with commas in that order."""
+    holder = RegistryServer(_registry())  # serves each example's registry in turn
+    tcp = TcpRegistryServer(holder).start()
+    try:
+        with socket.create_connection(tcp.address, timeout=5) as conn, \
+                conn.makefile("rb") as replies:
+
+            @given(written=_TABLE_REPORTS, windows=_TABLE_WINDOWS)
+            @settings(max_examples=60, deadline=None)
+            def check(written, windows):
+                retention = RetentionConfig(incidents=_TABLE_RETENTION)
+                live = Registry("acme", clock=SimClock(_TABLE_NOW), rng=random.Random(1),
+                                retention=retention)
+                live.install_key(fixed_keypair())
+                identifiers = [live.issue(Created(system, "u")).doc.identifier
+                               for system in _TABLE_SYSTEMS + ("a",)]
+                for n, (target, at, reporter, user_ref, description) in enumerate(written):
+                    live.report_incident(IncidentReport(
+                        f"r{n % 3}-{n}", identifiers[target], reporter, Severity.MINOR,
+                        description, at, user_ref))
+                replayed = Registry.replay(live.log_lines(), "acme", clock=live.clock,
+                                           retention=retention)
+                scopes = [IncidentScope.instance(identifier) for identifier in identifiers]
+                scopes += [IncidentScope.user(user) for user in ("u1", "u2", "nobody")]
+                scopes += [IncidentScope.system(system) for system in _TABLE_SYSTEMS + ("c",)]
+                scopes += [IncidentScope.systems(prefix) for prefix in ("", "a", "ab", "c")]
+                scopes += [IncidentScope.party_class(party)
+                           for party in ("service", "auditor", "user", "nobody")]
+                for registry in (live, replayed):
+                    holder.registry = registry
+                    for scope in scopes:
+                        for window in windows:
+                            reports = registry.query_incidents(scope, window)
+                            assert reports == live.query_incidents(scope, window)
+                            rows = b",".join(
+                                canonical_json_bytes(report_row(report))[1:-1]
+                                for report in reports)
+                            assert registry.incident_rows(scope, window) == rows
+                            expected = b'{"body":{"reports":[' + rows + b']},"ok":true}\n'
+                            line = canonical_json_line({
+                                "body": {"scope": scope.to_jsonable(),
+                                         "window": window.to_jsonable()},
+                                "endpoint": "query-incidents"})
+                            assert holder.handle(line) == expected
+                            conn.sendall(line)
+                            assert replies.readline() == expected
+
+            check()
+    finally:
+        tcp.stop()
+
+
+class _YieldingLock:
+    """A lock whose holder, once it has released it, pauses before going on,
+    so that a thread waiting for it runs first."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        time.sleep(1e-4)
+
+
+def test_every_reply_during_writes_lies_between_the_database_before_and_after():
+    """While one thread reports incidents, TCP readers query the scopes the
+    writes land in. Each reply decodes, is ordered by (occurred_at,
+    report_id) with no id twice, and holds every report in the scope before
+    the writes and only reports in it after them. A reply sliced from the
+    index after the registry lock is released can shift by an insert and
+    drop a report or take one from outside the window; the registry's lock
+    pauses its holder after each release, so that such an insert happens."""
+    registry = _registry()
+    registry._lock = _YieldingLock()
+    tcp = TcpRegistryServer(RegistryServer(registry)).start()
+    identifiers = [registry.issue(Created(system, "u")).doc.identifier
+                   for system in ("sys-a", "sys-a", "sys-b")]
+    now = registry.clock.now()
+    rng = random.Random(7)
+
+    def report(report_id, n):
+        return IncidentReport(report_id, identifiers[n % 3], "service.x", Severity.MINOR,
+                              "load", now - rng.randrange(1000))
+
+    for n in range(150):
+        registry.report_incident(report(f"pre-{n}", n))
+    writes = [report(f"w-{n}", n) for n in range(600)]
+    window = TimeWindow(now - 800, now - 200)
+    scopes = [IncidentScope.party_class("service"), IncidentScope.system("sys-a"),
+              IncidentScope.systems("sys-")]
+
+    def ids(scope):
+        return {r.report_id for r in registry.query_incidents(scope, window)}
+
+    before = {scope: ids(scope) for scope in scopes}
+    done = threading.Event()
+    replies = []
+    problems = []
+
+    def write():
+        try:
+            with TcpClient(*tcp.address) as client:
+                for item in writes:
+                    client.report_incident(item)
+        except Exception as exc:  # recorded for the main thread to report
+            problems.append(repr(exc))
+        finally:
+            done.set()
+
+    def read():
+        try:
+            with TcpClient(*tcp.address) as client:
+                while not done.is_set():
+                    for scope in scopes:
+                        replies.append((scope, client.query_incidents(scope, window)))
+        except Exception as exc:  # recorded for the main thread to report
+            problems.append(repr(exc))
+
+    threads = [threading.Thread(target=write)]
+    threads += [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        tcp.stop()
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    after = {scope: ids(scope) for scope in scopes}
+    assert len(replies) > 100
+    for scope, got in replies:
+        keys = [(r.occurred_at, r.report_id) for r in got]
+        assert keys == sorted(keys), scope
+        got_ids = [r.report_id for r in got]
+        assert len(set(got_ids)) == len(got_ids), scope
+        assert before[scope] <= set(got_ids) <= after[scope], scope
+        assert len(before[scope]) <= len(got) <= len(after[scope])
 
 
 @pytest.mark.parametrize("field, value", MALFORMED_REPORT_FIELDS)
