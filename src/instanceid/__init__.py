@@ -53,6 +53,7 @@ from .identity import (
     digest_form_bytes,
     parse_identifier,
 )
+from .incidents import IncidentReport, IncidentScope, Severity, TimeWindow
 from .lineage import (
     Created,
     FineTuned,
@@ -61,14 +62,7 @@ from .lineage import (
     Regenerated,
     Reloaded,
 )
-from .registry import (
-    IncidentReport,
-    IncidentScope,
-    Registry,
-    RetentionConfig,
-    Severity,
-    TimeWindow,
-)
+from .registry import Registry, RetentionConfig
 from .service import (
     InProcessClient,
     RegistryServer,

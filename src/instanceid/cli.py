@@ -12,13 +12,14 @@ from pathlib import Path
 
 import click
 
-from .canonical import canonical_json_line, load_canonical
+from .canonical import canonical_json_bytes, canonical_json_line, load_canonical
 from .clock import SystemClock
 from .disclosure import DisclosedView, verify_view
 from .errors import ProtocolError
 from .harness import SCENARIOS, SimConfig
 from .identity import parse_identifier
-from .registry import SCOPE_KINDS, IncidentScope, Registry, TimeWindow
+from .incidents import SCOPE_KINDS, IncidentScope, TimeWindow
+from .registry import Registry
 from .service import (
     RegistryServer,
     ServiceConfig,
@@ -161,7 +162,7 @@ def incidents_query(scope_kind, value, log_path, author_id, start, end, fmt):
         sys.exit(1)
     for report in reports:
         if fmt == "canonical":
-            click.echo(report.canonical_bytes)
+            click.echo(canonical_json_bytes(report.to_jsonable()))
         else:
             click.echo(
                 f"{report.occurred_at} {report.report_id} {report.identifier} "

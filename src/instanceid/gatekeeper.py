@@ -42,7 +42,7 @@ from .canonical import b64u
 from .disclosure import DisclosedView, verify_view
 from .errors import MalformedRecord, NoAuthorInfo, RegistryUnavailable
 from .identity import AttributeCategory, AuthorRef, InstanceIdentifier, is_attribute_name
-from .registry import IncidentScope, TimeWindow
+from .incidents import OPEN_WINDOW, IncidentScope
 from .verifiability import (
     Manifest,
     SignedId,
@@ -365,7 +365,7 @@ def _judge_presented(
         kind = threshold.scope_kind
         scope = IncidentScope(kind, str(identifier) if kind == "instance" else identifier.system_id)
         try:
-            reports = registry_client.query_incidents(scope, TimeWindow())
+            reports = registry_client.query_incidents(scope, OPEN_WINDOW)
         except RegistryUnavailable:
             if fail_open:
                 return Decision(GateVerdict.ALLOW, reasons=("registry-unavailable",))

@@ -37,13 +37,9 @@ from .identity import (
     InstanceIdentifier,
     parse_identifier,
 )
+from .incidents import IncidentReport, Severity
 from .lineage import Created, Regenerated
-from .registry import (
-    IncidentReport,
-    Registry,
-    Severity,
-    default_disclosure_policy,
-)
+from .registry import Registry, default_disclosure_policy
 from .service import (
     BaseClient,
     InProcessClient,

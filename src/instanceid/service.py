@@ -9,14 +9,12 @@ either transport, and a simulation produces identical traces on both. A
 ``query-incidents`` reply body is one flat table of report fields,
 ``{"reports": [f1, ..., f7, f1, ..., f7, ...]}``, each report's seven fields
 in ``IncidentReport`` field order. The server sends the table
-``Registry.incident_rows`` returns: the rows the incident index keeps beside
-its reports, encoded once each, joined with commas, so it reads no report.
-The client decodes the whole table in one checked pass
-(``IncidentReport.from_table``), so one bad field refuses the whole reply.
-On a replayed 10k-report registry, ``handle`` answers a 2,569-report
-party-class query (276 KB) in ~0.10 ms, against ~0.83-0.94 ms when it
-read each report's cached row (fastest and median of 200; Python 3.11, one
-core of a 2-vCPU VM).
+``Registry.incident_rows`` returns: the reports' rows, encoded once each,
+joined with commas, so it reads no report. The client decodes the whole
+table in one checked pass (``IncidentReport.from_table``), so one bad field
+refuses the whole reply. On a replayed 10k-report registry, ``handle``
+answers a 2,503-report party-class query (299 KB) in ~0.15-0.16 ms (fastest
+and median of 200; Python 3.11, one core of a 2-vCPU VM).
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -71,14 +69,9 @@ from .canonical import (
 from .disclosure import DisclosedView, DisclosurePolicy, PartyClass, redact
 from .errors import MalformedRecord, ProtocolError, RegistryUnavailable, decoding
 from .identity import Attribute, InstanceIdentifier, parse_identifier
+from .incidents import OPEN_WINDOW, IncidentReport, IncidentScope, TimeWindow
 from .lineage import event_from_jsonable, event_to_jsonable, LineageEvent
-from .registry import (
-    IncidentReport,
-    IncidentScope,
-    Registry,
-    RetentionConfig,
-    TimeWindow,
-)
+from .registry import Registry, RetentionConfig
 from .verifiability import KeyPair, SignedId
 
 ENDPOINTS = (
@@ -246,7 +239,7 @@ class BaseClient:
     def report_incident(self, report: IncidentReport) -> None:
         self._roundtrip("report-incident", {"report": report.to_jsonable()})
 
-    def query_incidents(self, scope: IncidentScope, window: TimeWindow = TimeWindow()):
+    def query_incidents(self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW):
         reply = self._roundtrip(
             "query-incidents",
             {"scope": scope.to_jsonable(), "window": window.to_jsonable()},

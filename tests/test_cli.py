@@ -21,6 +21,7 @@ from instanceid import (
     redact,
     sign_id,
 )
+from instanceid.canonical import canonical_json_bytes
 from instanceid.cli import main
 
 from helpers import fixed_keypair, trust_for
@@ -269,7 +270,7 @@ def test_incidents_query_canonical_prints_canonical_bytes(runner, tmp_path):
          "--log", str(log), "--author", "acme", "--format", "canonical"],
     )
     assert result.exit_code == 0, result.output
-    assert result.stdout_bytes == report.canonical_bytes + b"\n"
+    assert result.stdout_bytes == canonical_json_bytes(report.to_jsonable()) + b"\n"
     assert "café — déjà".encode() in result.stdout_bytes
 
 

@@ -600,7 +600,7 @@ def test_replay_raises_what_the_live_issue_raises_on_a_repeated_constituent():
 
 
 @pytest.mark.parametrize(
-    "target", ["instanceid.registry.Registry._add_incident", "instanceid.lineage.LineageStore.commit"]
+    "target", ["instanceid.incidents.IncidentIndex.add", "instanceid.lineage.LineageStore.commit"]
 )
 def test_replay_reports_a_fault_in_the_state_as_itself(monkeypatch, target):
     """Only the decoding of a log line is guarded; an error the state raises

@@ -126,5 +126,5 @@ def test_the_scan_finds_an_unread_private_name():
     assert unread_private_names({"m": source, "n": "from m import _X, _C\n"}) == [
         ("m", None, "_dead"), ("m", "_C", "_m")
     ]
-    assert overrides("registry", "IncidentReport", "_make")
+    assert overrides("incidents", "IncidentReport", "_make")
     assert not overrides("registry", "Registry", "_apply")
