@@ -76,7 +76,7 @@ def id_inspect(file, fmt):
             "revealed": [e.attribute.name for e in artifact.revealed],
         }
     if fmt == "canonical":
-        click.echo(artifact.to_bytes().decode("utf-8"))
+        click.echo(canonical_json_bytes(artifact.to_jsonable()).decode("utf-8"))
     else:
         click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
@@ -91,7 +91,7 @@ def id_verify(file, trust_path, at, fmt):
     """Verify a signed ID or a disclosed view against a trust store."""
     try:
         artifact = _load_artifact(file)
-        trust = TrustStore.from_bytes(Path(trust_path).read_bytes())
+        trust = TrustStore.from_jsonable(load_canonical(Path(trust_path).read_bytes()))
     except ProtocolError as exc:
         click.echo(f"malformed input: {exc}", err=True)
         sys.exit(1)

@@ -17,7 +17,7 @@ from fnmatch import fnmatchcase
 from types import MappingProxyType
 from typing import Any, Mapping, Optional, Union
 
-from .canonical import b64u, b64u_decode, canonical_json_bytes, load_canonical
+from .canonical import b64u, b64u_decode
 from .errors import InvalidDocument, MalformedRecord, decoding
 from .identity import (
     Attribute,
@@ -199,13 +199,6 @@ class DisclosedView:
             entries=tuple(entries),
             signature=Signature.from_jsonable(body["signature"]),
         )
-
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_jsonable())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DisclosedView":
-        return cls.from_jsonable(load_canonical(data))
 
 
 def redact(signed: SignedId, policy: DisclosurePolicy, party: PartyClass) -> DisclosedView:

@@ -237,10 +237,6 @@ class LineageStore:
                 self._add_edge(upstream, child, EDGE_BRANCH)
         return parse_identifier(child)
 
-    def register(self, event: LineageEvent) -> InstanceIdentifier:
-        """Apply a lifecycle event; returns the identifier it resolves to."""
-        return self.commit(self.build(event))
-
     def _fresh_id(self, system_id: str, logged: Optional[InstanceIdentifier]) -> str:
         """A new instance of ``system_id``: ``logged``, if it is one, or a draw."""
         if logged is not None:

@@ -279,7 +279,7 @@ class Registry:
             existing = self.trust.lookup(keypair.author_id, keypair.key_id)
             public = keypair.public_key()
             if existing is None:
-                self._register_key(keypair.author_id, public)
+                self._apply(_key_record(self.clock.now(), keypair.author_id, public))
             elif existing.key.public != public.public:
                 raise MalformedRecord(
                     f"key_id {keypair.key_id!r} already bound to a different key"
@@ -288,10 +288,7 @@ class Registry:
 
     def register_foreign_key(self, author_id: str, key: PublicKey) -> None:
         with self._lock:
-            self._register_key(author_id, key)
-
-    def _register_key(self, author_id: str, key: PublicKey) -> None:
-        self._apply(_key_record(self.clock.now(), author_id, key))
+            self._apply(_key_record(self.clock.now(), author_id, key))
 
     def revoke_key(self, author_id: str, key_id: str) -> None:
         """Revoke a key at the registry clock's time, which stamps every
@@ -387,7 +384,7 @@ class Registry:
         (occurred_at, report_id), in a new list the caller may keep: the
         rows of ``incident_rows(scope, window)``, decoded."""
         rows = self.incident_rows(scope, window)
-        return IncidentReport.from_table(load_canonical(b"[" + rows + b"]"))
+        return IncidentReport.from_table(load_canonical(b"".join((b"[", rows, b"]"))))
 
     def incident_rows(self, scope: IncidentScope, window: TimeWindow = OPEN_WINDOW) -> bytes:
         """The rows of the reports matching the scope, retention-filtered,

@@ -13,8 +13,8 @@ in ``IncidentReport`` field order. The server sends the table
 joined with commas, so it reads no report. The client decodes the whole
 table in one checked pass (``IncidentReport.from_table``), so one bad field
 refuses the whole reply. On a replayed 10k-report registry, ``handle``
-answers a 2,503-report party-class query (299 KB) in ~0.15-0.16 ms (fastest
-and median of 200; Python 3.11, one core of a 2-vCPU VM).
+answers a 2,503-report party-class query (299 KB) in 0.12-0.21 ms (median
+of 200 in each of five runs on a shared 2-vCPU VM; Python 3.11).
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -31,11 +31,12 @@ policy are the very objects (``is``) they were made from, else the view is
 redacted and encoded again and replaces the entry. Both are immutable
 (``DisclosurePolicy.rules`` is a read-only mapping), so a hit is the reply
 a fresh redaction gives. The memo keeps the ``1 << 12`` most recently
-served views of at most 4 KiB each (a larger one is served unstored), so
-besides the documents and policies it shares with the registry it holds
-at most ~19 MB in CPython 3.11; views of ~0.7 KB, as the ``investigate``
-benchmark's, take ~4 MB. A lock guards it, so concurrent handler threads
-never iterate it while another thread changes it.
+served views of at most 4 KiB each (a larger one is served unstored). When
+it is full, the oldest view leaves before a new one enters, so it never
+holds more. Besides the documents and policies it shares with the registry
+it holds at most ~19 MB in CPython 3.11; views of ~0.7 KB, as the
+``investigate`` benchmark's, take ~4 MB. A lock guards it, so concurrent
+handler threads never iterate it while another thread changes it.
 
 TCP connections are persistent, as in HTTP/1.1 (RFC 9112 section 9.3):
 ``TcpClient`` keeps one per calling thread, checks it for staleness before
@@ -123,7 +124,7 @@ class RegistryServer:
         except ProtocolError as exc:
             return _error_line(exc)
         # the canonical form of {"body": ..., "ok": true}: keys in that order
-        return b'{"body":' + encoded + b',"ok":true}\n'
+        return b"".join((b'{"body":', encoded, b',"ok":true}\n'))
 
     def _do_issue(self, body: dict) -> bytes:
         with decoding("issue body"):
@@ -145,7 +146,7 @@ class RegistryServer:
         with decoding("query-incidents body"):
             scope = IncidentScope.from_jsonable(body["scope"])
             window = TimeWindow.from_jsonable(body.get("window"))
-        return b'{"reports":[' + self.registry.incident_rows(scope, window) + b"]}"
+        return b"".join((b'{"reports":[', self.registry.incident_rows(scope, window), b"]}"))
 
     def _do_get_id(self, body: dict) -> bytes:
         with decoding("get-id body"):
@@ -172,10 +173,10 @@ class RegistryServer:
         encoded = canonical_json_bytes({"view": redact(signed, policy, key[1]).to_jsonable()})
         if len(encoded) <= _VIEW_MEMO_MAX_BYTES:
             with self._views_lock:
+                if key not in self._views and len(self._views) >= _VIEW_MEMO_SIZE:
+                    self._views.popitem(last=False)
                 self._views[key] = (signed, policy, encoded)
                 self._views.move_to_end(key)
-                if len(self._views) > _VIEW_MEMO_SIZE:
-                    self._views.popitem(last=False)
         return encoded
 
     def _do_get_lineage(self, body: dict) -> bytes:

@@ -37,7 +37,6 @@ from .canonical import (
     b64u,
     b64u_decode,
     canonical_json_bytes,
-    load_canonical,
     sha256,
 )
 from .errors import (
@@ -106,9 +105,6 @@ class KeyPair:
     def public_key(self) -> PublicKey:
         raw = self.private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
         return PublicKey(key_id=self.key_id, public=raw)
-
-    def author_ref(self) -> AuthorRef:
-        return AuthorRef(self.author_id, self.key_id)
 
     def sign(self, message: bytes) -> bytes:
         return self.private.sign(message)
@@ -210,13 +206,6 @@ class TrustStore:
         store.add_listing(body)
         return store
 
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_jsonable())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TrustStore":
-        return cls.from_jsonable(load_canonical(data))
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -255,13 +244,6 @@ class SignedId:
             doc=doc_from_jsonable(body["doc"]),
             signature=Signature.from_jsonable(body["signature"]),
         )
-
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_jsonable())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SignedId":
-        return cls.from_jsonable(load_canonical(data))
 
 
 class Verdict(enum.Enum):
@@ -392,17 +374,10 @@ class Manifest:
             signature=Signature.from_jsonable(body["signature"]),
         )
 
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_jsonable())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Manifest":
-        return cls.from_jsonable(load_canonical(data))
-
 
 def manifest_hash(manifest: Manifest) -> bytes:
     """Hash of the full canonical manifest (signature included): the chain link."""
-    return sha256(manifest.to_bytes())
+    return sha256(canonical_json_bytes(manifest.to_jsonable()))
 
 
 def create_manifest(
@@ -423,7 +398,7 @@ def create_manifest(
     prev_hash = ZERO_DIGEST if prev is None else manifest_hash(prev)
     unsigned = Manifest(
         identifier=identifier,
-        author=keypair.author_ref(),
+        author=AuthorRef(keypair.author_id, keypair.key_id),
         output_hash=sha256(output),
         seq=seq,
         prev_manifest_hash=prev_hash,

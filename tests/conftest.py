@@ -1,8 +1,10 @@
-"""Turn a leaked socket into a test failure for the tests in this directory.
+"""Turn a leaked socket or a failed worker thread into a test failure for
+the tests in this directory.
 
 An unclosed socket emits ``ResourceWarning`` when it is collected, often
-inside ``__del__``, where pytest reports it as an unraisable exception.
-Both become errors here, but only for the items under ``tests/``, so other
+inside ``__del__``, where pytest reports it as an unraisable exception. An
+exception that escapes a thread's target is otherwise only printed. All
+three become errors here, but only for the items under ``tests/``, so other
 suites that share the rootdir configuration keep the default filters.
 """
 
@@ -14,6 +16,7 @@ _HERE = Path(__file__).parent
 _LEAK_FILTERS = (
     pytest.mark.filterwarnings("error::ResourceWarning"),
     pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning"),
 )
 
 

@@ -18,6 +18,7 @@ from instanceid import (
     AttributeCategory,
     AttributeSpecificity,
     AttributeMatcher,
+    AuthorRef,
     DisclosurePolicy,
     IdDocument,
     KeyPair,
@@ -47,9 +48,13 @@ def build():
     trust = TrustStore()
     trust.register_key("acme", author.public_key())
     trust.register_key("mallory", attacker.public_key())
-    (FIXTURES / "trust_store.json").write_bytes(trust.to_bytes())
+    (FIXTURES / "trust_store.json").write_bytes(canonical_json_bytes(trust.to_jsonable()))
 
-    doc = IdDocument(parse_identifier("gpt4-0409:inst-00a1"), CREATED_AT, author.author_ref())
+    doc = IdDocument(
+        parse_identifier("gpt4-0409:inst-00a1"),
+        CREATED_AT,
+        AuthorRef(author.author_id, author.key_id),
+    )
     doc = add_attribute(
         doc,
         Attribute.linked(
@@ -85,7 +90,7 @@ def build():
     doc = replace(doc, links=(Link("ancestor", parse_identifier("gpt4-0409:inst-0001")),))
 
     honest = sign_id(doc, author)
-    (FIXTURES / "honest_signed_id.json").write_bytes(honest.to_bytes())
+    (FIXTURES / "honest_signed_id.json").write_bytes(canonical_json_bytes(honest.to_jsonable()))
 
     # tampering: one payload byte altered after signing
     tampered_body = honest.to_jsonable()
@@ -98,7 +103,7 @@ def build():
 
     # ID spoofing: attacker signs a document claiming acme authored it
     spoofed = sign_id(doc, KeyPair("acme", "mk1", attacker.private))
-    (FIXTURES / "spoofed_signed_id.json").write_bytes(spoofed.to_bytes())
+    (FIXTURES / "spoofed_signed_id.json").write_bytes(canonical_json_bytes(spoofed.to_jsonable()))
 
     policy = DisclosurePolicy(
         rules={
@@ -110,7 +115,8 @@ def build():
         }
     )
     view = redact(honest, policy, PartyClass.SERVICE_PROVIDER)
-    (FIXTURES / "service_provider_view.json").write_bytes(view.to_bytes())
+    view_bytes = canonical_json_bytes(view.to_jsonable())
+    (FIXTURES / "service_provider_view.json").write_bytes(view_bytes)
 
     m0 = create_manifest(doc.identifier, b"first output", None, author, CREATED_AT + 1)
     m1 = create_manifest(doc.identifier, b"second output", m0, author, CREATED_AT + 2)
@@ -127,7 +133,7 @@ def build():
             {"expect": "verified", "file": "service_provider_view.json", "kind": "view"},
         ],
         "manifest_outputs": ["first output", "second output"],
-        "view_sha256": sha256(view.to_bytes()).hex(),
+        "view_sha256": sha256(view_bytes).hex(),
     }
     (FIXTURES / "vectors.json").write_text(json.dumps(vectors, indent=2, sort_keys=True))
     print(f"wrote fixtures to {FIXTURES}")

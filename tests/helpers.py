@@ -113,7 +113,7 @@ def random_document(
 def random_signed(
     rng: random.Random, keypair: KeyPair, n_attrs: int = 3, n_links: int = 0
 ) -> SignedId:
-    doc = random_document(rng, keypair.author_ref(), n_attrs, n_links)
+    doc = random_document(rng, AuthorRef(keypair.author_id, keypair.key_id), n_attrs, n_links)
     return sign_id(doc, keypair)
 
 

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from instanceid import (
+    AuthorRef,
     Created,
     DisclosurePolicy,
     IdDocument,
@@ -114,12 +115,13 @@ def test_verify_without_at_uses_the_time_of_verification(runner, tmp_path, artif
     keypair = fixed_keypair("acme", "k1")
     trust = trust_for(keypair)
     trust.revoke_key("acme", "k1", 1000)
-    signed = sign_id(IdDocument(parse_identifier("sys-a:i1"), 10, keypair.author_ref()), keypair)
+    doc = IdDocument(parse_identifier("sys-a:i1"), 10, AuthorRef(keypair.author_id, keypair.key_id))
+    signed = sign_id(doc, keypair)
     if artifact == "view":
         signed = redact(signed, DisclosurePolicy(rules={}), PartyClass.PUBLIC)
     artifact_path, trust_path = tmp_path / "artifact.json", tmp_path / "trust.json"
-    artifact_path.write_bytes(signed.to_bytes())
-    trust_path.write_bytes(trust.to_bytes())
+    artifact_path.write_bytes(canonical_json_bytes(signed.to_jsonable()))
+    trust_path.write_bytes(canonical_json_bytes(trust.to_jsonable()))
     verify = ["id", "verify", str(artifact_path), "--trust-store", str(trust_path)]
 
     result = runner.invoke(main, verify)

@@ -57,7 +57,7 @@ from instanceid import (
     verify_manifest,
     verify_view,
 )
-from instanceid.canonical import b64u, canonical_json_line, load_canonical
+from instanceid.canonical import b64u, canonical_json_bytes, canonical_json_line, load_canonical
 from instanceid.errors import (
     DuplicateConstituents, MalformedIdentifier, MalformedRecord, ProtocolError,
 )
@@ -723,7 +723,9 @@ def test_load_canonical_reads_what_json_loads_reads(data):
 
 
 def test_a_trust_store_file_with_a_utf8_bom_loads():
-    assert TrustStore.from_bytes(b"\xef\xbb\xbf" + TRUST.to_bytes()).to_bytes() == TRUST.to_bytes()
+    data = canonical_json_bytes(TRUST.to_jsonable())
+    loaded = TrustStore.from_jsonable(load_canonical(b"\xef\xbb\xbf" + data))
+    assert canonical_json_bytes(loaded.to_jsonable()) == data
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from instanceid import (
     redact,
     verify_view,
 )
-from instanceid.canonical import b64u, b64u_decode, load_canonical
+from instanceid.canonical import b64u, b64u_decode, canonical_json_bytes, load_canonical
 from instanceid.disclosure import HiddenEntry, RevealedEntry, view_signing_bytes
 from instanceid.errors import InvalidDocument, MalformedRecord
 from instanceid.identity import digest_form_bytes
@@ -52,13 +52,14 @@ def test_named_attribute_hidden_from_service_provider():
         Attribute,
         AttributeCategory,
         AttributeSpecificity,
+        AuthorRef,
         IdDocument,
         add_attribute,
         parse_identifier,
         sign_id,
     )
 
-    doc = IdDocument(parse_identifier("s:i"), 50, KEYPAIR.author_ref())
+    doc = IdDocument(parse_identifier("s:i"), 50, AuthorRef(KEYPAIR.author_id, KEYPAIR.key_id))
     doc = add_attribute(
         doc,
         Attribute.inline_bytes(
@@ -245,7 +246,7 @@ def test_binding_mutation_matrix_100_percent_detection():
 def test_hidden_entries_reveal_only_name_and_digest():
     signed = signed_with(8)
     view = redact(signed, DisclosurePolicy(rules={}), PartyClass.PUBLIC)
-    body = load_canonical(view.to_bytes())
+    body = load_canonical(canonical_json_bytes(view.to_jsonable()))
     for entry in body["entries"]:
         assert entry["kind"] == "hidden"
         assert set(entry) == {"digest", "kind", "name"}
@@ -261,5 +262,6 @@ def test_entry_order_matches_document_order():
         e.attribute.name if hasattr(e, "attribute") else e.name for e in view.entries
     ]
     assert names == signed.doc.attribute_names()
-    round_tripped = DisclosedView.from_bytes(view.to_bytes())
+    data = canonical_json_bytes(view.to_jsonable())
+    round_tripped = DisclosedView.from_jsonable(load_canonical(data))
     assert round_tripped == view

@@ -47,19 +47,19 @@ def grow_random_dag(rng, n_events=60):
     for step in range(n_events):
         roll = rng.random()
         if roll < 0.35 or len(identifiers) < 2:
-            ident = store.register(Created(f"sys-{rng.randint(0, 3)}", f"u{step}"))
+            ident = store.commit(store.build(Created(f"sys-{rng.randint(0, 3)}", f"u{step}")))
         elif roll < 0.6:
             parent = rng.choice(identifiers)
-            ident = store.register(Regenerated(parent, branch_point=step))
+            ident = store.commit(store.build(Regenerated(parent, branch_point=step)))
         elif roll < 0.75:
             count = min(len(identifiers), rng.randint(2, 3))
             constituents = tuple(rng.sample(identifiers, count))
-            ident = store.register(Merged(constituents))
+            ident = store.commit(store.build(Merged(constituents)))
         elif roll < 0.9:
-            ident = store.register(Reloaded(rng.choice(identifiers)))
+            ident = store.commit(store.build(Reloaded(rng.choice(identifiers))))
             continue  # nothing new to track
         else:
-            ident = store.register(FineTuned(f"sys-{rng.randint(0, 3)}"))
+            ident = store.commit(store.build(FineTuned(f"sys-{rng.randint(0, 3)}")))
         identifiers.append(ident)
     return store, identifiers
 
@@ -69,17 +69,17 @@ def grow_random_dag(rng, n_events=60):
 
 def test_created_twice_yields_distinct_fresh_ids():
     store = LineageStore(rng=random.Random(1))
-    first = store.register(Created("s", "u1"))
-    second = store.register(Created("s", "u2"))
+    first = store.commit(store.build(Created("s", "u1")))
+    second = store.commit(store.build(Created("s", "u2")))
     assert first != second
     assert first.system_id == second.system_id == "s"
 
 
 def test_reloaded_retains_identifier_and_leaves_store_unchanged():
     store = LineageStore(rng=random.Random(2))
-    original = store.register(Created("s", "u"))
+    original = store.commit(store.build(Created("s", "u")))
     nodes, edges = store.nodes(), store.edges()
-    returned = store.register(Reloaded(original))
+    returned = store.commit(store.build(Reloaded(original)))
     assert returned == original
     assert store.nodes() == nodes
     assert store.edges() == edges
@@ -87,8 +87,8 @@ def test_reloaded_retains_identifier_and_leaves_store_unchanged():
 
 def test_regenerated_creates_branch_edge_under_parent_system():
     store = LineageStore(rng=random.Random(3))
-    parent = store.register(Created("s", "u"))
-    child = store.register(Regenerated(parent, branch_point=4))
+    parent = store.commit(store.build(Created("s", "u")))
+    child = store.commit(store.build(Regenerated(parent, branch_point=4)))
     assert child.system_id == "s"
     assert child != parent
     assert (str(parent), str(child), "branch") in store.edges()
@@ -96,9 +96,9 @@ def test_regenerated_creates_branch_edge_under_parent_system():
 
 def test_merged_links_constituents():
     store = LineageStore(rng=random.Random(4))
-    a = store.register(Created("s", "u"))
-    b = store.register(Created("s", "u"))
-    merged = store.register(Merged((a, b)))
+    a = store.commit(store.build(Created("s", "u")))
+    b = store.commit(store.build(Created("s", "u")))
+    merged = store.commit(store.build(Merged((a, b))))
     assert (str(a), str(merged), "constituent") in store.edges()
     assert (str(b), str(merged), "constituent") in store.edges()
     assert merged.system_id == composite_system_id(["s", "s"])
@@ -111,7 +111,7 @@ def test_composite_system_id_order_independent():
 
 def test_fine_tuned_creates_system_nodes_and_link():
     store = LineageStore(rng=random.Random(5))
-    ident = store.register(FineTuned("base-sys"))
+    ident = store.commit(store.build(FineTuned("base-sys")))
     assert ident.is_system_node
     assert ident.system_id.startswith("ft-")
     assert ("base-sys:_system", str(ident), "base-system") in store.edges()
@@ -119,14 +119,14 @@ def test_fine_tuned_creates_system_nodes_and_link():
 
 def test_register_errors():
     store = LineageStore(rng=random.Random(6))
-    a = store.register(Created("s", "u"))
+    a = store.commit(store.build(Created("s", "u")))
     ghost = InstanceIdentifier("s", "nonexistent0000")
     with pytest.raises(UnknownParent):
-        store.register(Regenerated(ghost))
+        store.commit(store.build(Regenerated(ghost)))
     with pytest.raises(UnknownConstituent):
-        store.register(Merged((a, ghost)))
+        store.commit(store.build(Merged((a, ghost))))
     with pytest.raises(DuplicateConstituents):
-        store.register(Merged((a, a)))
+        store.commit(store.build(Merged((a, a))))
 
 
 def test_external_link_adds_stub():
@@ -147,8 +147,8 @@ def test_an_upstream_that_descends_from_the_event_instance_is_refused():
     """A reload takes no upstream at all, and a new node is not its own
     upstream, so no upstream edge can close a cycle."""
     store = LineageStore(rng=random.Random(7))
-    a = store.register(Created("s", "u"))
-    b = store.register(Regenerated(a))
+    a = store.commit(store.build(Created("s", "u")))
+    b = store.commit(store.build(Regenerated(a)))
     nodes, edges = store.nodes(), store.edges()
     with pytest.raises(MalformedRecord, match="reload takes no upstream"):
         store.build(Reloaded(a), upstream=b)
@@ -164,7 +164,7 @@ def test_an_upstream_that_is_not_an_identifier_is_refused(upstream):
     """Only an ``InstanceIdentifier`` becomes an external node, so every
     node parses and a walk never meets one that does not."""
     store = LineageStore(rng=random.Random(7))
-    store.register(Created("s", "u"))
+    store.commit(store.build(Created("s", "u")))
     nodes, edges = store.nodes(), store.edges()
     with pytest.raises(MalformedRecord, match="upstream must be an InstanceIdentifier"):
         store.build(Created("s", "u"), upstream=upstream)
@@ -177,18 +177,18 @@ def test_an_upstream_that_is_not_an_identifier_is_refused(upstream):
 
 def test_ancestors_trivial_cases():
     store = LineageStore(rng=random.Random(8))
-    root = store.register(Created("s", "u"))
+    root = store.commit(store.build(Created("s", "u")))
     assert store.ancestors(root) == set()
-    mid = store.register(Regenerated(root))
-    leaf = store.register(Regenerated(mid))
+    mid = store.commit(store.build(Regenerated(root)))
+    leaf = store.commit(store.build(Regenerated(mid)))
     assert store.ancestors(leaf) == {root, mid}
     assert store.descendants(leaf) == set()
 
 
 def test_descendants_star():
     store = LineageStore(rng=random.Random(9))
-    root = store.register(Created("s", "u"))
-    branches = {store.register(Regenerated(root)) for _ in range(5)}
+    root = store.commit(store.build(Created("s", "u")))
+    branches = {store.commit(store.build(Regenerated(root))) for _ in range(5)}
     assert store.descendants(root) == branches
 
 
@@ -233,14 +233,14 @@ def test_validate_acyclic_cases():
     assert empty.validate_acyclic()
 
     chain = LineageStore(rng=random.Random(11))
-    a = chain.register(Created("s", "u"))
-    b = chain.register(Regenerated(a))
-    chain.register(Regenerated(b))
+    a = chain.commit(chain.build(Created("s", "u")))
+    b = chain.commit(chain.build(Regenerated(a)))
+    chain.commit(chain.build(Regenerated(b)))
     assert chain.validate_acyclic()
 
     broken = LineageStore(rng=random.Random(12))
-    x = broken.register(Created("s", "u"))
-    y = broken.register(Regenerated(x))
+    x = broken.commit(broken.build(Created("s", "u")))
+    y = broken.commit(broken.build(Regenerated(x)))
     broken._add_edge(str(y), str(x), "branch")  # corrupt: inject a 2-cycle
     assert not broken.validate_acyclic()
 
@@ -256,15 +256,13 @@ def test_every_event_preserves_acyclicity_and_freshness():
             before_edges = store.edges()
             roll = rng.random()
             if roll < 0.4 or len(identifiers) < 2:
-                ident = store.register(Created("s", f"u{step}"))
+                ident = store.commit(store.build(Created("s", f"u{step}")))
             elif roll < 0.7:
-                ident = store.register(Regenerated(rng.choice(identifiers)))
+                ident = store.commit(store.build(Regenerated(rng.choice(identifiers))))
             elif roll < 0.85:
-                ident = store.register(
-                    Merged(tuple(rng.sample(identifiers, 2)))
-                )
+                ident = store.commit(store.build(Merged(tuple(rng.sample(identifiers, 2)))))
             else:
-                ident = store.register(Reloaded(rng.choice(identifiers)))
+                ident = store.commit(store.build(Reloaded(rng.choice(identifiers))))
                 assert str(ident) in seen  # reload is the one non-fresh case
                 continue
             assert str(ident) not in seen, "freshness violated"
@@ -278,14 +276,14 @@ def test_every_event_preserves_acyclicity_and_freshness():
 
 def test_branch_independence():
     store = LineageStore(rng=random.Random(13))
-    root = store.register(Created("s", "u"))
-    branch_a = store.register(Regenerated(root))
-    branch_b = store.register(Regenerated(root))
+    root = store.commit(store.build(Created("s", "u")))
+    branch_a = store.commit(store.build(Regenerated(root)))
+    branch_b = store.commit(store.build(Regenerated(root)))
     edges_b_before = {
         edge for edge in store.edges() if str(branch_b) in (edge[0], edge[1])
     }
     for _ in range(10):
-        store.register(Regenerated(branch_a))
+        store.commit(store.build(Regenerated(branch_a)))
     edges_b_after = {
         edge for edge in store.edges() if str(branch_b) in (edge[0], edge[1])
     }

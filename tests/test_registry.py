@@ -96,7 +96,8 @@ def test_issue_reloaded_returns_stored_document():
     registry, _ = make_registry()
     signed = registry.issue(Created("sys-a", "u"))
     again = registry.issue(Reloaded(signed.doc.identifier))
-    assert again.to_bytes() == signed.to_bytes()
+    assert canonical_json_bytes(again.to_jsonable()) == \
+        canonical_json_bytes(signed.to_jsonable())
     with pytest.raises(NotFound):
         registry.issue(Reloaded(parse_identifier("sys-a:never-issued00")))
 
@@ -164,7 +165,8 @@ def test_issue_idempotent_per_nonce():
     first = registry.issue(Created("sys-a", "u"), nonce="req-1")
     log_after_first = registry.log_lines()
     retried = registry.issue(Created("sys-a", "u"), nonce="req-1")
-    assert retried.to_bytes() == first.to_bytes()
+    assert canonical_json_bytes(retried.to_jsonable()) == \
+        canonical_json_bytes(first.to_jsonable())
     assert registry.log_lines() == log_after_first
 
 
@@ -467,7 +469,8 @@ def test_lineage_reads_never_race_lineage_writes():
 def test_get_id_round_trip_and_not_found():
     registry, _ = make_registry()
     signed = registry.issue(Created("sys-a", "u"))
-    assert registry.get_id(signed.doc.identifier).to_bytes() == signed.to_bytes()
+    fetched = registry.get_id(signed.doc.identifier)
+    assert canonical_json_bytes(fetched.to_jsonable()) == canonical_json_bytes(signed.to_jsonable())
     with pytest.raises(NotFound) as excinfo:
         registry.get_id(parse_identifier("sys-a:missing00"))
     assert excinfo.value.detail == "unknown"
@@ -553,10 +556,13 @@ def test_restart_replay_reproduces_identical_state():
     replayed = Registry.replay(registry.log_lines(), "acme", clock=clock)
     assert replayed.canonical_state_bytes() == registry.canonical_state_bytes()
     # replay without the private key can still serve reads
-    assert replayed.get_id(parent).to_bytes() == registry.get_id(parent).to_bytes()
+    assert canonical_json_bytes(replayed.get_id(parent).to_jsonable()) == \
+        canonical_json_bytes(registry.get_id(parent).to_jsonable())
     # nonce idempotency survives restart once the key is re-installed
     replayed.install_key(fixed_keypair("acme", "k1"))
-    assert replayed.issue(Created("sys-a", "u0"), nonce="n0").to_bytes() == signeds[0].to_bytes()
+    reissued = replayed.issue(Created("sys-a", "u0"), nonce="n0")
+    assert canonical_json_bytes(reissued.to_jsonable()) == \
+        canonical_json_bytes(signeds[0].to_jsonable())
 
 
 def test_replay_keeps_log_bytes_and_rejects_repeated_report_id():

@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 import weakref
-from collections import Counter
+from collections import Counter, OrderedDict
 from contextlib import ExitStack
 from itertools import count
 
@@ -81,7 +81,8 @@ def test_issue_and_get_id_roundtrip_both_transports(clients):
     for client in clients:
         signed = client.issue(Created("sys-a", "user-1"), nonce=f"n-{id(client)}")
         fetched = client.get_id(signed.doc.identifier)
-        assert fetched.to_bytes() == signed.to_bytes()
+        assert canonical_json_bytes(fetched.to_jsonable()) == \
+            canonical_json_bytes(signed.to_jsonable())
 
 
 def test_transports_return_identical_bodies(served, clients):
@@ -668,6 +669,31 @@ def test_the_view_memo_never_holds_more_than_its_bound():
             assert len(server._views) <= bound
     assert len(server._views) == bound
     assert next(reversed(server._views)) == (str(identifiers[-1]), list(PartyClass)[-1])
+
+
+def test_the_view_memo_evicts_before_it_inserts(monkeypatch):
+    """The memo is within its bound right after every insertion, so a
+    reader never sees it over the bound; refreshing a held entry evicts
+    nothing."""
+    bound = 4
+    monkeypatch.setattr(instanceid.service, "_VIEW_MEMO_SIZE", bound)
+    sizes = []
+
+    class SizeRecording(OrderedDict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    registry = _registry()
+    server = RegistryServer(registry)
+    server._views = SizeRecording()
+    identifiers = [registry.issue(Created("sys-a", f"u{n}")).doc.identifier for n in range(6)]
+    for identifier in identifiers:
+        server.handle(_view_request(identifier, PartyClass.AUDITOR))
+    registry.disclosure_policy = DisclosurePolicy(rules={})  # every held view is now stale
+    server.handle(_view_request(identifiers[-1], PartyClass.AUDITOR))
+    assert sizes == [1, 2, 3, 4, 4, 4, 4]
+    assert list(server._views) == [(str(i), PartyClass.AUDITOR) for i in identifiers[2:]]
 
 
 def test_a_view_longer_than_the_memo_takes_is_served_but_not_kept(monkeypatch):

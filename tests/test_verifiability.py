@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from instanceid import (
+    AuthorRef,
     KeyPair,
     Manifest,
     SignedId,
@@ -20,7 +21,7 @@ from instanceid import (
     verify_id,
     verify_manifest,
 )
-from instanceid.canonical import ZERO_DIGEST
+from instanceid.canonical import ZERO_DIGEST, canonical_json_bytes, load_canonical
 from instanceid.disclosure import DisclosedView, verify_view
 from instanceid.errors import (
     AlreadyRevoked,
@@ -81,7 +82,7 @@ def test_id_spoofing_with_attacker_key(keypair, trust):
     attacker = fixed_keypair("mallory", "mk1")
     trust.register_key("mallory", attacker.public_key())
     # doc claims acme authorship but the signature comes from mallory's key
-    doc = random_document(random.Random(4), keypair.author_ref())
+    doc = random_document(random.Random(4), AuthorRef(keypair.author_id, keypair.key_id))
     spoofed = sign_id(doc, KeyPair("acme", "mk1", attacker.private))
     verdict = verify_id(spoofed, trust, 0).verdict
     assert verdict in (Verdict.UNKNOWN_KEY, Verdict.BAD_SIGNATURE)
@@ -127,8 +128,9 @@ def test_key_registry_errors(keypair):
 def test_trust_store_file_round_trip(keypair):
     trust = trust_for(keypair, fixed_keypair("beta", "b1"))
     trust.revoke_key("beta", "b1", 77)
-    restored = TrustStore.from_bytes(trust.to_bytes())
-    assert restored.to_bytes() == trust.to_bytes()
+    data = canonical_json_bytes(trust.to_jsonable())
+    restored = TrustStore.from_jsonable(load_canonical(data))
+    assert canonical_json_bytes(restored.to_jsonable()) == data
     assert restored.lookup("beta", "b1").revoked_at == 77
 
 
@@ -226,7 +228,8 @@ def test_backdated_manifest_is_checked_at_the_callers_time(keypair, trust):
 
 def test_manifest_serialization_round_trip(keypair):
     manifest = _chain(keypair, 2)[1]
-    assert Manifest.from_bytes(manifest.to_bytes()) == manifest
+    data = canonical_json_bytes(manifest.to_jsonable())
+    assert Manifest.from_jsonable(load_canonical(data)) == manifest
 
 
 # -- bridge to disclosure -----------------------------------------------------------
@@ -248,20 +251,20 @@ def test_signature_covers_digest_form_only(keypair, trust):
 
 def test_fixture_vectors():
     vectors = json.loads((FIXTURES / "vectors.json").read_text())
-    trust = TrustStore.from_bytes((FIXTURES / "trust_store.json").read_bytes())
+    trust = TrustStore.from_jsonable(load_canonical((FIXTURES / "trust_store.json").read_bytes()))
     at = vectors["at"]
     for entry in vectors["artifacts"]:
         raw = (FIXTURES / entry["file"]).read_bytes()
         if entry["kind"] == "signed-id":
-            report = verify_id(SignedId.from_bytes(raw), trust, at)
+            report = verify_id(SignedId.from_jsonable(load_canonical(raw)), trust, at)
         else:
-            report = verify_view(DisclosedView.from_bytes(raw), trust, at)
+            report = verify_view(DisclosedView.from_jsonable(load_canonical(raw)), trust, at)
         assert report.verdict.value == entry["expect"], entry["file"]
 
 
 def test_fixture_manifest_chain():
     vectors = json.loads((FIXTURES / "vectors.json").read_text())
-    trust = TrustStore.from_bytes((FIXTURES / "trust_store.json").read_bytes())
+    trust = TrustStore.from_jsonable(load_canonical((FIXTURES / "trust_store.json").read_bytes()))
     chain_body = json.loads((FIXTURES / "manifest_chain.json").read_text())
     chain = [Manifest.from_jsonable(item) for item in chain_body]
     for manifest, output in zip(chain, vectors["manifest_outputs"]):
@@ -279,4 +282,4 @@ def test_fixtures_regenerate_byte_identical(tmp_path, monkeypatch):
 
 def test_malformed_manifest_rejected():
     with pytest.raises(MalformedRecord):
-        Manifest.from_bytes(b"{\"not\": \"a manifest\"}")
+        Manifest.from_jsonable(load_canonical(b"{\"not\": \"a manifest\"}"))
