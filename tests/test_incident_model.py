@@ -13,7 +13,7 @@ and on its replay.
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -129,8 +129,11 @@ class IncidentDatabase(RuleBasedStateMachine):
         assert replayed.log_lines() == log
 
 
+# No shrinking: a failing run is reported as found, in seconds, not after
+# minutes spent shrinking it; derandomize keeps the runs checked the same.
 IncidentDatabase.TestCase.settings = settings(
     derandomize=True, max_examples=60, stateful_step_count=30, deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
     suppress_health_check=[HealthCheck.too_slow],
 )
 test_incident_database_matches_its_model = IncidentDatabase.TestCase

@@ -44,7 +44,12 @@ from instanceid.errors import (
 )
 from instanceid.registry import INCIDENT_DB_ATTRIBUTE, USER_REF_ATTRIBUTE
 
-from helpers import brute_force_incident_filter, fixed_keypair, seed_incident_corpus
+from helpers import (
+    brute_force_incident_filter,
+    fixed_keypair,
+    reference_issue,
+    seed_incident_corpus,
+)
 from test_service import AWKWARD_TEXT
 
 
@@ -751,3 +756,66 @@ def test_replay_reproduces_the_live_registry(data):
                if child == key and registry.lineage.is_external(parse_identifier(parent))]
         )
         assert sorted((link.relation, str(link.target)) for link in signed.doc.links) == expected
+
+
+# -- the document issued in one pass -----------------------------------------------------
+
+_CARD_NAMES = st.sampled_from([USER_REF_ATTRIBUTE, INCIDENT_DB_ATTRIBUTE, "cert:a", "cert:b"])
+# "drawn": the salt the registry's rng draws first after one instance identifier,
+# which is the incident-db attribute's salt in a creation, a regeneration or a merge
+_CARD_SALTS = st.sampled_from([None, None, bytes(16), b"\x01" * 16, "drawn"])
+_ISSUES = ["created", "created-without-user-ref", "regenerated", "reloaded", "merged",
+           "fine-tuned"]
+
+
+def _drawn_salt(registry):
+    rng = random.Random()
+    rng.setstate(registry._rng.getstate())
+    rng.getrandbits(128)
+    return bytes(rng.getrandbits(8) for _ in range(16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_issue_signs_and_logs_the_document_built_one_attribute_at_a_time(data):
+    """``Registry.issue`` against ``reference_issue`` on twin registries:
+    every issue returns the same signed bytes or raises the same error,
+    logs the same line and leaves the rng in the same state, whether caller
+    attributes bring salts or not, repeat a name (the registry's own among
+    them) or repeat a salt."""
+    seed = data.draw(st.integers(0, 3))
+    live, _ = make_registry(seed)
+    twin, _ = make_registry(seed)
+    instances = [GHOST]
+
+    def instance():
+        return data.draw(st.sampled_from(instances))
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        event = {
+            "created": lambda: Created("sys-a", "u"),
+            "created-without-user-ref": lambda: Created("sys-b", ""),
+            "regenerated": lambda: Regenerated(instance()),
+            "reloaded": lambda: Reloaded(instance()),
+            "merged": lambda: Merged((instance(), instance())),
+            "fine-tuned": lambda: FineTuned("sys-a"),
+        }[data.draw(st.sampled_from(_ISSUES))]()
+        drawn = _drawn_salt(live)
+        cards = [_card(name, drawn if salt == "drawn" else salt)
+                 for name, salt in data.draw(st.lists(st.tuples(_CARD_NAMES, _CARD_SALTS),
+                                                      max_size=4))]
+        nonce = data.draw(st.sampled_from([None, "n0"]))
+        upstream = data.draw(st.sampled_from([None, _UPSTREAM]))
+        outcomes = []
+        for registry, issue in ((live, Registry.issue), (twin, reference_issue)):
+            try:
+                signed = issue(registry, event, cards, nonce=nonce, upstream=upstream)
+            except ProtocolError as exc:
+                outcomes.append((type(exc), exc.args))
+            else:
+                outcomes.append(canonical_json_bytes(signed.to_jsonable()))
+        assert outcomes[0] == outcomes[1]
+        assert live.log_lines() == twin.log_lines()
+        assert live._rng.getstate() == twin._rng.getstate()
+        if isinstance(outcomes[0], bytes):
+            instances.append(signed.doc.identifier)
