@@ -51,7 +51,7 @@ class PartyClass(enum.Enum):
     PUBLIC = "public"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeMatcher:
     """All present constraints must hold; an empty matcher matches everything."""
 
@@ -73,7 +73,7 @@ class AttributeMatcher:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisclosurePolicy:
     """party class -> matchers revealing an attribute; default-deny otherwise.
 
@@ -94,13 +94,13 @@ class DisclosurePolicy:
         return any(matcher.matches(attr) for matcher in matchers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevealedEntry:
     attribute: Attribute  # salt included; needed to recompute the commitment
     digest: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HiddenEntry:
     name: str
     digest: bytes
@@ -113,7 +113,7 @@ class HiddenEntry:
 ViewEntry = Union[RevealedEntry, HiddenEntry]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisclosedView:
     """A redaction of a signed ID; entries keep document order so the
     signing bytes can be reconstructed.

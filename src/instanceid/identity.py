@@ -16,7 +16,7 @@ import functools
 import os
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Any, Iterable, Optional
 
@@ -56,25 +56,60 @@ def is_attribute_name(text: str) -> bool:
     return isinstance(text, str) and bool(_NAME_RE.match(text))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class InstanceIdentifier:
-    """``system_id:instance_id`` — names one instance of one system."""
+    """``system_id:instance_id`` — names one instance of one system.
+
+    The ``system_id:instance_id`` text is made once, when the identifier is
+    built, and ``str`` returns that one object each time, so the documents,
+    lineage nodes and index scopes keyed by it share one string. It is not
+    a field to compare, order, hash or show: those see the two tokens."""
 
     system_id: str
     instance_id: str
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_token(self.system_id):
             raise MalformedIdentifier(f"bad system_id token: {self.system_id!r}")
         if not is_token(self.instance_id) and self.instance_id != SYSTEM_SENTINEL:
             raise MalformedIdentifier(f"bad instance_id token: {self.instance_id!r}")
+        object.__setattr__(self, "_text", f"{self.system_id}{SEPARATOR}{self.instance_id}")
 
     def __str__(self) -> str:
-        return f"{self.system_id}{SEPARATOR}{self.instance_id}"
+        return self._text
 
     @property
     def is_system_node(self) -> bool:
         return self.instance_id == SYSTEM_SENTINEL
+
+
+SHARED_TEXTS = 1 << 12  # texts the shared-text memo keeps, most recently used first
+# a longer text is not shared; the longest incident-db link a registry
+# formats, from a 128-character author and system id, has 298
+SHARED_TEXT_CHARS = 512
+
+
+def shared_text(text: Any) -> Any:
+    """``text``, or an equal ``str`` returned for it before: the one object
+    that every record decoded with this text holds.
+
+    Author and key ids, attribute names, media types, links, system ids and
+    reporters repeat across thousands of decoded records with only a handful
+    of distinct values, and the JSON decoder makes a new string for each.
+    Only an exact ``str`` of at most ``SHARED_TEXT_CHARS`` characters
+    reaches the memo, which keeps the ``SHARED_TEXTS`` most recently used
+    (~2.7 MB at most in CPython 3.11 for ASCII texts); anything else comes
+    back as it is, for the caller's checks to refuse as before.
+    """
+    if type(text) is str and len(text) <= SHARED_TEXT_CHARS:
+        return _shared_text(text)
+    return text
+
+
+@functools.lru_cache(maxsize=SHARED_TEXTS)
+def _shared_text(text: str) -> str:
+    return text
 
 
 def parse_identifier(text: str) -> InstanceIdentifier:
@@ -83,8 +118,8 @@ def parse_identifier(text: str) -> InstanceIdentifier:
     Decoding a reply or a log parses the same identifiers again and again,
     so the split and the validated ``InstanceIdentifier`` (an immutable
     value, so a hit equals a fresh parse) are memoised for the ``1 << 14``
-    most recently used texts, each at most 257 characters (~13 MB at most
-    in CPython 3.11). Only a ``str`` holding the separator reaches the
+    most recently used texts, each at most 257 characters (~13.5 MB at
+    most in CPython 3.11). Only a ``str`` holding the separator reaches the
     memo, and it keeps no failed parse, so every call on bad input raises
     ``MalformedIdentifier``.
     """
@@ -96,7 +131,10 @@ def parse_identifier(text: str) -> InstanceIdentifier:
 @functools.lru_cache(maxsize=1 << 14)
 def _split_identifier(text: str) -> InstanceIdentifier:
     system_id, _, instance_id = text.partition(SEPARATOR)
-    return InstanceIdentifier(system_id, instance_id)
+    identifier = InstanceIdentifier(shared_text(system_id), instance_id)
+    if type(text) is str:  # str() gives the memo's key, never a str subclass
+        object.__setattr__(identifier, "_text", text)
+    return identifier
 
 
 def fresh_instance_id(rng: Optional[random.Random] = None) -> str:
@@ -133,7 +171,7 @@ class AttributeSpecificity(enum.Enum):
     SYSTEMS = "systems"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InlinePayload:
     data: bytes
     media_type: str = "application/octet-stream"
@@ -145,7 +183,7 @@ class InlinePayload:
             raise InvalidDocument("media_type must be a non-empty ASCII token")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     """One named piece of information; payload is inline bytes or a link.
 
@@ -221,14 +259,14 @@ class Attribute:
         if "inline" in body:
             inline = InlinePayload(
                 data=b64u_decode(body["inline"]["data"]),
-                media_type=body["inline"]["media_type"],
+                media_type=shared_text(body["inline"]["media_type"]),
             )
         return cls(
-            body["name"],
+            shared_text(body["name"]),
             AttributeCategory(body["category"]),
             AttributeSpecificity(body["specificity"]),
             inline,
-            body.get("link"),
+            shared_text(body.get("link")),
             b64u_decode(body["salt"]) if body.get("salt") is not None else None,
         )
 
@@ -239,7 +277,7 @@ def attribute_digest(attr: Attribute) -> bytes:
     return sha256(attr.salt + canonical_json_bytes(attr.payload_jsonable()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorRef:
     """Claimed author: a deployer name plus the key it signs with."""
 
@@ -258,10 +296,10 @@ class AuthorRef:
     @classmethod
     @decoding("author")
     def from_jsonable(cls, body: Any) -> "AuthorRef":
-        return cls(body["author_id"], body["key_id"])
+        return cls(shared_text(body["author_id"]), shared_text(body["key_id"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     relation: str
     target: InstanceIdentifier
@@ -281,7 +319,7 @@ class Link:
         return cls(body["relation"], parse_identifier(body["target"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdDocument:
     """Container for an identifier plus attributes and relation links.
 

@@ -66,7 +66,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .canonical import canonical_json_bytes
 from .errors import MalformedRecord, decoding
-from .identity import InstanceIdentifier, parse_identifier
+from .identity import InstanceIdentifier, parse_identifier, shared_text
 
 
 class Severity(enum.Enum):
@@ -182,9 +182,11 @@ class IncidentReport(_IncidentFields):
     @decoding("incident report")
     def from_jsonable(cls, body: Any) -> "IncidentReport":
         """The report of one object, decoded by ``from_table``; an absent
-        ``user_ref`` is null."""
+        ``user_ref`` is null. Its reporter is the ``shared_text`` one, which
+        the registry's reports of that reporter hold; ``from_table`` shares
+        no text, since the reports of a reply are the caller's to drop."""
         return cls.from_table([
-            body["report_id"], body["identifier"], body["reporter"], body["severity"],
+            body["report_id"], body["identifier"], shared_text(body["reporter"]), body["severity"],
             body["description"], body["occurred_at"], body.get("user_ref"),
         ])[0]
 
@@ -198,7 +200,7 @@ SCOPE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncidentScope:
     """One of five specificity levels an incident query can target."""
 
@@ -240,7 +242,7 @@ class IncidentScope:
         return cls(body["kind"], body["value"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     """Inclusive bounds; ``None`` leaves a side open."""
 

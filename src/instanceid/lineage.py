@@ -39,6 +39,7 @@ from .identity import (
     fresh_instance_id,
     is_token,
     parse_identifier,
+    shared_text,
 )
 
 EDGE_BRANCH = "branch"
@@ -46,7 +47,7 @@ EDGE_CONSTITUENT = "constituent"
 EDGE_BASE_SYSTEM = "base-system"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Created:
     system_id: str
     user_ref: str
@@ -56,12 +57,12 @@ class Created:
             raise MalformedRecord(f"bad created event: {self.system_id!r}, {self.user_ref!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reloaded:
     original: InstanceIdentifier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Regenerated:
     parent: InstanceIdentifier
     branch_point: int = 0
@@ -71,7 +72,7 @@ class Regenerated:
             raise MalformedRecord(f"bad branch_point: {self.branch_point!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Merged:
     constituents: tuple[InstanceIdentifier, ...]
 
@@ -80,7 +81,7 @@ class Merged:
             raise MalformedRecord("merge needs at least two constituents")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FineTuned:
     base_system_id: str
 
@@ -120,7 +121,7 @@ def event_to_jsonable(event: LineageEvent) -> dict:
 def event_from_jsonable(body: Any) -> LineageEvent:
     kind = body["kind"]
     if kind == "created":
-        return Created(body["system_id"], body["user_ref"])
+        return Created(shared_text(body["system_id"]), body["user_ref"])
     if kind == "reloaded":
         return Reloaded(parse_identifier(body["original"]))
     if kind == "regenerated":
@@ -128,7 +129,7 @@ def event_from_jsonable(body: Any) -> LineageEvent:
     if kind == "merged":
         return Merged(tuple(parse_identifier(c) for c in body["constituents"]))
     if kind == "fine-tuned":
-        return FineTuned(body["base_system_id"])
+        return FineTuned(shared_text(body["base_system_id"]))
     raise MalformedRecord(f"unknown event kind: {kind!r}")
 
 

@@ -34,7 +34,7 @@ a fresh redaction gives. The memo keeps the ``1 << 12`` most recently
 served views of at most 4 KiB each (a larger one is served unstored). When
 it is full, the oldest view leaves before a new one enters, so it never
 holds more. Besides the documents and policies it shares with the registry
-it holds at most ~19 MB in CPython 3.11; views of ~0.7 KB, as the
+it holds at most ~18 MB in CPython 3.11; views of ~0.7 KB, as the
 ``investigate`` benchmark's, take ~4 MB. A lock guards it, so concurrent
 handler threads never iterate it while another thread changes it.
 

@@ -57,10 +57,11 @@ from .identity import (
     doc_to_jsonable,
     is_token,
     parse_identifier,
+    shared_text,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicKey:
     key_id: str
     public: bytes
@@ -81,7 +82,7 @@ class PublicKey:
         return cls(body["key_id"], b64u_decode(body["public"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """Private signing key held by an author; never serialized with state."""
 
@@ -110,7 +111,7 @@ class KeyPair:
         return self.private.sign(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyRecord:
     """A public key, revoked at an integer time or (``None``) active.
 
@@ -207,7 +208,7 @@ class TrustStore:
         return store
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """An ed25519 signature by the key ``key_id``; the JSON form names the
     suite, and decoding refuses any other."""
@@ -226,10 +227,10 @@ class Signature:
     @decoding("signature")
     def from_jsonable(cls, body: Any) -> "Signature":
         _check_suite(body["suite"], SIGNATURE_SUITE)
-        return cls(body["key_id"], b64u_decode(body["sig"]))
+        return cls(shared_text(body["key_id"]), b64u_decode(body["sig"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedId:
     doc: IdDocument
     signature: Signature
@@ -256,7 +257,7 @@ class Verdict(enum.Enum):
     DIGEST_MISMATCH = "digest-mismatch"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     verdict: Verdict
     detail: str = ""
@@ -321,7 +322,7 @@ def verify_id(signed: SignedId, trust_store: TrustStore, at: int) -> Verificatio
 # -- manifests ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Manifest:
     """Signed binding of one output's hash to an identifier, chainable."""
 

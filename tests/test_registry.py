@@ -4,6 +4,7 @@ retention, replay byte-identity."""
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from instanceid import (
     SimClock,
     TimeWindow,
     parse_identifier,
+    sign_id,
     verify_id,
 )
 from instanceid.canonical import canonical_json_bytes, canonical_json_line, load_canonical
@@ -42,6 +44,7 @@ from instanceid.errors import (
     ProtocolError,
     UnknownIdentifier,
 )
+import instanceid.registry
 from instanceid.registry import INCIDENT_DB_ATTRIBUTE, USER_REF_ATTRIBUTE
 
 from helpers import (
@@ -606,6 +609,40 @@ def test_replay_keeps_log_bytes_and_rejects_repeated_report_id():
     )
     with pytest.raises(MalformedRecord):
         Registry.replay(log + incident_line, "acme", clock=clock)
+
+
+def test_a_live_issue_derives_its_links_once_and_replay_checks_them(monkeypatch):
+    registry, clock = make_registry(seed=14)
+    root = registry.issue(Created("sys-a", "u0")).doc.identifier
+    calls = []
+    links = instanceid.registry._links
+    monkeypatch.setattr(instanceid.registry, "_links", lambda *a: calls.append(a) or links(*a))
+    child = registry.issue(Regenerated(root))
+    assert len(calls) == 1 and [link.target for link in child.doc.links] == [root]
+
+    *head, line = registry.log_lines().splitlines(keepends=True)
+    record = load_canonical(line)
+    relinked = sign_id(replace(child.doc, links=()), fixed_keypair("acme", "k1"))
+    forged = canonical_json_line({**record, "signed": relinked.to_jsonable()})
+    with pytest.raises(MalformedRecord, match="links its lineage lacks"):
+        Registry.replay(b"".join(head) + forged, "acme", clock=clock)
+
+
+@pytest.mark.parametrize(
+    "newline", [lambda log: log.replace(b"\n", b"\r\n"), lambda log: log.replace(b"\n", b"\r"),
+                lambda log: log.replace(b"\n", b"\r", 1)],
+    ids=["crlf", "cr", "one-cr"],
+)
+def test_replay_refuses_a_log_with_carriage_returns(newline):
+    registry, clock = make_registry(seed=15)
+    root = registry.issue(Created("sys-a", "u0")).doc.identifier
+    registry.report_incident(
+        IncidentReport("r1", root, "service.x", Severity.MAJOR, "x", clock.now())
+    )
+    log = registry.log_lines()
+    with pytest.raises(MalformedRecord):
+        Registry.replay(newline(log), "acme", clock=clock)
+    assert Registry.replay(log, "acme", clock=clock).log_lines() == log
 
 
 def test_live_and_replayed_reports_keep_no_bytes():
