@@ -1,12 +1,17 @@
 """Command-line tool: scenario replays, registry serving, artifact checks.
 
-Exit codes: 0 success/Verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success or ``verified``; 1 a failed verification, or input,
+a file or a socket that the command cannot use (a malformed or unreadable
+artifact, log or config, an unwritable output, a port that cannot be
+bound), reported as one ``<prefix>: <detail>`` line on stderr; 2 a usage
+error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +40,17 @@ def main():
     """Verifiable instance IDs: inspect, verify, serve, simulate."""
 
 
+@contextmanager
+def _failing(prefix: str):
+    """Report a ``ProtocolError`` or ``OSError`` raised in the block as one
+    ``<prefix>: <detail>`` line on stderr, and exit 1."""
+    try:
+        yield
+    except (ProtocolError, OSError) as exc:
+        click.echo(f"{prefix}: {exc}", err=True)
+        sys.exit(1)
+
+
 def _load_artifact(path: str):
     data = Path(path).read_bytes()
     body = load_canonical(data)
@@ -53,11 +69,8 @@ def id_group():
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
 def id_inspect(file, fmt):
     """Print the contents of a signed ID (or view) file."""
-    try:
+    with _failing("malformed artifact"):
         artifact = _load_artifact(file)
-    except ProtocolError as exc:
-        click.echo(f"malformed artifact: {exc}", err=True)
-        sys.exit(1)
     if isinstance(artifact, SignedId):
         doc = artifact.doc
         summary = {
@@ -89,12 +102,9 @@ def id_inspect(file, fmt):
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
 def id_verify(file, trust_path, at, fmt):
     """Verify a signed ID or a disclosed view against a trust store."""
-    try:
+    with _failing("malformed input"):
         artifact = _load_artifact(file)
         trust = TrustStore.from_jsonable(load_canonical(Path(trust_path).read_bytes()))
-    except ProtocolError as exc:
-        click.echo(f"malformed input: {exc}", err=True)
-        sys.exit(1)
     verify = verify_id if isinstance(artifact, SignedId) else verify_view
     report = verify(artifact, trust, SystemClock().now() if at is None else at)
     if fmt == "canonical":
@@ -110,24 +120,21 @@ def lineage_group():
     """Query lineage reconstructed from a registry event log."""
 
 
-def _registry_from_log(log_path: str, author_id: str) -> Registry:
-    return Registry.replay(Path(log_path).read_bytes(), author_id, clock=SystemClock())
+def _registry_from_log(log_path: str) -> Registry:
+    # a read-only query never signs, so the registry's author id is moot
+    return Registry.replay(Path(log_path).read_bytes(), "registry", clock=SystemClock())
 
 
 @lineage_group.command("trace")
 @click.argument("identifier")
 @click.option("--direction", type=click.Choice(["ancestors", "descendants"]), default="ancestors")
 @click.option("--log", "log_path", required=True, type=click.Path(exists=True))
-@click.option("--author", "author_id", default="registry")
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
-def lineage_trace(identifier, direction, log_path, author_id, fmt):
+def lineage_trace(identifier, direction, log_path, fmt):
     """List ancestors or descendants of IDENTIFIER."""
-    try:
-        registry = _registry_from_log(log_path, author_id)
+    with _failing("error"):
+        registry = _registry_from_log(log_path)
         related = registry.get_lineage(parse_identifier(identifier), direction)
-    except ProtocolError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
     for ident, external in related:
         if fmt == "canonical":
             click.echo(canonical_json_line({"external": external, "identifier": str(ident)}),
@@ -146,20 +153,16 @@ def incidents_group():
 @click.option("--scope", "scope_kind", required=True, type=click.Choice(SCOPE_KINDS))
 @click.option("--value", required=True)
 @click.option("--log", "log_path", required=True, type=click.Path(exists=True))
-@click.option("--author", "author_id", default="registry")
 @click.option("--start", type=int, default=None)
 @click.option("--end", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
-def incidents_query(scope_kind, value, log_path, author_id, start, end, fmt):
+def incidents_query(scope_kind, value, log_path, start, end, fmt):
     """List incident reports matching a scope."""
-    try:
-        registry = _registry_from_log(log_path, author_id)
+    with _failing("error"):
+        registry = _registry_from_log(log_path)
         reports = registry.query_incidents(
             IncidentScope(scope_kind, value), TimeWindow(start, end)
         )
-    except ProtocolError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
     for report in reports:
         if fmt == "canonical":
             click.echo(canonical_json_bytes(report.to_jsonable()))
@@ -179,33 +182,23 @@ def registry_group():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def registry_serve(config_path):
     """Serve the registry endpoints over TCP until interrupted."""
-    try:
+    with _failing("bad config"):
         config = ServiceConfig.from_file(config_path)
-    except (ProtocolError, OSError) as exc:
-        click.echo(f"bad config: {exc}", err=True)
-        sys.exit(1)
-    registry = Registry(config.author_id, retention=config.retention)
-    try:
+    with _failing("error"):
         if config.log_file and Path(config.log_file).exists():
             registry = Registry.replay(
-                Path(config.log_file).read_bytes(),
-                config.author_id,
-                retention=config.retention,
+                Path(config.log_file).read_bytes(), config.author_id, retention=config.retention
             )
-        if config.key_file:
-            key_path = Path(config.key_file)
-            if key_path.exists():
-                keypair = load_keypair_file(key_path)
-            else:
-                keypair = KeyPair.generate(config.author_id, "k1")
-                save_keypair_file(key_path, keypair)
-            registry.install_key(keypair)
         else:
-            registry.install_key(KeyPair.generate(config.author_id, "k1"))
-    except (ProtocolError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    server = TcpRegistryServer(RegistryServer(registry), config.host, config.port)
+            registry = Registry(config.author_id, retention=config.retention)
+        if config.key_file and Path(config.key_file).exists():
+            keypair = load_keypair_file(config.key_file)
+        else:
+            keypair = KeyPair.generate(config.author_id, "k1")
+            if config.key_file:
+                save_keypair_file(config.key_file, keypair)
+        registry.install_key(keypair)
+        server = TcpRegistryServer(RegistryServer(registry), config.host, config.port)
     host, port = server.address
     click.echo(f"serving {config.author_id} on {host}:{port}")
     try:
@@ -216,7 +209,8 @@ def registry_serve(config_path):
         # after stop() no handler is left to apply a mutation the log would miss
         server.stop()
         if config.log_file:
-            Path(config.log_file).write_bytes(registry.log_lines())
+            with _failing("error"):
+                Path(config.log_file).write_bytes(registry.log_lines())
 
 
 @main.command("scenario")
@@ -228,23 +222,18 @@ def registry_serve(config_path):
 @click.option("--format", "fmt", type=click.Choice(["pretty", "canonical"]), default="pretty")
 def scenario(name, seed, config_path, transport, out_path, fmt):
     """Replay a simulated-ecosystem scenario deterministically."""
-    try:
+    with _failing("error"):
         config = SimConfig()
         if config_path:
             config = SimConfig.from_jsonable(load_canonical(Path(config_path).read_bytes()))
         if seed is not None:
             config = replace(config, seed=seed)
-    except (ProtocolError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    try:
+    with _failing("scenario failed"):
         trace = SCENARIOS[name](config, transport=transport)
-    except ProtocolError as exc:
-        click.echo(f"scenario failed: {exc}", err=True)
-        sys.exit(1)
     lines = trace.to_lines()
     if out_path:
-        Path(out_path).write_bytes(lines)
+        with _failing("error"):
+            Path(out_path).write_bytes(lines)
         click.echo(f"{len(trace.records)} events  sha256={trace.sha256_hex()}")
     elif fmt == "canonical":
         click.echo(lines.decode("utf-8"), nl=False)

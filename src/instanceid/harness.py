@@ -104,8 +104,7 @@ class SimEventTrace:
     """Ordered (step, actor, event, payload-digest) records; payloads are
     kept in memory for assertions but only digests reach the trace file."""
 
-    def __init__(self, scenario: str):
-        self.scenario = scenario
+    def __init__(self):
         self.records: list[TraceRecord] = []
         self.payloads: list[dict] = []
 
@@ -207,23 +206,21 @@ class ServiceSim:
 
 
 class Ecosystem:
-    """Deployers plus the shared key directory and per-transport clients."""
+    """Deployers, a client of each one's registry, and the shared trust store."""
 
     def __init__(self, config: SimConfig, clock: SimClock, rng: random.Random):
         self.deployers = [DeployerSim(i, clock, rng) for i in range(config.deployers)]
-        self.clients: dict[str, BaseClient] = {}
         self.directory: dict[str, BaseClient] = {}
         self.trust = TrustStore()
         self.policy = default_disclosure_policy()
 
     def wire(self, clients: dict[str, BaseClient]) -> None:
-        self.clients = clients
-        for deployer in self.deployers:
-            self.directory[deployer.system_id] = clients[deployer.name]
         # assemble the shared trust directory from each registry's keys
         # endpoint, revocations included
         for deployer in self.deployers:
-            self.trust.add_listing(self.clients[deployer.name].list_keys())
+            client = clients[deployer.name]
+            self.directory[deployer.system_id] = client
+            self.trust.add_listing(client.list_keys())
 
     def client_for(self, identifier: InstanceIdentifier) -> BaseClient:
         return self.directory[identifier.system_id]
@@ -266,7 +263,7 @@ def run_shutdown_scenario(config: SimConfig, transport: str = "inproc") -> SimEv
     accumulate at its deployer until the instance is marked shut down."""
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
-    trace = SimEventTrace("shutdown")
+    trace = SimEventTrace()
     with ecosystem(config, clock, rng, transport) as eco:
         services = [
             ServiceSim(
@@ -371,7 +368,7 @@ def run_certification_scenario(config: SimConfig, transport: str = "inproc") -> 
     and one presents a tampered ID; the gate admits exactly the first."""
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
-    trace = SimEventTrace("certification")
+    trace = SimEventTrace()
     cert_name = "no-prompt-injection"
     with ecosystem(config, clock, rng, transport) as eco:
         deployer = eco.deployers[0]
@@ -444,7 +441,7 @@ def run_investigation_scenario(config: SimConfig, transport: str = "inproc") -> 
         raise ConfigInvalid("investigation needs lineage_depth >= 2")
     rng = random.Random(config.seed)
     clock = SimClock(CLOCK_EPOCH)
-    trace = SimEventTrace("scam")
+    trace = SimEventTrace()
     with ecosystem(config, clock, rng, transport) as eco:
         telco = ServiceSim(
             "svc-telco", "place-call", Requirement.id_required(),

@@ -1,20 +1,20 @@
 """Wire surface of the registry: endpoint dispatch, TCP transport, config.
 
 One route per verb, canonical JSON bodies, newline-delimited over the byte
-stream. The in-process client and the TCP client hand the same handler the
-same canonical request line; it decodes the line with ``load_canonical``
-and returns the reply line as bytes, which both clients decode with
-``load_canonical``. So one path runs from request bytes to reply bytes on
-either transport, and a simulation produces identical traces on both. A
-``query-incidents`` reply body is one flat table of report fields,
-``{"reports": [f1, ..., f7, f1, ..., f7, ...]}``, each report's seven fields
-in ``IncidentReport`` field order. The server sends the table
-``Registry.incident_rows`` returns: the reports' rows, encoded once each,
-joined with commas, so it reads no report. The client decodes the whole
-table in one checked pass (``IncidentReport.from_table``), so one bad field
-refuses the whole reply. On a replayed 10k-report registry, ``handle``
-answers a 2,503-report party-class query (299 KB) in 0.12-0.21 ms (median
-of 200 in each of five runs on a shared 2-vCPU VM; Python 3.11).
+stream. ``BaseClient.request`` writes every request line and reads every
+reply line with ``load_canonical``; a transport only carries the bytes
+(``_exchange``), the in-process one to ``RegistryServer.handle`` and the TCP
+one over a socket to the same handler. So one path runs from request bytes
+to reply bytes on either transport, and a simulation produces identical
+traces on both. A ``query-incidents`` reply body is one flat table of
+report fields, ``{"reports": [f1, ..., f7, f1, ..., f7, ...]}``, each
+report's seven fields in ``IncidentReport`` field order. The server sends
+the table ``Registry.incident_rows`` returns: the reports' rows, encoded
+once each, joined with commas, so it reads no report. The client decodes
+the whole table in one checked pass (``IncidentReport.from_table``), so one
+bad field refuses the whole reply. On a replayed 10k-report registry,
+``handle`` answers a 2,503-report party-class query (299 KB) in 0.12-0.21
+ms (median of 200 in each of five runs on a shared 2-vCPU VM; Python 3.11).
 A request line, envelope or body that cannot be decoded, a bad identifier
 included, gets a ``MalformedRecord`` reply on either transport; over TCP the
 connection stays open for the next request. ``keys`` only lists the trust
@@ -209,9 +209,15 @@ def _error_line(exc: ProtocolError) -> bytes:
 
 
 class BaseClient:
-    """Convenience verbs shared by both transports."""
+    """The request codec and the convenience verbs shared by both transports."""
 
     def request(self, endpoint: str, body: dict) -> dict:
+        """Send one request and return its decoded reply envelope."""
+        line = canonical_json_line({"body": body, "endpoint": endpoint})
+        return load_canonical(self._exchange(line))
+
+    def _exchange(self, line: bytes) -> bytes:
+        """Deliver one request line and return the reply line."""
         raise NotImplementedError
 
     def _roundtrip(self, endpoint: str, body: dict) -> dict:
@@ -281,16 +287,14 @@ class BaseClient:
 
 
 class InProcessClient(BaseClient):
-    """Client calling a ``RegistryServer`` in this process: it sends the
-    request line a ``TcpClient`` sends and decodes the reply line as that
-    client does, with ``load_canonical``."""
+    """Client handing its request lines to a ``RegistryServer`` in this
+    process."""
 
     def __init__(self, server: RegistryServer):
         self._server = server
 
-    def request(self, endpoint: str, body: dict) -> dict:
-        line = canonical_json_line({"body": body, "endpoint": endpoint})
-        return load_canonical(self._server.handle(line))
+    def _exchange(self, line: bytes) -> bytes:
+        return self._server.handle(line)
 
 
 _MAX_LINE = 1 << 20  # bytes per request line, its newline included
@@ -436,21 +440,20 @@ class TcpClient(BaseClient):
         for conn in opened:
             conn.close()
 
-    def request(self, endpoint: str, body: dict) -> dict:
-        payload = canonical_json_line({"body": body, "endpoint": endpoint})
+    def _exchange(self, line: bytes) -> bytes:
         deadline = time.monotonic() + self.timeout
         conn = self._connection()
         try:
             _time_left(conn, deadline)
-            conn.sendall(payload)
-            line = _read_line(conn, deadline)
+            conn.sendall(line)
+            reply = _read_line(conn, deadline)
         except OSError as exc:
             self._drop(conn)
             raise RegistryUnavailable(f"{self.host}:{self.port}: {exc}") from exc
-        if not line:
+        if not reply:
             self._drop(conn)
             raise RegistryUnavailable(f"{self.host}:{self.port} closed the stream")
-        return load_canonical(line)
+        return reply
 
     def _connection(self) -> socket.socket:
         """This thread's connection, opened if it has none or a stale one."""

@@ -2,6 +2,7 @@
 
 import json
 import random
+import socket
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from instanceid import (
     redact,
     sign_id,
 )
+import instanceid.service
 from instanceid.canonical import canonical_json_bytes
 from instanceid.cli import main
 
@@ -224,13 +226,13 @@ def test_lineage_trace_from_log(runner, tmp_path):
     result = runner.invoke(
         main,
         ["lineage", "trace", str(child), "--direction", "ancestors",
-         "--log", str(log), "--author", "acme"],
+         "--log", str(log)],
     )
     assert result.exit_code == 0
     assert str(root) in result.output
     missing = runner.invoke(
         main,
-        ["lineage", "trace", "sys-a:ghost00", "--log", str(log), "--author", "acme"],
+        ["lineage", "trace", "sys-a:ghost00", "--log", str(log)],
     )
     assert missing.exit_code == 1
 
@@ -240,7 +242,7 @@ def test_incidents_query_from_log(runner, tmp_path):
     result = runner.invoke(
         main,
         ["incidents", "query", "--scope", "system", "--value", "sys-a",
-         "--log", str(log), "--author", "acme", "--format", "canonical"],
+         "--log", str(log), "--format", "canonical"],
     )
     assert result.exit_code == 0
     report = json.loads(result.output.splitlines()[0])
@@ -248,7 +250,7 @@ def test_incidents_query_from_log(runner, tmp_path):
     empty = runner.invoke(
         main,
         ["incidents", "query", "--scope", "system", "--value", "other",
-         "--log", str(log), "--author", "acme"],
+         "--log", str(log)],
     )
     assert empty.exit_code == 0 and empty.output.strip() == ""
 
@@ -269,7 +271,7 @@ def test_incidents_query_canonical_prints_canonical_bytes(runner, tmp_path):
     result = runner.invoke(
         main,
         ["incidents", "query", "--scope", "instance", "--value", str(root),
-         "--log", str(log), "--author", "acme", "--format", "canonical"],
+         "--log", str(log), "--format", "canonical"],
     )
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == canonical_json_bytes(report.to_jsonable()) + b"\n"
@@ -281,7 +283,7 @@ def test_incidents_query_refuses_the_instance_class_scope(runner, tmp_path):
     result = runner.invoke(
         main,
         ["incidents", "query", "--scope", "instance-class", "--value", "x",
-         "--log", str(log), "--author", "acme"],
+         "--log", str(log)],
     )
     assert result.exit_code == 2
 
@@ -326,3 +328,81 @@ def test_registry_serve_rejects_a_bad_listen_address(runner, tmp_path):
     assert result.exit_code == 1
     assert "bad config" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def _failed_with(result, prefix: str) -> None:
+    """The command exited 1 with one ``<prefix>: ...`` line on stderr, and
+    no exception but that exit escaped it."""
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"{prefix}: "), result.stderr
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args, prefix",
+    [
+        (["id", "inspect", "{dir}"], "malformed artifact"),
+        (["id", "verify", "{dir}", "--trust-store", "{trust}"], "malformed input"),
+        (["id", "verify", "{signed}", "--trust-store", "{dir}"], "malformed input"),
+        (["lineage", "trace", "sys-a:x", "--log", "{dir}"], "error"),
+        (["incidents", "query", "--scope", "system", "--value", "sys-a", "--log", "{dir}"],
+         "error"),
+    ],
+    ids=["inspect", "verify-artifact", "verify-trust-store", "lineage-trace", "incidents-query"],
+)
+def test_read_commands_report_a_directory_given_as_a_file(runner, tmp_path, args, prefix):
+    paths = {"dir": str(tmp_path), "trust": str(FIXTURES / "trust_store.json"),
+             "signed": str(FIXTURES / "honest_signed_id.json")}
+    _failed_with(runner.invoke(main, [arg.format(**paths) for arg in args]), prefix)
+
+
+def test_scenario_reports_an_unwritable_out_path(runner, tmp_path):
+    out = tmp_path / "missing" / "f"
+    result = runner.invoke(main, ["scenario", "shutdown", "--seed", "1", "--out", str(out)])
+    _failed_with(result, "error")
+
+
+def test_log_commands_take_no_author_option(runner, tmp_path):
+    log, root, _ = _write_log(tmp_path)
+    for command in (["lineage", "trace", str(root)],
+                    ["incidents", "query", "--scope", "system", "--value", "sys-a"]):
+        result = runner.invoke(main, [*command, "--log", str(log), "--author", "acme"])
+        assert result.exit_code == 2, command
+
+
+def _serve(runner, monkeypatch, tmp_path, **fields):
+    """``registry serve`` of a config with ``fields``, whose accept loop
+    stops at once as if interrupted."""
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(instanceid.service.TcpRegistryServer, "serve_forever", interrupted)
+    config = tmp_path / "registry.json"
+    config.write_text(json.dumps({"author_id": "acme", "listen": "127.0.0.1:0", **fields}))
+    env = {f"INSTANCEID_{name}": None for name in ("LISTEN", "LOG_FILE", "KEY_FILE")}
+    return runner.invoke(main, ["registry", "serve", "--config", str(config)], env=env)
+
+
+def test_registry_serve_writes_its_log_when_interrupted(runner, monkeypatch, tmp_path):
+    log = tmp_path / "registry.log"
+    result = _serve(runner, monkeypatch, tmp_path, log_file=str(log))
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("serving acme on 127.0.0.1:")
+    assert log.read_bytes().count(b"\n") == 1  # the key it installed
+
+
+def test_registry_serve_reports_an_unwritable_log(runner, monkeypatch, tmp_path):
+    result = _serve(runner, monkeypatch, tmp_path, log_file=str(tmp_path / "missing" / "log"))
+    assert result.stdout.startswith("serving acme on 127.0.0.1:")
+    _failed_with(result, "error")
+
+
+def test_registry_serve_reports_a_port_held_by_another_socket(runner, monkeypatch, tmp_path):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        result = _serve(runner, monkeypatch, tmp_path, listen=f"127.0.0.1:{port}")
+    _failed_with(result, "error")
+    assert "Address already in use" in result.stderr

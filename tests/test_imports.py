@@ -1,13 +1,14 @@
-"""No module of the package imports a name it never uses, and no private
-helper outlives its last reader.
+"""No module of the package imports a name it never uses, no private
+helper outlives its last reader, and no field is stored that nothing reads.
 
-No linter ships with the toolchain, so two scans stand in for one. The
+No linter ships with the toolchain, so three scans stand in for one. The
 first parses each module under ``src/instanceid/`` except ``__init__.py``,
 which imports to re-export, and lists each imported name that no expression
 or annotation of the module reads. ``from __future__`` imports are exempt.
 The second lists each single-underscore function, class, method and
 module-level name of the package that no module reads outside its own
-definition.
+definition. The third lists each attribute stored on ``self`` and each
+dataclass or ``NamedTuple`` field that no module of the package reads.
 """
 
 import ast
@@ -22,6 +23,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "instanceid"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 # RegistryServer.handle looks each endpoint's handler up by this name
 DISPATCHED = {"_do_" + endpoint.replace("-", "_") for endpoint in ENDPOINTS}
+# perfbench/gate_mixed.py builds a RequestContext with its fields by position
+UNREAD_FIELDS_KEPT = {("gatekeeper", "RequestContext", "unit")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -128,3 +131,61 @@ def test_the_scan_finds_an_unread_private_name():
     ]
     assert overrides("incidents", "IncidentReport", "_make")
     assert not overrides("registry", "Registry", "_apply")
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is a dataclass or a ``NamedTuple``."""
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)
+
+
+def unread_fields(sources: dict[str, str]) -> list:
+    """(module, class, name) of each attribute a method in ``sources``
+    (module name -> source) stores on ``self``, and of each dataclass or
+    ``NamedTuple`` field, that no module reads. A read is a loaded
+    attribute, matched by name alone, whatever it is read from."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            fields = [
+                statement.target.id for statement in cls.body
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+            ] if _is_record(cls) else []
+            fields += [
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ]
+            unread += [(module, cls.name, name) for name in dict.fromkeys(fields)
+                       if name not in reads]
+    return unread
+
+
+def test_every_stored_field_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert [entry for entry in unread_fields(sources) if entry not in UNREAD_FIELDS_KEPT] == []
+
+
+def test_the_scan_finds_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 0\n    C = 1\n"
+        "class T(NamedTuple):\n    t: int\n"
+        "class S:\n    def __init__(self, x):\n        self.x = x\n        self.y = x\n"
+        "        self.n = 0\n    def bump(self):\n        self.n += 1\n        return self.y\n"
+    )
+    dead = [("m", "D", "a"), ("m", "D", "b"), ("m", "T", "t"), ("m", "S", "x"), ("m", "S", "n")]
+    assert unread_fields({"m": source}) == dead
+    assert unread_fields({"m": source, "n": "def f(d, t):\n    return d.a + t.t + t.x\n"}) == [
+        ("m", "D", "b"), ("m", "S", "n")
+    ]

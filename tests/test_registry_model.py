@@ -1,19 +1,24 @@
-"""A stateful model of the registry's keys, shutdown markers, documents and lineage.
+"""A stateful model of the registry's keys, shutdown markers, notifications,
+documents and lineage.
 
-The model is plain dicts and sets: key records by (author, key id),
+The model is plain dicts, sets and a list: key records by (author, key id),
 documents by identifier text, each lineage node's (parent, edge) pairs,
-external nodes, nonces and shutdown markers. Hypothesis interleaves issues
-(creations with and without a user ref, regenerations, reloads, merges and
-fine-tunes of known and unknown instances, upstream parents, caller
-attributes with and without salts that repeat a name, the registry's own
-among them, or a salt, and repeated nonces), own and foreign key
-registrations, revocations of own, foreign, unknown and already-revoked
-keys, shutdown markers of known and unknown identifiers, reads of
-documents across the retention horizon, lineage reads in both directions
-and clock advances. A mutation the registry accepts logs one line, or none
-when it retries a nonce or installs a key already held; one it refuses logs
-nothing. After every step the state holds the model, and the log replays
-to the same state and the same log.
+external nodes, nonces, shutdown markers and the inbox of notifications.
+Hypothesis interleaves issues (creations with and without a user ref,
+regenerations, reloads, merges and fine-tunes of known and unknown
+instances, upstream parents, caller attributes with and without salts that
+repeat a name, the registry's own among them, or a salt, and repeated
+nonces), own and foreign key registrations, revocations of own, foreign,
+unknown and already-revoked keys, shutdown markers of known and unknown
+identifiers, notifications about issued, never-issued and unparsable
+identifiers, reads of documents across the retention horizon, lineage reads
+in both directions and clock advances. A mutation the registry accepts logs
+one line, or none when it retries a nonce or installs a key already held,
+or is a notification; one it refuses logs nothing. Notifications and reads
+go both to the registry and through a ``TcpClient`` of one
+``TcpRegistryServer`` serving it. After every step the state holds the
+model, and the log replays to the same state and the same log, with an
+empty inbox.
 """
 
 import random
@@ -33,8 +38,11 @@ from instanceid import (
     Regenerated,
     Registry,
     Reloaded,
+    RegistryServer,
     RetentionConfig,
     SimClock,
+    TcpClient,
+    TcpRegistryServer,
     parse_identifier,
     verify_id,
 )
@@ -75,6 +83,7 @@ CARDS = st.lists(
 OWN_KEYS = ("k1", "k2")
 FOREIGN = (("beta", "b1"), ("beta", "b2"), ("gamma", "g1"))
 UNKNOWN = (parse_identifier("sys-a:ghost0"), parse_identifier("sys-c:ghost1"))
+UNPARSABLE = st.sampled_from((None, None, None, "no-colon", "sys-a:"))
 RELATION = {"branch": "ancestor", "constituent": "constituent", "base-system": "base-system"}
 
 
@@ -94,6 +103,13 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
         self.external = set()  # node texts of other deployers' instances
         self.nonces = {}  # nonce -> identifier text
         self.shutdowns = {}  # identifier text -> {"at": ..., "reason": ...}
+        self.inbox = []  # the payloads notified, in order
+        self.tcp = self.remote = None  # a TCP server of the registry, and its client
+
+    def teardown(self):
+        if self.tcp is not None:
+            self.remote.close()
+            self.tcp.stop()
 
     def _pool(self):
         """The lineage's nodes and identifiers the registry never saw."""
@@ -121,7 +137,9 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
     # -- documents -----------------------------------------------------------
 
     @initialize()
-    def create_one_per_system(self):
+    def serve_and_create_one_per_system(self):
+        self.tcp = TcpRegistryServer(RegistryServer(self.registry)).start()
+        self.remote = TcpClient(*self.tcp.address)
         for system in SYSTEMS:
             self._issue(Created(system, "u"), None, None, [])
 
@@ -245,10 +263,12 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
                 detail = "expired"
             else:
                 assert self.registry.get_id(identifier) == signed
+                assert self.remote.get_id(identifier) == signed
                 continue
-            with pytest.raises(NotFound) as caught:
-                self.registry.get_id(identifier)
-            assert caught.value.detail == detail
+            for reader in (self.registry, self.remote):
+                with pytest.raises(NotFound) as caught:
+                    reader.get_id(identifier)
+                assert caught.value.detail == detail
 
     @rule(direction=st.sampled_from(("ancestors", "descendants")))
     def get_every_lineage(self, direction):
@@ -262,8 +282,9 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
                 step[parent].add(child)
         for identifier in self._pool():
             if str(identifier) not in step:
-                with pytest.raises(UnknownIdentifier):
-                    self.registry.get_lineage(identifier, direction)
+                for reader in (self.registry, self.remote):
+                    with pytest.raises(UnknownIdentifier):
+                        reader.get_lineage(identifier, direction)
                 continue
             related, frontier = set(), [str(identifier)]
             while frontier:
@@ -273,6 +294,7 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
             expected = [(parse_identifier(text), text in self.external)
                         for text in sorted(related)]
             assert self.registry.get_lineage(identifier, direction) == expected
+            assert self.remote.get_lineage(identifier, direction) == expected
 
     @rule(seconds=st.sampled_from((1, RETENTION // 2, RETENTION)))
     def advance(self, seconds):
@@ -321,6 +343,23 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
             self.shutdowns[text] = {"at": self.clock.now(), "reason": reason}
         assert self.registry.is_shut_down(identifier) == (text in self.shutdowns)
 
+    # -- notifications ---------------------------------------------------------------
+
+    @rule(pick=PICKS, unparsable=UNPARSABLE, over_tcp=st.booleans())
+    def notify(self, pick, unparsable, over_tcp):
+        text = str(self._pick(pick)) if unparsable is None else unparsable
+        payload = {"identifier": text, "reason": "malfunction"}
+        if text in self.documents:
+            refusal = None
+        elif over_tcp and unparsable is not None:  # the endpoint parses it first
+            refusal = MalformedRecord
+        else:
+            refusal = UnknownIdentifier
+        notify = self.remote.notify if over_tcp else self.registry.notify
+        self._mutate(refusal, lambda: notify(payload), lines=0)
+        if refusal is None:
+            self.inbox.append(payload)
+
     # -- after every step ----------------------------------------------------------
 
     @invariant()
@@ -339,6 +378,8 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
         }
         assert state["nonces"] == self.nonces
         assert state["shutdowns"] == self.shutdowns
+        assert self.remote.list_keys() == state["trust"]
+        assert self.registry.inbox == self.inbox
 
     @invariant()
     def replays_to_itself(self):
@@ -346,6 +387,7 @@ class KeysShutdownsAndDocuments(RuleBasedStateMachine):
         replayed = Registry.replay(log, "acme", clock=self.clock, retention=self.retention)
         assert replayed.canonical_state_bytes() == self.registry.canonical_state_bytes()
         assert replayed.log_lines() == log
+        assert replayed.inbox == []
 
 
 # No shrinking: a failing run is reported as found, in seconds, not after

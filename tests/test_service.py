@@ -45,12 +45,16 @@ from instanceid import (
 )
 from instanceid.canonical import canonical_json_bytes, canonical_json_line, load_canonical
 from instanceid.errors import MalformedRecord, NotFound, RegistryUnavailable, UnknownIdentifier
+from instanceid.lineage import event_to_jsonable
 from instanceid.service import ServiceConfig, load_keypair_file, save_keypair_file
 
 from helpers import (
     MALFORMED_REPORT_FIELDS, Text, brute_force_incident_filter, fixed_keypair, report_row,
     trust_for,
 )
+
+
+UNKNOWN = parse_identifier("sys-a:ghost0")  # an identifier no registry here issues
 
 
 def _registry(author="acme", key_id="k1"):
@@ -92,6 +96,71 @@ def test_transports_return_identical_bodies(served, clients):
     request = {"identifier": str(signed.doc.identifier)}
     assert inproc.request("get-id", request) == remote.request("get-id", request)
     assert inproc.request("keys", {"op": "list"}) == remote.request("keys", {"op": "list"})
+
+
+def test_every_endpoint_replies_the_same_bytes_on_both_transports():
+    """Twin registries, one answering through ``RegistryServer.handle`` and
+    one through a ``TcpRegistryServer`` over a raw socket, give each request
+    line, accepted or refused, the same reply line."""
+    local, remote = RegistryServer(_registry()), RegistryServer(_registry())
+    tcp = TcpRegistryServer(remote).start()
+    outcomes = []
+    try:
+        with socket.create_connection(tcp.address, timeout=5) as conn, \
+                conn.makefile("rb") as replies:
+            def send(endpoint, body):
+                line = canonical_json_line({"body": body, "endpoint": endpoint})
+                reply = local.handle(line)
+                conn.sendall(line)
+                assert replies.readline() == reply, line
+                reply = load_canonical(reply)
+                outcomes.append((endpoint, reply.get("error", "ok")))
+                return reply.get("body")
+
+            created = send("issue", {"event": event_to_jsonable(Created("sys-a", "u")),
+                                     "nonce": "n1"})
+            text = created["signed"]["doc"]["identifier"]
+            root = parse_identifier(text)
+            send("issue", {"event": event_to_jsonable(Regenerated(root))})
+            send("issue", {"event": event_to_jsonable(Regenerated(UNKNOWN))})
+            send("issue", {"event": 5})
+            report = IncidentReport("r1", root, "service.x", Severity.MAJOR, "spam", 9_999)
+            send("report-incident", {"report": report.to_jsonable()})
+            send("report-incident", {"report": report.to_jsonable()})
+            send("report-incident", {"report": {}})
+            window = TimeWindow().to_jsonable()
+            send("query-incidents", {"scope": IncidentScope.system("sys-a").to_jsonable(),
+                                     "window": window})
+            send("query-incidents", {"scope": 5, "window": window})
+            for party in (None, PartyClass.REGULATOR.value, PartyClass.REGULATOR.value):
+                send("get-id", {"identifier": text, "party": party})
+            send("get-id", {"identifier": str(UNKNOWN)})
+            send("get-id", {"identifier": "no-colon"})
+            send("get-lineage", {"direction": "descendants", "identifier": text})
+            send("get-lineage", {"direction": "ancestors", "identifier": str(UNKNOWN)})
+            send("keys", {"op": "list"})
+            send("keys", {"op": "drop"})
+            send("notify", {"payload": {"identifier": text, "reason": "x"}})
+            send("notify", {"payload": {"identifier": str(UNKNOWN), "reason": "x"}})
+            send("notify", {})
+            send("no-such-endpoint", {})
+        assert local.registry.log_lines() == remote.registry.log_lines()
+        assert local.registry.inbox == remote.registry.inbox
+    finally:
+        tcp.stop()
+    assert outcomes == [
+        ("issue", "ok"), ("issue", "ok"), ("issue", "UnknownParent"),
+        ("issue", "MalformedRecord"),
+        ("report-incident", "ok"), ("report-incident", "DuplicateReportId"),
+        ("report-incident", "MalformedRecord"),
+        ("query-incidents", "ok"), ("query-incidents", "MalformedRecord"),
+        ("get-id", "ok"), ("get-id", "ok"), ("get-id", "ok"), ("get-id", "NotFound"),
+        ("get-id", "MalformedRecord"),
+        ("get-lineage", "ok"), ("get-lineage", "UnknownIdentifier"),
+        ("keys", "ok"), ("keys", "MalformedRecord"),
+        ("notify", "ok"), ("notify", "UnknownIdentifier"), ("notify", "MalformedRecord"),
+        ("no-such-endpoint", "MalformedRecord"),
+    ]
 
 
 def test_incident_endpoints(served, clients):
